@@ -10,7 +10,8 @@ from .spectrum import SpectralMeasure
 from .model import (ENTRY_DISTS, DirectionSpec, ModelConfig, PopulationSpec,
                     build_sample_cov, companion_sample_cov, draw_entries,
                     realize_direction, realize_population, replicate_rng)
-from .eigen import EigenSystem, eig_decompose, quad_form_power, resolvent_quad_form
+from .eigen import (EigenSystem, cholesky_logdet, eig_decompose, quad_form_power,
+                    resolvent_quad_form)
 from .mp import (ConvergenceError, StieltjesSolution, closed_form_mp,
                  companion_transform, inverse_z, solve_mbar, solve_mbar_grid,
                  support_interval)
@@ -22,10 +23,10 @@ from .weighted import (WeightedSpectrum, eval_cdf, functional_gap, gn_functional
                        scaled_w_statistic, w_statistic, weighted_spectrum,
                        x_process, y_process)
 from .kde import default_grid, kde, silverman_bandwidth
-from .harness import (CompareVerdict, MCReport, Tolerances, bb_covariance,
+from .harness import (CompareVerdict, MCReport, Statistic, Tolerances, bb_covariance,
                       bb_samples, bb_target, compare_report, condition_profile,
-                      direction_condition_gap, estimate_mean_cov, realized_law,
-                      run_clt, run_replications, theoretical_cov_contour,
+                      direction_condition_gap, estimate_mean_cov, map_replicates,
+                      realized_law, run_clt, run_replications, theoretical_cov_contour,
                       theoretical_cov_simplified)
 
 __version__ = "0.1.0"

@@ -9,8 +9,14 @@ bridge     partial-sum process covariance check: bb.json
 figures    kernel-density data for the log-determinant statistic: figN.csv
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
-Worker threads are controlled by the COVSPEC_WORKERS environment variable
-(default: machine parallelism).
+Replicates (clt, bridge, figures) run on COVSPEC_WORKERS pool threads
+(default: machine parallelism), each with one OpenBLAS thread while the
+replicates run, also when COVSPEC_WORKERS=1.  Replicate values, and so
+the outputs of those three commands, are bitwise independent of the worker
+count and of OPENBLAS_NUM_THREADS; simulate runs one matrix on the BLAS
+threads in effect.
+
+Run as ``covspec <command> ...`` or ``python -m covspec.cli <command> ...``.
 """
 
 from __future__ import annotations
@@ -25,14 +31,14 @@ import numpy as np
 
 from .eigen import eig_decompose, quad_form_power
 from .functionals import FunctionalSpec
-from .harness import bb_covariance, bb_target, run_clt
+from .harness import Statistic, bb_covariance, bb_target, map_replicates, run_clt
 from .kde import default_grid, kde, silverman_bandwidth
 from .law import LimitLaw, cdf_limit, density
 from .model import (ENTRY_DISTS, DirectionSpec, ModelConfig, PopulationSpec,
                     build_sample_cov, realize_direction)
 from .mp import ConvergenceError
 from .spectrum import SpectralMeasure
-from .weighted import WeightedSpectrum, scaled_w_statistic, w_statistic, weighted_spectrum
+from .weighted import WeightedSpectrum, w_statistic, weighted_spectrum
 
 COMMANDS = ("simulate", "density", "clt", "bridge", "figures")
 
@@ -268,11 +274,8 @@ def _figure_samples(base: ModelConfig, n: int, N: int, reps: int, scaled: bool) 
     cfg = ModelConfig(n=n, N=N, entry_dist=base.entry_dist,
                       population=base.population, direction=base.direction,
                       seed=base.seed)
-    vals = np.empty(reps)
-    for r in range(reps):
-        es = eig_decompose(build_sample_cov(cfg, replicate=r))
-        vals[r] = scaled_w_statistic(es, N) if scaled else w_statistic(es)
-    return vals
+    scale = np.sqrt(N / n) if scaled else 1.0
+    return map_replicates(cfg, Statistic("logdet", lambda logdet: scale * logdet), reps)
 
 
 def _cmd_figures(rc: RunConfig, outdir) -> None:
@@ -384,3 +387,7 @@ def main(argv=None) -> int:
 
 def entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

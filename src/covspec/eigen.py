@@ -28,18 +28,23 @@ def _hermitian_defect(a: np.ndarray) -> float:
     return float(np.abs(a - a.conj().T).max())
 
 
-def eig_decompose(a: np.ndarray, check: bool = True) -> EigenSystem:
-    """Spectral decomposition of a Hermitian nonnegative definite matrix.
-
-    Validates hermiticity of the input and, on the output, orthonormality,
-    reconstruction, and nonnegativity of the spectrum (up to roundoff).
-    """
+def _require_hermitian(a) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     scale = max(1.0, float(np.abs(a).max()) if a.size else 1.0)
     if _hermitian_defect(a) > 1e-10 * scale:
         raise ValueError("matrix is not Hermitian")
+    return a
+
+
+def eig_decompose(a: np.ndarray, check: bool = True) -> EigenSystem:
+    """Spectral decomposition of a Hermitian nonnegative definite matrix.
+
+    Validates hermiticity of the input and, on the output, orthonormality,
+    reconstruction, and nonnegativity of the spectrum (up to roundoff).
+    """
+    a = _require_hermitian(a)
     try:
         lams, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -56,6 +61,20 @@ def eig_decompose(a: np.ndarray, check: bool = True) -> EigenSystem:
         if lams[0] < -1e-10:
             raise RuntimeError(f"matrix is not nonnegative definite (min eig {lams[0]:g})")
     return es
+
+
+def cholesky_logdet(a: np.ndarray) -> float:
+    """log det of a Hermitian positive definite matrix from its Cholesky factor.
+
+    Equals the sum of log eigenvalues without computing them; a failed
+    factorization raises ValueError("singular sample covariance").
+    """
+    a = _require_hermitian(a)
+    try:
+        pivots = np.linalg.cholesky(a).diagonal().real
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("singular sample covariance") from exc
+    return float(2.0 * np.log(pivots).sum())
 
 
 def quad_form_power(a: np.ndarray, x: np.ndarray, m: int):

@@ -1,34 +1,47 @@
 """Monte Carlo replication harness and theoretical covariance evaluation.
 
-Replicates are mutually independent, seeded by (seed, replicate), and may
-run on any number of worker threads; results land in their own row so the
-assembled matrix never depends on scheduling.  Theory comes in two
-independently computed flavors: a double contour integral of the covariance
-kernel, and the simplified variance formula available when the population
-spectrum is a single point mass.
+Every replicate loop runs through ``map_replicates``.  Replicates are
+mutually independent, seeded by (seed, replicate), and may run on any
+number of worker threads; while they run, numpy's OpenBLAS is pinned to one
+thread, so each worker does its linear algebra serially and the results
+depend neither on scheduling nor on the BLAS thread setting.  Theory comes
+in two independently computed flavors: a double contour integral of the
+covariance kernel, and the simplified variance formula available when the
+population spectrum is a single point mass.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import os
+import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .eigen import eig_decompose
+from .eigen import cholesky_logdet, eig_decompose
 from .functionals import FunctionalSpec, poly_product
 from .kernels import Contour, contour_pair, kernel_from_mbar, mbar_on_nodes
 from .law import LimitLaw, mean_functional
 from .model import ModelConfig, build_sample_cov, realize_direction, realize_population
-from .mp import solve_mbar
+from .mp import solve_mbar, support_interval
 from .spectrum import SpectralMeasure
 from .weighted import weighted_spectrum, y_process
 
 WORKERS_ENV = "COVSPEC_WORKERS"
+IMAG_WARN = 1e-6  # contour covariance imaginary residue that triggers a warning
+
+# (get, set) thread-count entry points: numpy's bundled scipy-openblas with
+# its symbol suffix first, then a plain OpenBLAS build
+_OPENBLAS_SYMBOLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                     ("openblas_get_num_threads", "openblas_set_num_threads"))
 
 
 def _worker_count(workers: Optional[int]) -> int:
@@ -38,6 +51,118 @@ def _worker_count(workers: Optional[int]) -> int:
     if env:
         return max(1, int(env))
     return os.cpu_count() or 1
+
+
+@functools.cache
+def _find_openblas():
+    """(get, set) thread-count functions of the OpenBLAS numpy loaded, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        try:
+            lib = ctypes.CDLL(os.path.realpath(path))
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+class _BlasPin:
+    """Holds numpy's OpenBLAS at one thread while any replicate loop runs.
+
+    The OpenBLAS thread count is process-wide, so this bookkeeping is too:
+    the first loop to enter saves the count and sets 1, the last to leave
+    restores it.  The library is looked up on first use, not at import.
+    Without an OpenBLAS the loops run unpinned.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 1
+
+    @contextmanager
+    def pinned(self):
+        api = _find_openblas()
+        if api is None:
+            yield
+            return
+        get, set_ = api
+        with self._lock:
+            if self._depth == 0:
+                self._saved = get()
+                set_(1)
+            self._depth += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._depth -= 1
+                if self._depth == 0:
+                    set_(self._saved)
+
+
+_BLAS = _BlasPin()
+
+
+@dataclass(frozen=True)
+class Statistic:
+    """A per-replicate statistic and the decomposition it needs.
+
+    ``needs="weights"``: ``fn`` gets the WeightedSpectrum of the config's
+    direction, from ``eig_decompose`` (with its self-checks) and
+    ``weighted_spectrum``.  ``needs="logdet"``: ``fn`` gets log det A from a
+    Cholesky factorization.  ``fn`` returns a number or a fixed-length
+    sequence of numbers.
+    """
+
+    needs: str
+    fn: Callable
+
+    def __post_init__(self):
+        if self.needs not in ("weights", "logdet"):
+            raise ValueError(f"statistic needs 'weights' or 'logdet' (got {self.needs!r})")
+
+
+def map_replicates(cfg: ModelConfig, stat: Statistic, R: int,
+                   workers: Optional[int] = None) -> np.ndarray:
+    """``stat`` on replicates 0..R-1, stacked in replicate order (R or R x k).
+
+    Replicate r draws from the stream keyed on (cfg.seed, r).  The loop runs
+    on ``workers`` threads (default: COVSPEC_WORKERS, else the CPU count)
+    with numpy's OpenBLAS pinned to one thread throughout, so the result is
+    bitwise independent of the worker count and, where numpy bundles
+    OpenBLAS, of OPENBLAS_NUM_THREADS.
+    A failure raises RuntimeError("replicate r failed: ...").
+    """
+    x = realize_direction(cfg.direction, cfg.n) if stat.needs == "weights" else None
+
+    def one(r: int):
+        try:
+            if stat.needs == "logdet" and cfg.n > cfg.N:  # A has rank at most N < n
+                raise ValueError("singular sample covariance")
+            a = build_sample_cov(cfg, replicate=r)
+            if stat.needs == "logdet":
+                return stat.fn(cholesky_logdet(a))
+            return stat.fn(weighted_spectrum(eig_decompose(a), x))
+        except Exception as exc:
+            raise RuntimeError(f"replicate {r} failed: {exc}") from exc
+
+    nworkers = _worker_count(workers)
+    with _BLAS.pinned():
+        if nworkers == 1:
+            rows = [one(r) for r in range(R)]
+        else:
+            pool = ThreadPoolExecutor(max_workers=nworkers)
+            try:
+                rows = list(pool.map(one, range(R)))
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return np.asarray(rows, dtype=float)
 
 
 def realized_law(cfg: ModelConfig) -> LimitLaw:
@@ -50,8 +175,8 @@ def run_replications(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
                      workers: Optional[int] = None) -> np.ndarray:
     """R x k matrix of linear spectral statistics, one replicate per row.
 
-    Row r is computed from the stream keyed on (cfg.seed, r), so the matrix
-    is identical no matter how many workers execute it.
+    Entry (r, j) is sqrt(N) * (sum_i w_i g_j(lambda_i) - integral g_j dF)
+    on replicate r, centered at the finite-n limit law.
     """
     if R < 2:
         raise ValueError("need at least 2 replications")
@@ -59,29 +184,14 @@ def run_replications(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
     law = realized_law(cfg)
     if any(g.needs_positive_support for g in gs) and not (0 < cfg.ratio < 1):
         raise ValueError("log functionals need 0 < n/N < 1")
-    x = realize_direction(cfg.direction, cfg.n)
     means = np.array([mean_functional(law, g) for g in gs])
     rootN = np.sqrt(cfg.N)
-    out = np.empty((R, len(gs)))
 
-    def one(r: int):
-        try:
-            es = eig_decompose(build_sample_cov(cfg, replicate=r))
-            ws = weighted_spectrum(es, x)
-            for j, g in enumerate(gs):
-                gv = np.asarray(g(ws.lambdas), dtype=float)
-                out[r, j] = rootN * (np.dot(ws.weights, gv) - means[j])
-        except Exception as exc:
-            raise RuntimeError(f"replicate {r} failed: {exc}") from exc
+    def lss(ws):
+        return [rootN * (np.dot(ws.weights, np.asarray(g(ws.lambdas), dtype=float)) - m)
+                for g, m in zip(gs, means)]
 
-    nworkers = _worker_count(workers)
-    if nworkers == 1:
-        for r in range(R):
-            one(r)
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            list(pool.map(one, range(R)))
-    return out
+    return map_replicates(cfg, Statistic("weights", lss), R, workers=workers)
 
 
 def estimate_mean_cov(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,47 +204,64 @@ def estimate_mean_cov(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
-def theoretical_cov_contour(g1: FunctionalSpec, g2: FunctionalSpec,
-                            H: SpectralMeasure, c: float,
-                            contour1: Optional[Contour] = None,
-                            contour2: Optional[Contour] = None,
-                            case: str = "real",
-                            imag_warn: float = 1e-6) -> float:
-    """Theoretical covariance by double contour integration of the kernel.
+def _contour_cov(gs1: Sequence[FunctionalSpec], gs2: Sequence[FunctionalSpec],
+                 H: SpectralMeasure, c: float, contour1: Contour, contour2: Contour,
+                 case: str) -> np.ndarray:
+    """Complex matrix whose entry (i, j) pairs gs1[i] on contour1 with gs2[j] on contour2.
 
-    The two rectangles must be disjoint (one strictly inside the other),
-    both enclosing the support.  Composite trapezoid on midpoint-shifted
-    nodes; the conjugate-symmetric node sets make the imaginary part cancel,
-    and any residue beyond ``imag_warn`` triggers a warning.
+    One pass over the kernel: the transform is solved once per contour, and
+    each 1024-row chunk of the node-by-node kernel is evaluated once and
+    contracted with every functional pair by matrix products.
     """
-    if contour1 is None or contour2 is None:
-        c1, c2 = contour_pair(H, c)
-        contour1 = contour1 or c1
-        contour2 = contour2 or c2
     if contour1.intersects(contour2):
         raise ValueError("contours intersect; use nested rectangles")
-    from .mp import support_interval
     lo, hi = support_interval(H, c)
+    needs_positive = any(g.needs_positive_support for g in (*gs1, *gs2))
     for cont in (contour1, contour2):
         if not (cont.u_l < lo if lo > 0 else cont.u_l < 0) or cont.u_r <= hi:
             raise ValueError("contour does not enclose the support")
-        if (g1.needs_positive_support or g2.needs_positive_support) and cont.u_l <= 0:
+        if needs_positive and cont.u_l <= 0:
             raise ValueError("log functional needs contours with u_l > 0")
     z1, w1, m1 = mbar_on_nodes(contour1, H, c)
     z2, w2, m2 = mbar_on_nodes(contour2, H, c)
-    g1v = g1(z1) * w1
-    g2v = g2(z2) * w2
-    total = 0.0 + 0.0j
+    gw1 = np.array([g(z1) * w1 for g in gs1])
+    gw2 = np.array([g(z2) * w2 for g in gs2])
+    total = np.zeros((len(gs1), len(gs2)), dtype=complex)
     chunk = 1024
     for start in range(0, z1.size, chunk):
         sl = slice(start, start + chunk)
         k = kernel_from_mbar(z1[sl, None], m1[sl, None], z2[None, :], m2[None, :],
                              c, case=case)
-        total += np.sum(g1v[sl, None] * g2v[None, :] * k)
-    val = -total / (4.0 * np.pi ** 2)
+        total += gw1[:, sl] @ (k @ gw2.T)
+    return -total / (4.0 * np.pi ** 2)
+
+
+def _real_part(val: complex, imag_warn: float) -> float:
     if abs(val.imag) > imag_warn:
         warnings.warn(f"contour covariance imaginary residue {val.imag:.2e}")
     return float(val.real)
+
+
+def theoretical_cov_contour(g1: FunctionalSpec, g2: FunctionalSpec,
+                            H: SpectralMeasure, c: float,
+                            contour1: Optional[Contour] = None,
+                            contour2: Optional[Contour] = None,
+                            case: str = "real",
+                            imag_warn: float = IMAG_WARN) -> float:
+    """Theoretical covariance by double contour integration of the kernel.
+
+    The two rectangles must be disjoint (one strictly inside the other),
+    both enclosing the support.  Composite trapezoid on midpoint-shifted
+    nodes; the conjugate-symmetric node sets make the imaginary part cancel,
+    and any residue beyond ``imag_warn`` triggers a warning.  g1 is
+    integrated on contour1, g2 on contour2.
+    """
+    if contour1 is None or contour2 is None:
+        c1, c2 = contour_pair(H, c)
+        contour1 = contour1 or c1
+        contour2 = contour2 or c2
+    cov = _contour_cov([g1], [g2], H, c, contour1, contour2, case)
+    return _real_part(cov[0, 0], imag_warn)
 
 
 def theoretical_cov_simplified(g1: FunctionalSpec, g2: FunctionalSpec,
@@ -170,23 +297,8 @@ def bb_samples(cfg: ModelConfig, grid: Sequence[float], R: int,
                workers: Optional[int] = None) -> np.ndarray:
     """R x len(grid) matrix of partial-sum process values across replicates."""
     grid = np.asarray(grid, dtype=float)
-    x = realize_direction(cfg.direction, cfg.n)
-    out = np.empty((R, grid.size))
-
-    def one(r: int):
-        es = eig_decompose(build_sample_cov(cfg, replicate=r))
-        ws = weighted_spectrum(es, x)
-        for j, t in enumerate(grid):
-            out[r, j] = y_process(ws, t)
-
-    nworkers = _worker_count(workers)
-    if nworkers == 1:
-        for r in range(R):
-            one(r)
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            list(pool.map(one, range(R)))
-    return out
+    stat = Statistic("weights", lambda ws: [y_process(ws, t) for t in grid])
+    return map_replicates(cfg, stat, R, workers=workers)
 
 
 def bb_covariance(cfg: ModelConfig, grid: Sequence[float], R: int,
@@ -258,10 +370,10 @@ def run_clt(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
     k = len(gs)
     theory = np.empty((k, k))
     c1, c2 = contour_pair(law.H, law.c, nodes_per_side=nodes_per_side)
+    contour = _contour_cov(gs, gs, law.H, law.c, c1, c2, case)
     for i in range(k):
         for j in range(i, k):
-            theory[i, j] = theory[j, i] = theoretical_cov_contour(
-                gs[i], gs[j], law.H, law.c, c1, c2, case=case)
+            theory[i, j] = theory[j, i] = _real_part(contour[i, j], IMAG_WARN)
     simplified = None
     if law.H.is_degenerate:
         simplified = np.empty((k, k))

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import covspec
 from covspec.cli import ConfigError, main, parse_config, serialize_config
 from covspec.model import DirectionSpec
 
@@ -155,6 +160,18 @@ class TestDispatch:
         assert header == ["x", "kde"]
         mass = np.trapezoid(rows[:, 1], rows[:, 0])
         assert abs(mass - 1.0) <= 0.02
+
+    def test_module_entry_point(self, tmp_path):
+        src = str(Path(covspec.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        cfgfile = _config(tmp_path)
+        proc = subprocess.run([sys.executable, "-m", "covspec.cli", "density", "--config",
+                               str(cfgfile), "--out", str(tmp_path), "--grid", "0.5,1.0"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        header, rows = _read_csv(tmp_path / "density.csv")
+        assert header == ["x", "f", "F"] and rows.shape == (2, 3)
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2

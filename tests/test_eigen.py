@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from covspec import eig_decompose, quad_form_power, resolvent_quad_form, weighted_spectrum
+from covspec import (cholesky_logdet, eig_decompose, quad_form_power, resolvent_quad_form,
+                     weighted_spectrum)
 
 
 def test_diagonal_permutation():
@@ -46,6 +47,23 @@ def test_reconstruction_idempotent():
     recon = (es.vectors * es.lambdas) @ es.vectors.conj().T
     es2 = eig_decompose(recon)
     np.testing.assert_allclose(es.lambdas, es2.lambdas, atol=1e-10)
+
+
+class TestCholeskyLogdet:
+    def test_two_by_two(self):
+        assert cholesky_logdet(np.array([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx(np.log(3.0))
+
+    def test_complex_hermitian(self):
+        a = np.array([[2.0, 1j], [-1j, 2.0]])
+        assert cholesky_logdet(a) == pytest.approx(np.log(3.0))
+
+    def test_non_hermitian_rejected(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            cholesky_logdet(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_singular_rejected(self):
+        with pytest.raises(ValueError, match="singular sample covariance"):
+            cholesky_logdet(np.diag([1.0, 0.0, 2.0]))
 
 
 class TestQuadFormPower:

@@ -1,14 +1,21 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import covspec
 from covspec import (Contour, DirectionSpec, FunctionalSpec, LimitLaw, ModelConfig,
-                     PopulationSpec, SpectralMeasure, Tolerances, bb_covariance,
-                     bb_samples, bb_target, compare_report, condition_profile,
-                     contour_pair, direction_condition_gap, estimate_mean_cov,
-                     run_clt, run_replications,
-                     theoretical_cov_contour, theoretical_cov_simplified)
+                     PopulationSpec, SpectralMeasure, Statistic, Tolerances, bb_covariance,
+                     bb_samples, bb_target, build_sample_cov, compare_report,
+                     condition_profile, contour_pair, direction_condition_gap,
+                     eig_decompose, estimate_mean_cov, map_replicates, run_clt,
+                     run_replications, theoretical_cov_contour,
+                     theoretical_cov_simplified, w_statistic)
+from covspec.cli import FIGURE_ONE_SIZES, FIGURE_SMALL
 
 MP1 = SpectralMeasure.point(1.0)
 G1 = FunctionalSpec.monomial(1)
@@ -50,6 +57,68 @@ class TestRunReplications:
     def test_r_lower_bound(self):
         with pytest.raises(ValueError):
             run_replications(_cfg(), [G1], 1)
+
+
+_HASH_SCRIPT = """
+import hashlib
+from covspec import DirectionSpec, FunctionalSpec, ModelConfig, PopulationSpec, run_replications
+cfg = ModelConfig(n=300, N=600, entry_dist="real-gaussian", population=PopulationSpec.identity(),
+                  direction=DirectionSpec.basis(0), seed=7)
+gs = [FunctionalSpec.parse(g) for g in ("poly:0,1", "poly:0,0,1", "log")]
+for workers in (1, 2):
+    print(hashlib.sha256(run_replications(cfg, gs, 8, workers=workers).tobytes()).hexdigest())
+"""
+
+
+class TestMapReplicates:
+    def test_bytes_independent_of_blas_threads(self):
+        src = str(Path(covspec.__file__).resolve().parents[1])
+        hashes = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", _HASH_SCRIPT], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            lines = proc.stdout.split()
+            assert len(lines) == 2
+            hashes.update(lines)
+        assert len(hashes) == 1
+
+    def test_blas_pinned_during_replicates_and_restored(self):
+        from covspec.harness import _find_openblas
+
+        api = _find_openblas()
+        if api is None:
+            pytest.skip("numpy does not use a bundled OpenBLAS")
+        get, set_ = api
+        before = get()
+        try:
+            set_(2)
+            seen = []
+            stat = Statistic("logdet", lambda logdet: seen.append(get()) or logdet)
+            for workers in (1, 2):
+                map_replicates(_cfg(n=10, N=20), stat, 4, workers=workers)
+                assert get() == 2
+            assert seen == [1] * 8
+        finally:
+            set_(before)
+
+    @pytest.mark.parametrize("n, N", [(round(0.2 * N), N) for N in FIGURE_ONE_SIZES]
+                             + list(FIGURE_SMALL.values()))
+    def test_logdet_matches_eigenvalue_sum(self, n, N):
+        cfg = _cfg(n=n, N=N, seed=4)
+        got = map_replicates(cfg, Statistic("logdet", float), 6, workers=2)
+        want = [w_statistic(eig_decompose(build_sample_cov(cfg, replicate=r))) for r in range(6)]
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+    def test_singular_logdet_names_replicate(self):
+        with pytest.raises(RuntimeError, match="replicate 0 failed: singular"):
+            map_replicates(_cfg(n=20, N=10), Statistic("logdet", float), 3, workers=2)
+
+    def test_unknown_need_rejected(self):
+        with pytest.raises(ValueError, match="logdet"):
+            Statistic("eigvals", float)
 
 
 class TestEstimateMeanCov:
