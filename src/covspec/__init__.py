@@ -19,9 +19,8 @@ from .law import LimitLaw, cdf_limit, density, limit_moments, mean_functional
 from .kernels import (Contour, ProofKernels, contour_around_support, contour_pair,
                       cov_kernel, homogeneity_residual, proof_kernels)
 from .functionals import FunctionalSpec, poly_product
-from .weighted import (WeightedSpectrum, eval_cdf, functional_gap, gn_functional,
-                       scaled_w_statistic, w_statistic, weighted_spectrum,
-                       x_process, y_process)
+from .weighted import (WeightedSpectrum, eval_cdf, functional_gap, w_statistic,
+                       weighted_spectrum, x_process, y_process)
 from .kde import default_grid, kde, silverman_bandwidth
 from .harness import (CompareVerdict, MCReport, Statistic, Tolerances, bb_covariance,
                       bb_samples, bb_target, compare_report, condition_profile,

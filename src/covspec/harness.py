@@ -29,7 +29,7 @@ import numpy as np
 from .eigen import cholesky_logdet, eig_decompose
 from .functionals import FunctionalSpec, poly_product
 from .kernels import Contour, contour_pair, kernel_from_mbar, mbar_on_nodes
-from .law import LimitLaw, mean_functional
+from .law import LimitLaw, _density_integral, mean_functional
 from .model import ModelConfig, build_sample_cov, realize_direction, realize_population
 from .mp import solve_mbar, support_interval
 from .spectrum import SpectralMeasure
@@ -278,18 +278,12 @@ def theoretical_cov_simplified(g1: FunctionalSpec, g2: FunctionalSpec,
         m1 = mean_functional(law, g1)
         m2 = mean_functional(law, g2)
     else:
-        x, f = law.density_grid
-        from scipy.interpolate import PchipInterpolator
-
-        def integrate(vals):
-            s = PchipInterpolator(x, f * vals).antiderivative()
-            return float(s(x[-1]) - s(x[0]))
-
+        x, _ = law.density_grid
         g1v = np.asarray(g1(x), dtype=float)
         g2v = np.asarray(g2(x), dtype=float)
-        cross = integrate(g1v * g2v)
-        m1 = integrate(g1v)
-        m2 = integrate(g2v)
+        cross = _density_integral(law, g1v * g2v)
+        m1 = _density_integral(law, g1v)
+        m2 = _density_integral(law, g2v)
     return float(2.0 / law.c * (cross - m1 * m2))
 
 

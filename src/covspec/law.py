@@ -1,10 +1,13 @@
 """The limiting spectral law: density, distribution function, moments.
 
 The law is pinned down by the ratio c and the population measure H.  Its
-density on the real line is recovered from the solved transform by boundary
-evaluation just above the axis with Richardson extrapolation in the offset;
-the distribution function adds the point mass max(0, 1 - 1/c) at zero that
-appears once the dimension exceeds the sample count.
+density on the real line is the boundary value f(x) = Im mbar(x)/(c*pi) of
+the companion transform (Silverstein & Choi 1995), taken directly at real x
+by the same arrowhead root selection that ``mp`` uses off the axis, so
+there is no offset above the axis and no extrapolation.  Each point costs
+O(k^3) for k atoms.  The distribution function adds the point mass
+max(0, 1 - 1/c) at zero that appears once the dimension exceeds the sample
+count.
 """
 
 from __future__ import annotations
@@ -18,12 +21,9 @@ from scipy.interpolate import PchipInterpolator
 
 from .functionals import FunctionalSpec
 from .kernels import contour_around_support
-from .mp import (ConvergenceError, continuous_support, solve_mbar_grid,
+from .mp import (_arrowhead_parts, _upper_root, continuous_support, solve_mbar_grid,
                  support_interval)
 from .spectrum import SpectralMeasure
-
-_EPS_LADDER = (1e-3, 5e-4, 2.5e-4)
-_GRID_MAX_ITER = 30000
 
 
 @dataclass
@@ -63,9 +63,7 @@ class LimitLaw:
         if self._grid_x is not None:
             return
         x = _edge_clustered_grid(self, self.grid_points)
-        # finer offset ladder than the default: the cached grid feeds
-        # quadrature, so the edge boundary layers must be thin
-        f = np.maximum(density(x, self, eps=2.5e-4), 0.0)
+        f = density(x, self)
         spline = PchipInterpolator(x, f).antiderivative()
         self._grid_x = x
         self._grid_f = f
@@ -97,32 +95,18 @@ class LimitLaw:
 def _bulk_edges(H: SpectralMeasure, c: float) -> np.ndarray:
     """Real stationary values of the inverse map: candidate bulk edges.
 
-    Stationary points satisfy 1/m^2 = c * sum w_k t_k^2/(1 + t_k m)^2, a
-    polynomial condition; mapping real roots through the inverse gives the
-    edge locations where the density has square-root behavior.
+    In y = -1/mbar the inverse map z(y) = y + shift + sum_k u_k^2/(y - t_k)
+    is stationary where sum_k u_k^2/(y - t_k)^2 = 1.  Those y solve the
+    quadratic eigenproblem (D - y)^2 x = u u^T x, D = diag(t), whose
+    linearization is the matrix [[D, -I], [-u u^T, D]]; its real eigenvalues
+    map through z(y) to the edges, where the density has square-root
+    behavior.
     """
-    from numpy.polynomial import polynomial as npoly
-
-    t, w = H.atoms, H.weights
-    prod_all = np.array([1.0])
-    for tk in t:
-        prod_all = npoly.polymul(prod_all, npoly.polypow([1.0, tk], 2))
-    total = prod_all.copy()
-    for k, tk in enumerate(t):
-        partial = np.array([1.0])
-        for j, tj in enumerate(t):
-            if j != k:
-                partial = npoly.polymul(partial, npoly.polypow([1.0, tj], 2))
-        term = npoly.polymul([0.0, 0.0, c * w[k] * tk ** 2], partial)
-        total = npoly.polysub(total, term)
-    roots = npoly.polyroots(total)
-    real = roots[np.abs(roots.imag) < 1e-9 * (1 + np.abs(roots.real))].real
-    edges = []
-    for m in real:
-        if m == 0 or np.any(np.abs(1.0 + t * m) < 1e-12):
-            continue
-        edges.append(-1.0 / m + c * np.sum(w * t / (1.0 + t * m)))
-    return np.unique(np.asarray(edges, dtype=float))
+    t, u, shift = _arrowhead_parts(H, c)
+    d, eye = np.diag(t), np.eye(t.size)
+    y = np.linalg.eigvals(np.block([[d, -eye], [-np.outer(u, u), d]]))
+    y = y[np.abs(y.imag) < 1e-9 * (1 + np.abs(y.real))].real
+    return np.unique(y + shift + np.sum(u ** 2 / (y[:, None] - t), axis=1))
 
 
 def _edge_clustered_grid(law: LimitLaw, total: int) -> np.ndarray:
@@ -143,33 +127,23 @@ def _edge_clustered_grid(law: LimitLaw, total: int) -> np.ndarray:
     return np.unique(np.concatenate(pieces))
 
 
-def density(x, law: LimitLaw, eps: float = _EPS_LADDER[0]):
-    """Density of the limiting law at x (scalar or array).
+def density(x, law: LimitLaw):
+    """Density of the limiting law at x (scalar or array), nonnegative.
 
-    Evaluates Im m(x + i*eps)/pi on a three-level geometric ladder of
-    offsets and Richardson-extrapolates, which cancels the first- and
-    second-order offset errors.  Tiny negatives from the extrapolation are
-    clamped to zero.
+    f(x) = max(0, Im mbar(x))/(c*pi) with mbar the root of the equation at
+    real x whose imaginary part is largest: inside the bulk the roots include
+    one conjugate pair, outside it every root is real and f is exactly 0.
+    Zero lies below the bulk for c < 1, where f(0) = 0; for c >= 1 the law
+    has an atom or an unbounded density there, and zero is rejected.
     """
     scalar = np.isscalar(x)
     xx = np.atleast_1d(np.asarray(x, dtype=float))
-    if law.atom_at_zero > 0 and np.any(xx == 0):
-        raise ValueError("density undefined at the atom; use cdf_limit")
-    vals = []
-    guess = None
-    for k, e in enumerate((eps, eps / 2.0, eps / 4.0)):
-        z = xx + 1j * e
-        mbar, res, _ = solve_mbar_grid(z, law.H, law.c, max_iter=_GRID_MAX_ITER,
-                                       initial=guess)
-        worst = float(res.max())
-        if worst > 1e-12:
-            raise ConvergenceError("density evaluation failed", worst)
-        guess = mbar
-        m = (mbar + (1.0 - law.c) / z) / law.c
-        vals.append(m.imag / np.pi)
-    f1, f2, f3 = vals
-    out = (8.0 * f3 - 6.0 * f2 + f1) / 3.0
-    out = np.where((out < 0) & (out >= -1e-8), 0.0, out)
+    at_zero = xx == 0
+    if law.c >= 1 and np.any(at_zero):
+        raise ValueError("density undefined at zero for c >= 1; use cdf_limit")
+    out = np.zeros_like(xx)
+    mbar, _, _ = _upper_root(xx[~at_zero], law.H, law.c)
+    out[~at_zero] = np.maximum(mbar.imag, 0.0) / (law.c * np.pi)
     return float(out[0]) if scalar else out
 
 
@@ -201,9 +175,15 @@ def limit_moments(law: LimitLaw, k: int) -> float:
         return 1.0
     if law.H.is_degenerate:
         return _degenerate_moment(k, law.c, law.H.t_min)
+    x, _ = law.density_grid
+    return _density_integral(law, x ** k)
+
+
+def _density_integral(law: LimitLaw, vals) -> float:
+    """Integral of vals * f over the density grid, vals given at the grid points."""
     x, f = law.density_grid
-    integrand = PchipInterpolator(x, f * x ** k).antiderivative()
-    return float(integrand(x[-1]) - integrand(x[0]))
+    antiderivative = PchipInterpolator(x, f * vals).antiderivative()
+    return float(antiderivative(x[-1]) - antiderivative(x[0]))
 
 
 def mean_functional_density(law: LimitLaw, g: FunctionalSpec) -> float:
@@ -212,9 +192,8 @@ def mean_functional_density(law: LimitLaw, g: FunctionalSpec) -> float:
         lo, _ = law.bulk_window()
         if lo <= 0 or law.atom_at_zero > 0:
             raise ValueError("log functional needs the spectrum bounded away from zero")
-    x, f = law.density_grid
-    integrand = PchipInterpolator(x, f * np.asarray(g(x), dtype=float)).antiderivative()
-    val = float(integrand(x[-1]) - integrand(x[0]))
+    x, _ = law.density_grid
+    val = _density_integral(law, np.asarray(g(x), dtype=float))
     if law.atom_at_zero > 0:
         val += law.atom_at_zero * float(g(0.0))
     return val
@@ -224,8 +203,7 @@ def mean_functional(law: LimitLaw, g: FunctionalSpec, method: str = "auto") -> f
     """Integral of g against the limiting law.
 
     'auto' uses exact moments for polynomials under a degenerate population
-    and otherwise a contour integral of g(z) m(z) around the support, which
-    is far more accurate than quadrature of the extrapolated density.
+    and otherwise a contour integral of g(z) m(z) around the support.
     """
     key = (g.kind, g.coeffs, method)
     if key in law._mean_cache:
@@ -247,10 +225,7 @@ def _mean_functional_contour(law: LimitLaw, g: FunctionalSpec, nodes_per_side: i
     contour = contour_around_support(law.H, law.c, margin=0.05, v0=1.0,
                                      nodes_per_side=nodes_per_side)
     z, w = contour.nodes()
-    mbar, res, _ = solve_mbar_grid(z, law.H, law.c, max_iter=_GRID_MAX_ITER)
-    worst = float(res.max())
-    if worst > 1e-12:
-        raise ConvergenceError("contour mean evaluation failed", worst)
+    mbar, _, _ = solve_mbar_grid(z, law.H, law.c)
     m = (mbar + (1.0 - law.c) / z) / law.c
     total = np.sum(g(z) * m * w)
     val = (-total / (2j * np.pi)).real

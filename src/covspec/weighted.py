@@ -14,7 +14,6 @@ import numpy as np
 
 from .eigen import EigenSystem
 from .functionals import FunctionalSpec
-from .law import LimitLaw, mean_functional
 
 
 @dataclass(frozen=True)
@@ -88,11 +87,6 @@ def w_statistic(es: EigenSystem) -> float:
     return float(np.log(es.lambdas).sum())
 
 
-def scaled_w_statistic(es: EigenSystem, N: int) -> float:
-    """sqrt(N/n) times the log-determinant statistic."""
-    return float(np.sqrt(N / es.n) * w_statistic(es))
-
-
 def functional_gap(es: EigenSystem, x: np.ndarray, g: FunctionalSpec) -> tuple[float, float]:
     """Gap sum_i w_i g(lambda_i) - mean_i g(lambda_i), raw and sqrt(n/2)-scaled."""
     if g.needs_positive_support and es.lambdas[0] <= 0:
@@ -102,16 +96,3 @@ def functional_gap(es: EigenSystem, x: np.ndarray, g: FunctionalSpec) -> tuple[f
     gap = float(np.dot(ws.weights, gvals) - gvals.mean())
     return gap, float(np.sqrt(es.n / 2.0) * gap)
 
-
-def gn_functional(es: EigenSystem, x: np.ndarray, g: FunctionalSpec,
-                  law: LimitLaw, N: int) -> float:
-    """Linear spectral statistic sqrt(N) * (sum_i w_i g(lambda_i) - integral g dF).
-
-    ``law`` must be built with the realized ratio n/N and realized
-    population measure so the centering matches the finite-n limit law.
-    """
-    if g.needs_positive_support and es.lambdas[0] <= 0:
-        raise ValueError("log functional needs strictly positive eigenvalues")
-    ws = weighted_spectrum(es, x)
-    gvals = np.asarray(g(ws.lambdas), dtype=float)
-    return float(np.sqrt(N) * (np.dot(ws.weights, gvals) - mean_functional(law, g)))

@@ -12,9 +12,9 @@ from covspec import (Contour, DirectionSpec, FunctionalSpec, LimitLaw, ModelConf
                      PopulationSpec, SpectralMeasure, Statistic, Tolerances, bb_covariance,
                      bb_samples, bb_target, build_sample_cov, compare_report,
                      condition_profile, contour_pair, direction_condition_gap,
-                     eig_decompose, estimate_mean_cov, map_replicates, run_clt,
-                     run_replications, theoretical_cov_contour,
-                     theoretical_cov_simplified, w_statistic)
+                     eig_decompose, estimate_mean_cov, map_replicates, quad_form_power,
+                     realize_direction, run_clt, run_replications,
+                     theoretical_cov_contour, theoretical_cov_simplified, w_statistic)
 from covspec.cli import FIGURE_ONE_SIZES, FIGURE_SMALL
 
 MP1 = SpectralMeasure.point(1.0)
@@ -32,6 +32,16 @@ class TestRunReplications:
     def test_zero_functional(self):
         vals = run_replications(_cfg(), [FunctionalSpec.poly([0.0])], 2, workers=1)
         np.testing.assert_array_equal(vals, np.zeros((2, 1)))
+
+    def test_identity_population_linear(self):
+        # row r is sqrt(N) (x*A_r x - 1): the centering is the exact first moment
+        cfg = _cfg(n=60, N=120, seed=42)
+        vals = run_replications(cfg, [G1], 3, workers=1)
+        x = realize_direction(cfg.direction, cfg.n)
+        for r in range(3):
+            a = build_sample_cov(cfg, replicate=r)
+            expected = np.sqrt(cfg.N) * (quad_form_power(a, x, 1) - 1.0)
+            assert abs(vals[r, 0] - expected) <= 1e-6
 
     def test_deterministic(self):
         vals1 = run_replications(_cfg(seed=5), [G1], 6, workers=1)

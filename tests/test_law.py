@@ -1,3 +1,6 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -5,6 +8,7 @@ from scipy.integrate import quad
 from covspec import (DirectionSpec, FunctionalSpec, LimitLaw, ModelConfig,
                      PopulationSpec, SpectralMeasure, build_sample_cov, cdf_limit,
                      density, limit_moments, mean_functional)
+from covspec.cli import main
 from covspec.law import mean_functional_density
 
 MP1 = SpectralMeasure.point(1.0)
@@ -37,6 +41,44 @@ class TestDensity:
         law = LimitLaw(c=0.5, H=SpectralMeasure([1.0, 2.0], [0.5, 0.5]))
         x, f = law.density_grid
         assert np.all(f >= 0)
+
+    @pytest.mark.parametrize("c", [0.25, 0.5, 0.9])
+    def test_closed_form_over_whole_support(self, c):
+        # both edges included; there the root is double and only ~sqrt(eps)
+        # accurate, inside it is simple
+        law = LimitLaw(c=c, H=MP1)
+        xs = np.linspace((1 - np.sqrt(c)) ** 2, (1 + np.sqrt(c)) ** 2, 2001)
+        err = np.abs(density(xs, law) - mp_closed_density(xs, c))
+        assert err[1:-1].max() <= 1e-12
+        assert max(err[0], err[-1]) <= 1e-7
+        assert np.all(law.density_grid[1] >= 0)
+
+    @pytest.mark.parametrize("c", [0.999, 1.001])
+    def test_lower_edge_near_zero(self, c):
+        # |mbar| reaches ~1e3 at the grid's lower edge, where the root is
+        # double; the scaled residual check must pass and the mass hold
+        law = LimitLaw(c=c, H=MP1)
+        assert abs(law.total_mass() - 1.0) <= 1e-3
+        xs = np.linspace((1 - np.sqrt(c)) ** 2, (1 + np.sqrt(c)) ** 2, 2001)[1:-1]
+        ref = mp_closed_density(xs, c)
+        assert np.max(np.abs(density(xs, law) - ref) / ref) <= 1e-10
+
+    @pytest.mark.parametrize("atoms,n,N", [
+        ([(1.0, 1.0)], 100, 400),
+        ([(1.0, 1.0)], 90, 100),
+        ([(1.0, 0.5), (3.0, 0.5)], 200, 100),
+        ([(0.5, 0.2), (1.0, 0.2), (2.0, 0.2), (4.0, 0.2), (8.0, 0.2)], 100, 200),
+    ])
+    def test_cli_density_nonnegative(self, tmp_path, atoms, n, N):
+        doc = {"n": n, "N": N, "entries": "real-gaussian",
+               "population": {"atoms": [{"t": t, "w": w} for t, w in atoms]},
+               "direction": {"kind": "e", "index": 0}, "seed": 1}
+        cfgfile = tmp_path / "config.json"
+        cfgfile.write_text(json.dumps(doc))
+        assert main(["density", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "density.csv", newline="") as fh:
+            f = np.array([float(row["f"]) for row in csv.DictReader(fh)])
+        assert f.size == 400 and np.all(f >= 0)
 
     def test_two_atom_against_simulation(self):
         # mean histogram mass of the spectrum near x = 1 over 40 replicates

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from covspec import (ConvergenceError, SpectralMeasure, closed_form_mp,
-                     companion_transform, inverse_z, solve_mbar, solve_mbar_grid,
+from covspec import (ConvergenceError, LimitLaw, SpectralMeasure, closed_form_mp,
+                     companion_transform, inverse_z, mp, solve_mbar, solve_mbar_grid,
                      support_interval)
 
 MP1 = SpectralMeasure.point(1.0)
@@ -58,9 +58,12 @@ def test_real_z_rejected():
         solve_mbar(1.0, MP1, 0.25)
 
 
-def test_nonconvergence_error_carries_residual():
+def test_nonconvergence_error_carries_residual(monkeypatch):
+    # a root far enough off that the Newton polish cannot repair it
+    roots = mp._arrowhead_roots
+    monkeypatch.setattr(mp, "_arrowhead_roots", lambda z, H, c: roots(z, H, c) * 1.5)
     with pytest.raises(ConvergenceError) as err:
-        solve_mbar(1 + 0.01j, MP1, 0.25, max_iter=2)
+        solve_mbar(1 + 0.01j, MP1, 0.25)
     assert err.value.residual > 0
 
 
@@ -111,16 +114,34 @@ class TestClosedForm:
             assert closed_form_mp(z, 0.5).imag > 0
 
 
+def _single_upper_root(zs, H, c):
+    """Assert one root per point lies in the upper half-plane; return it as mbar."""
+    y = mp._arrowhead_roots(zs, H, c)
+    upper = y.imag > 0  # Im y > 0 exactly when Im mbar = Im(-1/y) > 0
+    assert np.all(upper.sum(axis=1) == 1)
+    return -1.0 / y[upper]
+
+
 def test_uniqueness_across_initial_guesses():
     rng = np.random.default_rng(23)
     zs = rng.uniform(0.05, 4, 1000) + 1j * rng.uniform(0.02, 5, 1000)
-    ref, res, _ = solve_mbar_grid(zs, H13, 0.5)
+    got, res, _ = solve_mbar_grid(zs, H13, 0.5)
     assert res.max() <= 1e-12
-    for trial in range(5):
-        guess = rng.standard_normal(1000) + 1j * rng.uniform(0.05, 3, 1000)
-        got, res2, _ = solve_mbar_grid(zs, H13, 0.5, initial=guess, max_iter=30000)
-        assert res2.max() <= 1e-12
-        assert np.max(np.abs(got - ref)) <= 1e-10
+    assert np.max(np.abs(got - _single_upper_root(zs, H13, 0.5))) <= 1e-10
+
+
+def test_many_atoms_root_selection():
+    # no closed form at 50 atoms: check the selection by the unique upper
+    # root, the explicit inverse map, and the mass of the law
+    H = SpectralMeasure(np.geomspace(0.1, 10.0, 50), np.full(50, 1 / 50))
+    rng = np.random.default_rng(5)
+    zs = rng.uniform(0.0, 30.0, 200) + 1j * rng.uniform(0.01, 3.0, 200)
+    mbar, res, _ = solve_mbar_grid(zs, H, 0.5)
+    assert res.max() <= 1e-12
+    assert np.max(np.abs(mbar - _single_upper_root(zs, H, 0.5))) <= 1e-10
+    back = np.array([inverse_z(m, H, 0.5) for m in mbar])
+    assert np.max(np.abs(back - zs)) <= 1e-10
+    assert abs(LimitLaw(c=0.5, H=H).total_mass() - 1.0) <= 1e-6
 
 
 def test_herglotz_properties():

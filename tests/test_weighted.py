@@ -4,9 +4,8 @@ import pytest
 from covspec import (DirectionSpec, FunctionalSpec, LimitLaw, ModelConfig,
                      PopulationSpec, SpectralMeasure, WeightedSpectrum,
                      build_sample_cov, eig_decompose, eval_cdf, functional_gap,
-                     gn_functional, quad_form_power, realize_direction,
-                     resolvent_quad_form, scaled_w_statistic, w_statistic,
-                     weighted_spectrum, x_process, y_process)
+                     quad_form_power, realize_direction, resolvent_quad_form,
+                     w_statistic, weighted_spectrum, x_process, y_process)
 
 
 def _random_instance(n=20, seed=0):
@@ -134,10 +133,6 @@ class TestWStatistic:
         with pytest.raises(ValueError, match="singular"):
             w_statistic(es)
 
-    def test_scaled(self):
-        es = eig_decompose(np.diag([np.e, np.e ** 2]))
-        assert scaled_w_statistic(es, 8) == pytest.approx(2 * 3.0)
-
     def test_fixed_entry_model(self):
         cfg = ModelConfig(n=1, N=1, entry_dist="real-gaussian",
                           population=PopulationSpec.identity(),
@@ -196,23 +191,3 @@ def test_diagonal_moments_uniform_convergence():
         large = _diag_moment_gap(400, 800, m, seed=3)
         assert large < small
 
-
-class TestGnFunctional:
-    def test_zero_functional(self):
-        a, x = _random_instance(seed=11)
-        es = eig_decompose(a)
-        law = LimitLaw(c=0.5, H=SpectralMeasure.point(1.0))
-        assert gn_functional(es, x, FunctionalSpec.poly([0.0]), law, 40) == 0.0
-
-    def test_identity_population_linear(self):
-        # sqrt(N) (x*Ax - 1): the centering is the exact first moment
-        cfg = ModelConfig(n=60, N=120, entry_dist="real-gaussian",
-                          population=PopulationSpec.identity(),
-                          direction=DirectionSpec.basis(0), seed=42)
-        a = build_sample_cov(cfg)
-        es = eig_decompose(a)
-        x = realize_direction(cfg.direction, cfg.n)
-        law = LimitLaw(c=0.5, H=SpectralMeasure.point(1.0))
-        got = gn_functional(es, x, FunctionalSpec.monomial(1), law, cfg.N)
-        expected = np.sqrt(cfg.N) * (quad_form_power(a, x, 1) - 1.0)
-        assert abs(got - expected) <= 1e-6
