@@ -4,7 +4,7 @@ import pytest
 from covspec import (DirectionSpec, FunctionalSpec, LimitLaw, ModelConfig,
                      PopulationSpec, SpectralMeasure, WeightedSpectrum,
                      build_sample_cov, eig_decompose, eval_cdf, functional_gap,
-                     quad_form_power, realize_direction, resolvent_quad_form,
+                     mean_functional, quad_form_power, realize_direction, resolvent_quad_form,
                      w_statistic, weighted_spectrum, x_process, y_process)
 
 
@@ -191,3 +191,13 @@ def test_diagonal_moments_uniform_convergence():
         large = _diag_moment_gap(400, 800, m, seed=3)
         assert large < small
 
+
+class TestGnFunctional:
+    def test_zero_functional(self):
+        # sqrt(N) (sum_i w_i g(lambda_i) - integral g dF) is exactly 0 for g = 0
+        a, x = _random_instance(seed=11)
+        ws = weighted_spectrum(eig_decompose(a), x)
+        law = LimitLaw(c=0.5, H=SpectralMeasure.point(1.0))
+        g = FunctionalSpec.poly([0.0])
+        gn = np.sqrt(40) * (np.dot(ws.weights, g(ws.lambdas)) - mean_functional(law, g))
+        assert gn == 0.0
