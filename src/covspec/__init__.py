@@ -7,7 +7,7 @@ theoretical covariances.
 """
 
 from .spectrum import SpectralMeasure
-from .model import (ENTRY_DISTS, DirectionSpec, ModelConfig, PopulationSpec,
+from .model import (ENTRY_DISTS, DirectionSpec, ModelConfig, PopulationSpec, Workspace,
                     build_sample_cov, companion_sample_cov, draw_entries,
                     realize_direction, realize_population, replicate_rng)
 from .eigen import (EigenSystem, cholesky_logdet, eig_decompose, quad_form_power,

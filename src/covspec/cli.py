@@ -11,10 +11,9 @@ figures    kernel-density data for the log-determinant statistic: figN.csv
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 Replicates (clt, bridge, figures) run on COVSPEC_WORKERS pool threads
 (default: machine parallelism), each with one OpenBLAS thread while the
-replicates run, also when COVSPEC_WORKERS=1.  Replicate values, and so
-the outputs of those three commands, are bitwise independent of the worker
-count and of OPENBLAS_NUM_THREADS; simulate runs one matrix on the BLAS
-threads in effect.
+replicates run, also when COVSPEC_WORKERS=1; simulate builds and
+decomposes its one matrix on one OpenBLAS thread too.  Outputs are bitwise
+independent of the worker count and of OPENBLAS_NUM_THREADS.
 
 Run as ``covspec <command> ...`` or ``python -m covspec.cli <command> ...``.
 """
@@ -31,7 +30,7 @@ import numpy as np
 
 from .eigen import eig_decompose, quad_form_power
 from .functionals import FunctionalSpec
-from .harness import Statistic, bb_covariance, bb_target, map_replicates, run_clt
+from .harness import _BLAS, Statistic, bb_covariance, bb_target, map_replicates, run_clt
 from .kde import default_grid, kde, silverman_bandwidth
 from .law import LimitLaw, cdf_limit, density
 from .model import (ENTRY_DISTS, DirectionSpec, ModelConfig, PopulationSpec,
@@ -215,10 +214,12 @@ def _write_csv(path, header, columns):
 
 def _cmd_simulate(rc: RunConfig, outdir) -> None:
     cfg = rc.model
-    a = build_sample_cov(cfg)
-    es = eig_decompose(a)
     x = realize_direction(cfg.direction, cfg.n)
-    ws = weighted_spectrum(es, x)
+    with _BLAS.pinned():  # one BLAS thread, as for every replicate
+        a = build_sample_cov(cfg)
+        es = eig_decompose(a)
+        ws = weighted_spectrum(es, x)
+        moments_power = [float(np.real(quad_form_power(a, x, m))) for m in range(1, 5)]
     uni = WeightedSpectrum.uniform(es.lambdas)
     _write_csv(outdir / "spectrum.csv",
                ["lambda", "weight", "uniform_weight"],
@@ -228,7 +229,6 @@ def _cmd_simulate(rc: RunConfig, outdir) -> None:
     except ValueError:
         wn = None
     moments_weighted = [float(np.dot(ws.weights, ws.lambdas ** m)) for m in range(1, 5)]
-    moments_power = [float(np.real(quad_form_power(a, x, m))) for m in range(1, 5)]
     summary = {
         "n": cfg.n, "N": cfg.N, "c_n": cfg.ratio, "seed": cfg.seed,
         "entry_dist": cfg.entry_dist, "W_n": wn,

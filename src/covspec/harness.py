@@ -2,12 +2,14 @@
 
 Every replicate loop runs through ``map_replicates``.  Replicates are
 mutually independent, seeded by (seed, replicate), and may run on any
-number of worker threads; while they run, numpy's OpenBLAS is pinned to one
-thread, so each worker does its linear algebra serially and the results
-depend neither on scheduling nor on the BLAS thread setting.  Theory comes
-in two independently computed flavors: a double contour integral of the
-covariance kernel, and the simplified variance formula available when the
-population spectrum is a single point mass.
+number of worker threads, each drawing into and multiplying in buffers it
+reuses from one replicate to the next (``model.Workspace``); while they
+run, numpy's OpenBLAS is pinned to one thread, so each worker does its
+linear algebra serially and the results depend neither on scheduling nor
+on the BLAS thread setting.  Theory comes in two independently computed
+flavors: a double contour integral of the covariance kernel, and the
+simplified variance formula available when the population spectrum is a
+single point mass.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from .eigen import cholesky_logdet, eig_decompose
 from .functionals import FunctionalSpec, poly_product
 from .kernels import Contour, contour_pair, kernel_from_mbar, mbar_on_nodes
 from .law import LimitLaw, _density_integral, mean_functional
-from .model import ModelConfig, build_sample_cov, realize_direction, realize_population
+from .model import (ModelConfig, Workspace, build_sample_cov, realize_direction,
+                    realize_population)
 from .mp import solve_mbar, support_interval
 from .spectrum import SpectralMeasure
 from .weighted import weighted_spectrum, y_process
@@ -133,19 +136,23 @@ def map_replicates(cfg: ModelConfig, stat: Statistic, R: int,
     """``stat`` on replicates 0..R-1, stacked in replicate order (R or R x k).
 
     Replicate r draws from the stream keyed on (cfg.seed, r).  The loop runs
-    on ``workers`` threads (default: COVSPEC_WORKERS, else the CPU count)
-    with numpy's OpenBLAS pinned to one thread throughout, so the result is
+    on ``workers`` threads (default: COVSPEC_WORKERS, else the CPU count),
+    each reusing one Workspace for its draws and products, with numpy's
+    OpenBLAS pinned to one thread throughout, so the result is
     bitwise independent of the worker count and, where numpy bundles
     OpenBLAS, of OPENBLAS_NUM_THREADS.
     A failure raises RuntimeError("replicate r failed: ...").
     """
     x = realize_direction(cfg.direction, cfg.n) if stat.needs == "weights" else None
+    local = threading.local()  # one Workspace per thread running replicates
 
     def one(r: int):
         try:
             if stat.needs == "logdet" and cfg.n > cfg.N:  # A has rank at most N < n
                 raise ValueError("singular sample covariance")
-            a = build_sample_cov(cfg, replicate=r)
+            if not hasattr(local, "workspace"):
+                local.workspace = Workspace(cfg)
+            a = build_sample_cov(cfg, replicate=r, workspace=local.workspace)
             if stat.needs == "logdet":
                 return stat.fn(cholesky_logdet(a))
             return stat.fn(weighted_spectrum(eig_decompose(a), x))

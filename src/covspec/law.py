@@ -5,19 +5,24 @@ density on the real line is the boundary value f(x) = Im mbar(x)/(c*pi) of
 the companion transform (Silverstein & Choi 1995), taken directly at real x
 by the same arrowhead root selection that ``mp`` uses off the axis, so
 there is no offset above the axis and no extrapolation.  Each point costs
-O(k^3) for k atoms.  The distribution function adds the point mass
-max(0, 1 - 1/c) at zero that appears once the dimension exceeds the sample
-count.
+O(k^3) for k atoms.  The distribution function, the moments by density
+and the log mean integrate a shape-preserving cubic (PCHIP) interpolant of
+the density on a cached edge-clustered grid, in numpy.  The distribution
+function adds the point mass max(0, 1 - 1/c) at zero that appears once the
+dimension exceeds the sample count.  A LimitLaw builds that grid once,
+under a lock, so one instance can serve every replicate worker, each of
+which draws into its own ``model.Workspace``.
 """
 
 from __future__ import annotations
 
+import itertools
+import threading
 from dataclasses import dataclass, field
 from math import comb
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .functionals import FunctionalSpec
 from .kernels import contour_around_support
@@ -30,19 +35,19 @@ from .spectrum import SpectralMeasure
 class LimitLaw:
     """Limiting sample-spectrum distribution for ratio c and population H.
 
-    Density and CDF grids are built lazily on first use and then reused;
-    instances are read-only after that, so sharing across threads is safe.
+    Density and CDF grids are built on first use, under a lock, and
+    published together; means are cached under the same lock.  Instances
+    are safe to share across threads.
     """
 
     c: float
     H: SpectralMeasure
     grid_points: int = 2001
     pad: float = 0.05
-    _grid_x: Optional[np.ndarray] = field(default=None, repr=False)
-    _grid_f: Optional[np.ndarray] = field(default=None, repr=False)
-    _grid_F: Optional[np.ndarray] = field(default=None, repr=False)
-    _cdf_spline: Optional[object] = field(default=None, repr=False)
-    _mean_cache: dict = field(default_factory=dict, repr=False)
+    # (x, f, F, antiderivative of f), set once by ensure_grids
+    _grids: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _mean_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def __post_init__(self):
         if self.c <= 0:
@@ -59,37 +64,41 @@ class LimitLaw:
         floor = lo / 2.0 if lo > 0 else 1e-9
         return max(lo - self.pad * span, floor), hi + self.pad * span
 
-    def ensure_grids(self):
-        if self._grid_x is not None:
-            return
-        x = _edge_clustered_grid(self, self.grid_points)
-        f = density(x, self)
-        spline = PchipInterpolator(x, f).antiderivative()
-        self._grid_x = x
-        self._grid_f = f
-        self._cdf_spline = spline
-        self._grid_F = self.atom_at_zero + np.asarray(spline(x)) - float(spline(x[0]))
+    def ensure_grids(self) -> tuple:
+        if self._grids is None:
+            with self._lock:
+                if self._grids is None:
+                    x = _edge_clustered_grid(self, self.grid_points)
+                    f = density(x, self)
+                    spline = _PchipAntiderivative(x, f)
+                    self._grids = (x, f, self.atom_at_zero + spline.values, spline)
+        return self._grids
+
+    def _cached_mean(self, key, compute) -> float:
+        """Value cached under key, computed outside the lock on a miss."""
+        if key not in self._mean_cache:
+            val = compute()
+            with self._lock:
+                self._mean_cache.setdefault(key, val)
+        return self._mean_cache[key]
 
     @property
     def density_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        self.ensure_grids()
-        return self._grid_x, self._grid_f
+        x, f, _, _ = self.ensure_grids()
+        return x, f
 
     @property
     def cdf_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        self.ensure_grids()
-        return self._grid_x, self._grid_F
+        x, _, F, _ = self.ensure_grids()
+        return x, F
 
     def total_mass(self) -> float:
-        self.ensure_grids()
-        return float(self._grid_F[-1])
+        return float(self.cdf_grid[1][-1])
 
     def continuous_cdf(self, x) -> np.ndarray:
         """Mass of the continuous part up to x."""
-        self.ensure_grids()
-        lo, hi = self._grid_x[0], self._grid_x[-1]
-        xx = np.clip(np.asarray(x, dtype=float), lo, hi)
-        return np.asarray(self._cdf_spline(xx)) - float(self._cdf_spline(lo))
+        grid, _, _, spline = self.ensure_grids()
+        return spline(np.clip(np.asarray(x, dtype=float), grid[0], grid[-1]))
 
 
 def _bulk_edges(H: SpectralMeasure, c: float) -> np.ndarray:
@@ -182,16 +191,87 @@ def limit_moments(law: LimitLaw, k: int) -> float:
 def _density_integral(law: LimitLaw, vals) -> float:
     """Integral of vals * f over the density grid, vals given at the grid points."""
     x, f = law.density_grid
-    antiderivative = PchipInterpolator(x, f * vals).antiderivative()
-    return float(antiderivative(x[-1]) - antiderivative(x[0]))
+    return float(_PchipAntiderivative(x, f * vals).values[-1])
+
+
+def _pchip_end_slope(h0, h1, m0, m1) -> float:
+    # one-sided three-point rule, limited so the end cell does not overshoot
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+class _PchipAntiderivative:
+    """Antiderivative, zero at x[0], of the PCHIP interpolant of (x, y).
+
+    The interpolant is the shape-preserving piecewise cubic Hermite of
+    Fritsch & Carlson (SIAM J. Numer. Anal. 17, 1980).  Its node slopes are
+    the Fritsch-Butland weighted harmonic mean of the adjacent secants
+    inside, 0 where those differ in sign or one vanishes, and a limited
+    one-sided three-point rule at both ends (Moler, Numerical Computing with
+    MATLAB, 3.6); with two points the interpolant is the line.  ``values``
+    holds the antiderivative at the nodes; calls evaluate it anywhere,
+    extrapolating the end cells.  Sums run in the order of scipy's
+    ``PchipInterpolator(x, y).antiderivative()``, which this reproduces.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape or x.size < 2:
+            raise ValueError("PCHIP needs 1-D x and y of equal length, at least 2 points")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("PCHIP data must be finite")
+        h = np.diff(x)
+        if np.any(h <= 0):
+            raise ValueError("PCHIP nodes must be strictly increasing")
+        m = np.diff(y) / h
+        d = np.empty_like(x)
+        if m.size == 1:
+            d[:] = m[0]
+        else:
+            d[1:-1] = 0.0
+            inner = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
+            w1 = (2.0 * h[1:] + h[:-1])[inner]
+            w2 = (h[1:] + 2.0 * h[:-1])[inner]
+            d[1:-1][inner] = 1.0 / ((w1 / m[:-1][inner] + w2 / m[1:][inner]) / (w1 + w2))
+            d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+            d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        # on cell i the interpolant is y_i + d_i s + b_i s^2 + a_i s^3 with
+        # s = x - x_i, b_i = (m_i - d_i)/h_i - t_i, a_i = t_i/h_i; _coef holds
+        # the coefficients of s, s^2, s^3, s^4 in its integral from x_i
+        self._coef = (y[:-1], d[:-1] / 2.0, ((m - d[:-1]) / h - t) / 3.0, t / h / 4.0)
+        self.x = x
+        # each node value is the previous one plus the cell's terms, one at a time
+        cells = zip(*(term.tolist() for term in self._terms(slice(None), h)))
+        self.values = np.fromiter(itertools.accumulate(cells, _add_terms, initial=0.0),
+                                  dtype=float, count=x.size)
+
+    def _terms(self, i, s):
+        s2 = s * s
+        s3 = s2 * s
+        return tuple(coef[i] * power for coef, power in zip(self._coef, (s, s2, s3, s3 * s)))
+
+    def __call__(self, xq) -> np.ndarray:
+        xq = np.asarray(xq, dtype=float)
+        i = np.clip(np.searchsorted(self.x, xq, side="right") - 1, 0, self.x.size - 2)
+        return _add_terms(self.values[i], self._terms(i, xq - self.x[i]))
+
+
+def _add_terms(total, terms):
+    for term in terms:
+        total = total + term
+    return total
 
 
 def mean_functional_density(law: LimitLaw, g: FunctionalSpec) -> float:
     """Integral of g against the law by quadrature on the cached density grid."""
     if g.needs_positive_support:
-        lo, _ = law.bulk_window()
-        if lo <= 0 or law.atom_at_zero > 0:
-            raise ValueError("log functional needs the spectrum bounded away from zero")
+        _require_positive_support(law)
     x, _ = law.density_grid
     val = _density_integral(law, np.asarray(g(x), dtype=float))
     if law.atom_at_zero > 0:
@@ -199,29 +279,32 @@ def mean_functional_density(law: LimitLaw, g: FunctionalSpec) -> float:
     return val
 
 
+def _require_positive_support(law: LimitLaw):
+    if support_interval(law.H, law.c)[0] <= 0:
+        raise ValueError("log functional needs the spectrum bounded away from zero")
+
+
 def mean_functional(law: LimitLaw, g: FunctionalSpec, method: str = "auto") -> float:
     """Integral of g against the limiting law.
 
-    'auto' uses exact moments for polynomials under a degenerate population
-    and otherwise a contour integral of g(z) m(z) around the support.
+    'auto' uses exact moments for polynomials under a degenerate population,
+    density quadrature for log (whose guard keeps the grid away from zero,
+    where it is accurate), and otherwise a contour integral of g(z) m(z)
+    around the support.
     """
-    key = (g.kind, g.coeffs, method)
-    if key in law._mean_cache:
-        return law._mean_cache[key]
-    if method == "density":
-        val = mean_functional_density(law, g)
-    elif g.kind == "poly" and law.H.is_degenerate:
-        val = float(sum(coef * limit_moments(law, d) for d, coef in enumerate(g.coeffs)))
-    else:
-        val = _mean_functional_contour(law, g)
-    law._mean_cache[key] = val
-    return val
+    def compute():
+        if method == "density" or g.needs_positive_support:
+            return mean_functional_density(law, g)
+        if g.kind == "poly" and law.H.is_degenerate:
+            return float(sum(coef * limit_moments(law, d) for d, coef in enumerate(g.coeffs)))
+        return _mean_functional_contour(law, g)
+
+    return law._cached_mean((g.kind, g.coeffs, method), compute)
 
 
 def _mean_functional_contour(law: LimitLaw, g: FunctionalSpec, nodes_per_side: int = 1024) -> float:
-    lo, hi = support_interval(law.H, law.c)
-    if g.needs_positive_support and (lo <= 0 or law.atom_at_zero > 0):
-        raise ValueError("log functional needs the spectrum bounded away from zero")
+    if g.needs_positive_support:
+        _require_positive_support(law)
     contour = contour_around_support(law.H, law.c, margin=0.05, v0=1.0,
                                      nodes_per_side=nodes_per_side)
     z, w = contour.nodes()

@@ -4,7 +4,9 @@ The model draws an n x N matrix X of i.i.d. standardized entries, and forms
 the sample covariance A = (1/N) T^(1/2) X X* T^(1/2) for a diagonal
 nonnegative population matrix T realized from a discrete spectral measure.
 Replicates are seeded through a counter-based generator keyed on
-(seed, replicate) so results never depend on execution order.
+(seed, replicate) so results never depend on execution order.  A
+``Workspace`` holds one worker's draw and product buffers, reused from one
+replicate to the next without changing any value.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .spectrum import SpectralMeasure
 ENTRY_DISTS = ("real-gaussian", "complex-gaussian", "rademacher", "uniform-rescaled")
 
 _SQRT3 = np.sqrt(3.0)
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -137,39 +140,90 @@ def realize_direction(spec: DirectionSpec, n: int, rng: Optional[np.random.Gener
     return v / norm
 
 
-def draw_entries(entry_dist: str, n: int, N: int, rng: np.random.Generator) -> np.ndarray:
-    """n x N matrix of i.i.d. entries with mean 0 and unit second absolute moment."""
+def draw_entries(entry_dist: str, n: int, N: int, rng: np.random.Generator,
+                 out: Optional[np.ndarray] = None,
+                 scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """n x N matrix of i.i.d. entries with mean 0 and unit second absolute moment.
+
+    ``out`` (C-ordered n x N, complex for complex-gaussian, else float)
+    receives the draw in place; complex-gaussian draws its real and
+    imaginary parts through ``scratch`` (C-ordered n x N float).  Each is
+    allocated when not given; the values do not depend on it.
+    """
+    if entry_dist not in ENTRY_DISTS:
+        raise ValueError(f"unknown entry distribution {entry_dist!r}")
+    if out is None:
+        out = np.empty((n, N), dtype=complex if entry_dist == "complex-gaussian" else float)
     if entry_dist == "real-gaussian":
-        return rng.standard_normal((n, N))
-    if entry_dist == "complex-gaussian":
-        re = rng.standard_normal((n, N))
-        im = rng.standard_normal((n, N))
-        return (re + 1j * im) / np.sqrt(2.0)
-    if entry_dist == "rademacher":
-        return rng.integers(0, 2, size=(n, N)).astype(float) * 2.0 - 1.0
-    if entry_dist == "uniform-rescaled":
-        return rng.uniform(-_SQRT3, _SQRT3, size=(n, N))
-    raise ValueError(f"unknown entry distribution {entry_dist!r}")
+        rng.standard_normal(out=out)
+    elif entry_dist == "complex-gaussian":
+        scratch = np.empty((n, N)) if scratch is None else scratch
+        for part in (out.real, out.imag):
+            rng.standard_normal(out=scratch)
+            np.multiply(scratch, _INV_SQRT2, out=part)
+    elif entry_dist == "rademacher":
+        np.multiply(rng.integers(0, 2, size=(n, N)), 2.0, out=out)
+        out -= 1.0
+    else:  # uniform-rescaled: uniform on [-sqrt 3, sqrt 3)
+        rng.random(out=out)
+        out *= 2.0 * _SQRT3
+        out -= _SQRT3
+    return out
 
 
-def build_sample_cov(cfg: ModelConfig, replicate: int = 0, entries: Optional[np.ndarray] = None) -> np.ndarray:
+class Workspace:
+    """Buffers one worker reuses for the sample covariances of one config.
+
+    Holds the population root (None when T = I), the n x N entry buffer,
+    for complex entries a float draw buffer and a conjugate buffer, and two
+    n x n product buffers.  One thread at a time may use it.
+    """
+
+    def __init__(self, cfg: ModelConfig, dtype=None):
+        complex_draw = cfg.entry_dist == "complex-gaussian"
+        dtype = np.dtype(complex if complex_draw else float) if dtype is None else np.dtype(dtype)
+        n, N = cfg.n, cfg.N
+        tdiag = realize_population(cfg.population, n)
+        self.root = None if np.all(tdiag == 1.0) else np.sqrt(tdiag)[:, None]
+        self.entries = np.empty((n, N), dtype)
+        self.scratch = np.empty((n, N)) if complex_draw else None
+        self.conj = np.empty((n, N), dtype) if dtype.kind == "c" else None
+        self.gram = np.empty((n, n), dtype)
+        self.gram_h = np.empty((n, n), dtype)
+
+
+def build_sample_cov(cfg: ModelConfig, replicate: int = 0, entries: Optional[np.ndarray] = None,
+                     workspace: Optional[Workspace] = None) -> np.ndarray:
     """Sample covariance A = (1/N) T^(1/2) X X* T^(1/2), Hermitian nonnegative.
 
-    ``entries`` overrides the random draw with a fixed n x N matrix (test hook).
+    With a ``workspace`` the draw and the product reuse its buffers, and the
+    returned matrix is its buffer, overwritten by its next use; the values
+    are bitwise the same as without one.  ``entries`` overrides the random
+    draw with a fixed n x N matrix (test hook), on fresh buffers.
     """
-    tdiag = realize_population(cfg.population, cfg.n)
     if entries is None:
-        rng = replicate_rng(cfg.seed, replicate)
-        x = draw_entries(cfg.entry_dist, cfg.n, cfg.N, rng)
+        ws = Workspace(cfg) if workspace is None else workspace
+        y = draw_entries(cfg.entry_dist, cfg.n, cfg.N, replicate_rng(cfg.seed, replicate),
+                         out=ws.entries, scratch=ws.scratch)
     else:
-        x = np.asarray(entries)
-        if x.shape != (cfg.n, cfg.N):
+        entries = np.asarray(entries)
+        if entries.shape != (cfg.n, cfg.N):
             raise ValueError(f"entries must have shape {(cfg.n, cfg.N)}")
-    root = np.sqrt(tdiag)
-    y = root[:, None] * x
-    a = (y @ y.conj().T) / cfg.N
-    # force exact Hermitian symmetry against roundoff
-    return (a + a.conj().T) / 2.0
+        ws = Workspace(cfg, dtype=np.result_type(entries, float))
+        y = ws.entries
+        y[...] = entries
+    if ws.root is not None:
+        y *= ws.root
+    y_h = y.T if ws.conj is None else np.conjugate(y, out=ws.conj).T
+    a = np.matmul(y, y_h, out=ws.gram)
+    a /= cfg.N
+    # force exact Hermitian symmetry against roundoff; the real product
+    # (a symmetric rank-k update) already has it
+    a_h = np.conjugate(a.T, out=ws.gram_h)
+    if not np.array_equal(a, a_h):
+        a += a_h
+        a /= 2.0
+    return a
 
 
 def companion_sample_cov(cfg: ModelConfig, replicate: int = 0) -> np.ndarray:

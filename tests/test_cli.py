@@ -117,6 +117,27 @@ class TestDispatch:
         assert (out1 / "spectrum.csv").read_bytes() == (out2 / "spectrum.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
+    def test_runtime_imports_no_scipy(self, tmp_path):
+        # scipy is a test oracle only: importing the CLI and running a
+        # density call must leave no scipy module loaded
+        cfgfile = _config(tmp_path, n=100, N=200,
+                          population={"atoms": [{"t": 1.0, "w": 0.5}, {"t": 3.0, "w": 0.5}]})
+        script = (
+            "import sys\n"
+            "import covspec.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+            f"code = covspec.cli.main(['density', '--config', {str(cfgfile)!r}, '--out', {str(tmp_path)!r}])\n"
+            "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        src = str(Path(covspec.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "0 []"]
+        assert (tmp_path / "density.csv").is_file()
+
     def test_density_reference_value(self, tmp_path):
         cfgfile = _config(tmp_path, n=100, N=400)  # c = 0.25
         code = main(["density", "--config", str(cfgfile), "--out", str(tmp_path),

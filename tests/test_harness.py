@@ -80,20 +80,76 @@ for workers in (1, 2):
 """
 
 
+_SIMULATE_SCRIPT = """
+import hashlib, json, tempfile
+from pathlib import Path
+from covspec.cli import main
+doc = {"n": 300, "N": 600, "entries": "real-gaussian", "seed": 3,
+       "population": {"atoms": [{"t": 1.0, "w": 0.5}, {"t": 3.0, "w": 0.5}]},
+       "direction": {"kind": "uniform"}}
+with tempfile.TemporaryDirectory() as tmp:
+    config = Path(tmp) / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(config), "--out", tmp]) == 0
+    for name in ("spectrum.csv", "summary.json"):
+        print(hashlib.sha256((Path(tmp) / name).read_bytes()).hexdigest())
+"""
+
+
+def _stdout_per_blas_threads(script: str) -> list:
+    """Stdout lines of ``script`` run in a fresh interpreter at 1 and at 2 OpenBLAS threads."""
+    src = str(Path(covspec.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.split())
+    return outputs
+
+
 class TestMapReplicates:
     def test_bytes_independent_of_blas_threads(self):
-        src = str(Path(covspec.__file__).resolve().parents[1])
         hashes = set()
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-            proc = subprocess.run([sys.executable, "-c", _HASH_SCRIPT], env=env,
-                                  capture_output=True, text=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            lines = proc.stdout.split()
+        for lines in _stdout_per_blas_threads(_HASH_SCRIPT):
             assert len(lines) == 2
             hashes.update(lines)
         assert len(hashes) == 1
+
+    def test_simulate_bytes_independent_of_blas_threads(self):
+        one, two = _stdout_per_blas_threads(_SIMULATE_SCRIPT)
+        assert len(one) == 2
+        assert one == two
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_workspace_draws_match_fresh_build(self, monkeypatch, workers):
+        # every pool thread reuses one Workspace; each replicate's matrix must
+        # still be bitwise the one a fresh build_sample_cov gives
+        import covspec.harness as harness
+
+        seen, workspaces = {}, set()
+
+        def recording_build(cfg, replicate=0, workspace=None):
+            a = build_sample_cov(cfg, replicate=replicate, workspace=workspace)
+            seen[replicate] = a.copy()
+            workspaces.add(id(workspace))
+            return a
+
+        monkeypatch.setattr(harness, "build_sample_cov", recording_build)
+        pop = PopulationSpec(SpectralMeasure([1.0, 3.0], [0.5, 0.5]))
+        for dist in covspec.ENTRY_DISTS:
+            seen.clear()
+            workspaces.clear()
+            cfg = ModelConfig(n=30, N=50, entry_dist=dist, population=pop,
+                              direction=DirectionSpec.basis(0), seed=12)
+            map_replicates(cfg, Statistic("logdet", float), 7, workers=workers)
+            assert sorted(seen) == list(range(7))
+            assert id(None) not in workspaces and len(workspaces) <= workers
+            with harness._BLAS.pinned():
+                for r, a in seen.items():
+                    assert a.tobytes() == build_sample_cov(cfg, replicate=r).tobytes(), (dist, r)
 
     def test_blas_pinned_during_replicates_and_restored(self):
         from covspec.harness import _find_openblas

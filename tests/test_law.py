@@ -4,14 +4,23 @@ import json
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
 from covspec import (DirectionSpec, FunctionalSpec, LimitLaw, ModelConfig,
                      PopulationSpec, SpectralMeasure, build_sample_cov, cdf_limit,
                      density, limit_moments, mean_functional)
 from covspec.cli import main
-from covspec.law import mean_functional_density
+import covspec.law as law_module
+from covspec.law import _PchipAntiderivative, mean_functional_density
 
 MP1 = SpectralMeasure.point(1.0)
+# (population atoms (t, w), n, N) of the benchmark's density calls
+BENCH_DENSITY = [
+    ([(1.0, 1.0)], 100, 400),
+    ([(1.0, 1.0)], 90, 100),
+    ([(1.0, 0.5), (3.0, 0.5)], 200, 100),
+    ([(0.5, 0.2), (1.0, 0.2), (2.0, 0.2), (4.0, 0.2), (8.0, 0.2)], 100, 200),
+]
 
 
 def mp_closed_density(x, c):
@@ -63,12 +72,7 @@ class TestDensity:
         ref = mp_closed_density(xs, c)
         assert np.max(np.abs(density(xs, law) - ref) / ref) <= 1e-10
 
-    @pytest.mark.parametrize("atoms,n,N", [
-        ([(1.0, 1.0)], 100, 400),
-        ([(1.0, 1.0)], 90, 100),
-        ([(1.0, 0.5), (3.0, 0.5)], 200, 100),
-        ([(0.5, 0.2), (1.0, 0.2), (2.0, 0.2), (4.0, 0.2), (8.0, 0.2)], 100, 200),
-    ])
+    @pytest.mark.parametrize("atoms,n,N", BENCH_DENSITY)
     def test_cli_density_nonnegative(self, tmp_path, atoms, n, N):
         doc = {"n": n, "N": N, "entries": "real-gaussian",
                "population": {"atoms": [{"t": t, "w": w} for t, w in atoms]},
@@ -95,6 +99,129 @@ class TestDensity:
         emp = count / (reps * n * width)
         theo = density(1.0, law)
         assert abs(emp - theo) <= 0.1 * theo
+
+
+def _assert_matches_scipy_pchip(x, y):
+    # scipy's PCHIP antiderivative is the oracle, at the nodes and between them
+    ref = PchipInterpolator(x, y).antiderivative()
+    ours = _PchipAntiderivative(x, y)
+    span = x[-1] - x[0]
+    query = np.concatenate([x, np.linspace(x[0] - 0.1 * span, x[-1] + 0.1 * span, 997)])
+    want = ref(query)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(ours(query) - want)) <= 1e-13 * scale
+    assert np.max(np.abs(ours.values - ref(x))) <= 1e-13 * scale
+    assert ours(x[0]) == 0.0
+    assert float(ours(2.0 * x[-1] - x[0])) == pytest.approx(float(ref(2.0 * x[-1] - x[0])),
+                                                              rel=1e-13)
+
+
+class TestPchipAntiderivative:
+    @pytest.mark.parametrize("size", [3, 4, 17, 500])
+    def test_random_data(self, size):
+        rng = np.random.default_rng(size)
+        x = np.sort(rng.uniform(-3.0, 5.0, size))
+        _assert_matches_scipy_pchip(x, rng.normal(size=size))
+        _assert_matches_scipy_pchip(x, np.exp(rng.normal(size=size)))
+
+    def test_two_points_is_the_line(self):
+        x, y = np.array([1.0, 3.0]), np.array([2.0, -1.0])
+        _assert_matches_scipy_pchip(x, y)
+        ours = _PchipAntiderivative(x, y)
+        assert float(ours(3.0)) == pytest.approx(1.0, rel=1e-15)
+
+    def test_flat_runs(self):
+        x = np.arange(24.0) ** 1.3
+        y = np.repeat([0.0, 2.0, 2.0, 5.0, 5.0, 0.0], 4)
+        _assert_matches_scipy_pchip(x, y)
+        _assert_matches_scipy_pchip(x, np.zeros(24))
+
+    def test_sign_changes(self):
+        x = np.linspace(0.0, 7.0, 41) + 0.01 * np.sin(np.arange(41.0))
+        _assert_matches_scipy_pchip(x, np.sin(3.0 * x))
+        # end-slope limiter cases: secants of opposite sign at both ends
+        _assert_matches_scipy_pchip(np.array([0.0, 0.1, 1.0, 1.1]), np.array([0.0, 1.0, -1.0, 5.0]))
+        _assert_matches_scipy_pchip(np.array([0.0, 1.0, 1.2, 5.0]), np.array([1.0, 2.0, 0.0, 0.5]))
+
+    @pytest.mark.parametrize("atoms,n,N", BENCH_DENSITY)
+    def test_limit_law_grids(self, atoms, n, N):
+        law = LimitLaw(c=n / N, H=SpectralMeasure([t for t, _ in atoms], [w for _, w in atoms]))
+        x, f = law.density_grid
+        _assert_matches_scipy_pchip(x, f)
+        _assert_matches_scipy_pchip(x, f * np.log(x))
+
+    @pytest.mark.parametrize("x,y", [
+        ([1.0], [1.0]),
+        ([], []),
+        ([0.0, 1.0, 1.0], [1.0, 2.0, 3.0]),
+        ([0.0, 2.0, 1.0], [1.0, 2.0, 3.0]),
+        ([0.0, np.nan, 2.0], [1.0, 2.0, 3.0]),
+        ([0.0, 1.0, 2.0], [1.0, np.inf, 3.0]),
+        ([0.0, 1.0, 2.0], [1.0, 2.0]),
+    ])
+    def test_rejects_what_scipy_rejects(self, x, y):
+        with pytest.raises(ValueError):
+            PchipInterpolator(np.array(x), np.array(y))
+        with pytest.raises(ValueError):
+            _PchipAntiderivative(x, y)
+
+
+class TestThreadSafety:
+    def test_grids_built_once_while_another_thread_reads(self, monkeypatch):
+        import threading
+        import time
+
+        calls, entered = [], threading.Event()
+        real_density = law_module.density
+
+        def slow_density(x, law):
+            calls.append(threading.get_ident())
+            entered.set()
+            time.sleep(0.3)
+            return real_density(x, law)
+
+        monkeypatch.setattr(law_module, "density", slow_density)
+        law = LimitLaw(c=0.25, H=MP1)
+        seen = {}
+        builder = threading.Thread(target=lambda: seen.setdefault("builder", law.cdf_grid))
+        builder.start()
+        assert entered.wait(timeout=30)
+        seen["reader"] = law.cdf_grid   # the builder is inside density now
+        builder.join(timeout=60)
+        assert not builder.is_alive()
+        assert len(calls) == 1
+        for x, F in seen.values():
+            assert x is not None and F is not None and F.shape == x.shape
+        assert seen["reader"][1] is seen["builder"][1]
+
+    def test_stress_one_build_one_mean_per_law(self, monkeypatch):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        calls = []
+        real_density = law_module.density
+
+        def counting_density(x, law):
+            calls.append(1)
+            return real_density(x, law)
+
+        monkeypatch.setattr(law_module, "density", counting_density)
+        g = FunctionalSpec.monomial(2)
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                calls.clear()
+                law = LimitLaw(c=0.5, H=SpectralMeasure([1.0, 3.0], [0.5, 0.5]), grid_points=301)
+                work = lambda _: (law.cdf_grid[1], mean_functional(law, g, method="density"))
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    seen = list(pool.map(work, range(16), timeout=60))
+                assert len(calls) == 1
+                assert all(F is seen[0][0] for F, _ in seen)
+                assert len({val for _, val in seen}) == 1
+                assert list(law._mean_cache.values()) == [seen[0][1]]
+        finally:
+            sys.setswitchinterval(old_interval)
 
 
 class TestCdf:
@@ -198,6 +325,14 @@ class TestMeanFunctional:
         got = mean_functional(law, FunctionalSpec.log())
         d = (0.2 - 1) / 0.2 * np.log(1 - 0.2) - 1  # known limit of the mean log eigenvalue
         assert abs(got - d) <= 1e-6
+
+    @pytest.mark.parametrize("c", [0.2, 0.5])
+    def test_log_functional_closed_form(self, c):
+        # 'auto' integrates log on the density grid; the 1024-node contour
+        # errs by 5e-8 (c = 0.2) and 1e-7 (c = 0.5) here
+        law = LimitLaw(c=c, H=MP1)
+        closed = -1.0 - (1.0 - c) / c * np.log(1.0 - c)
+        assert abs(mean_functional(law, FunctionalSpec.log()) - closed) <= 1e-8
 
     def test_log_needs_positive_support(self):
         law = LimitLaw(c=2.0, H=MP1)

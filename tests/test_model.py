@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from covspec import (DirectionSpec, ModelConfig, PopulationSpec, SpectralMeasure,
-                     build_sample_cov, companion_sample_cov, draw_entries,
-                     eig_decompose, realize_direction, realize_population,
+from covspec import (ENTRY_DISTS, DirectionSpec, ModelConfig, PopulationSpec,
+                     SpectralMeasure, Workspace, build_sample_cov, companion_sample_cov,
+                     draw_entries, eig_decompose, realize_direction, realize_population,
                      replicate_rng)
 
 
@@ -117,6 +117,62 @@ class TestBuildSampleCov:
     def test_entries_shape_checked(self):
         with pytest.raises(ValueError):
             build_sample_cov(_cfg(n=2, N=2), entries=np.ones((3, 2)))
+
+
+def _direct_draw(dist, n, N, rng):
+    # the distributions written out as fresh-array numpy expressions
+    if dist == "real-gaussian":
+        return rng.standard_normal((n, N))
+    if dist == "complex-gaussian":
+        re = rng.standard_normal((n, N))
+        im = rng.standard_normal((n, N))
+        return (re + 1j * im) / np.sqrt(2.0)
+    if dist == "rademacher":
+        return rng.integers(0, 2, size=(n, N)).astype(float) * 2.0 - 1.0
+    return rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(n, N))
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("dist", ENTRY_DISTS)
+    def test_draw_into_buffer_is_the_fresh_stream(self, dist):
+        ws = Workspace(_cfg(n=7, N=11, dist=dist))
+        for r in range(3):
+            want = _direct_draw(dist, 7, 11, replicate_rng(5, r))
+            got = draw_entries(dist, 7, 11, replicate_rng(5, r), out=ws.entries, scratch=ws.scratch)
+            assert got is ws.entries
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert draw_entries(dist, 7, 11, replicate_rng(5, r)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dist", ENTRY_DISTS)
+    @pytest.mark.parametrize("atoms", [([1.0], [1.0]), ([1.0, 3.0], [0.5, 0.5])])
+    def test_reused_workspace_matches_fresh_build(self, dist, atoms):
+        cfg = _cfg(n=24, N=40, dist=dist, pop=PopulationSpec(SpectralMeasure(*atoms)), seed=8)
+        ws = Workspace(cfg)
+        assert (ws.root is None) == (len(atoms[0]) == 1)
+        for r in range(4):
+            a = build_sample_cov(cfg, replicate=r, workspace=ws)
+            assert a is ws.gram
+            fresh = build_sample_cov(cfg, replicate=r)
+            assert a.tobytes() == fresh.tobytes()
+            assert np.array_equal(a, a.conj().T)
+
+    def test_fresh_build_matches_direct_formula(self):
+        pop = PopulationSpec(SpectralMeasure([1.0, 3.0], [0.5, 0.5]))
+        for dist in ENTRY_DISTS:
+            cfg = _cfg(n=16, N=30, dist=dist, pop=pop, seed=4)
+            root = np.sqrt(realize_population(pop, 16))
+            y = root[:, None] * _direct_draw(dist, 16, 30, replicate_rng(4, 2))
+            a = (y @ y.conj().T) / 30
+            want = (a + a.conj().T) / 2.0
+            assert build_sample_cov(cfg, replicate=2).tobytes() == want.tobytes()
+
+    def test_entries_hook_leaves_input_alone(self):
+        x = replicate_rng(0, 0).standard_normal((3, 5))
+        before = x.copy()
+        pop = PopulationSpec(SpectralMeasure([1.0, 4.0], [0.5, 0.5]))
+        build_sample_cov(_cfg(n=3, N=5, pop=pop), entries=x)
+        np.testing.assert_array_equal(x, before)
 
 
 def test_entry_moments():
