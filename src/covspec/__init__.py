@@ -13,14 +13,13 @@ from .model import (ENTRY_DISTS, DirectionSpec, ModelConfig, PopulationSpec, Wor
 from .eigen import (EigenSystem, cholesky_logdet, eig_decompose, quad_form_power,
                     resolvent_quad_form)
 from .mp import (ConvergenceError, StieltjesSolution, closed_form_mp,
-                 companion_transform, inverse_z, solve_mbar, solve_mbar_grid,
-                 support_interval)
+                 companion_transform, inverse_z, solve_mbar, solve_mbar_grid, support)
 from .law import LimitLaw, cdf_limit, density, limit_moments, mean_functional
 from .kernels import (Contour, ProofKernels, contour_around_support, contour_pair,
                       cov_kernel, homogeneity_residual, proof_kernels)
 from .functionals import FunctionalSpec, poly_product
-from .weighted import (WeightedSpectrum, eval_cdf, functional_gap, w_statistic,
-                       weighted_spectrum, x_process, y_process)
+from .weighted import (WeightedSpectrum, eval_cdf, w_statistic, weighted_spectrum,
+                       y_process)
 from .kde import default_grid, kde, silverman_bandwidth
 from .harness import (CompareVerdict, MCReport, Statistic, Tolerances, bb_covariance,
                       bb_samples, bb_target, compare_report, condition_profile,

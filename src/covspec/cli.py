@@ -71,6 +71,13 @@ def _reject_unknown(obj: dict, allowed: set, path: str):
             raise ConfigError(f"unknown key {path}{key!r}")
 
 
+def _number(value, where: str) -> float:
+    """A finite JSON number as a float; anything else is a ConfigError."""
+    _require(type(value) in (int, float) and abs(value) <= sys.float_info.max,
+             f"{where} must be a finite number (got {value!r})")
+    return float(value)
+
+
 def _parse_population(obj, path="population.") -> PopulationSpec:
     _require(isinstance(obj, dict), "population must be an object")
     _reject_unknown(obj, {"atoms"}, path)
@@ -82,8 +89,8 @@ def _parse_population(obj, path="population.") -> PopulationSpec:
         _require(isinstance(entry, dict), f"{path}atoms[{i}] must be an object")
         _reject_unknown(entry, {"t", "w"}, f"{path}atoms[{i}].")
         _require("t" in entry and "w" in entry, f"{path}atoms[{i}] needs fields t and w")
-        ts.append(float(entry["t"]))
-        ws.append(float(entry["w"]))
+        ts.append(_number(entry["t"], f"{path}atoms[{i}].t"))
+        ws.append(_number(entry["w"], f"{path}atoms[{i}].w"))
     try:
         return PopulationSpec(SpectralMeasure(ts, ws))
     except ValueError as exc:
@@ -96,7 +103,9 @@ def _parse_direction(obj, path="direction.") -> DirectionSpec:
     _require("kind" in obj, f"missing required field {path}kind")
     kind = obj["kind"]
     if kind in ("e", "basis"):
-        return DirectionSpec.basis(int(obj.get("index", 0)))
+        index = obj.get("index", 0)
+        _require(type(index) is int, f"{path}index must be an integer (got {index!r})")
+        return DirectionSpec.basis(index)
     if kind == "uniform":
         _require("index" not in obj and "vector" not in obj,
                  "uniform direction takes no index or vector")
@@ -105,10 +114,7 @@ def _parse_direction(obj, path="direction.") -> DirectionSpec:
         _require("vector" in obj, f"missing required field {path}vector")
         vec = obj["vector"]
         _require(isinstance(vec, list) and vec, f"{path}vector must be a nonempty list")
-        try:
-            return DirectionSpec.custom([float(v) for v in vec])
-        except ValueError as exc:
-            raise ConfigError(f"direction: {exc}") from exc
+        return DirectionSpec.custom([_number(v, f"{path}vector[{i}]") for i, v in enumerate(vec)])
     raise ConfigError(f"direction.kind must be one of 'e', 'uniform', 'custom' (got {kind!r})")
 
 
@@ -131,12 +137,13 @@ def parse_config(text: str) -> RunConfig:
     for name in ("n", "N", "entries", "population", "direction"):
         _require(name in doc, f"missing required field {name}")
     n, N = doc["n"], doc["N"]
-    _require(isinstance(n, int) and n >= 1, "n must be >= 1")
-    _require(isinstance(N, int) and N >= 1, "N must be >= 1")
+    # type(v) is int: a JSON true or false must not pass as 1 or 0
+    _require(type(n) is int and n >= 1, "n must be >= 1")
+    _require(type(N) is int and N >= 1, "N must be >= 1")
     _require(doc["entries"] in ENTRY_DISTS,
              f"entries must be one of {ENTRY_DISTS} (got {doc['entries']!r})")
     seed = doc.get("seed", 0)
-    _require(isinstance(seed, int) and 0 <= seed < 2 ** 64, "seed must be a 64-bit unsigned integer")
+    _require(type(seed) is int and 0 <= seed < 2 ** 64, "seed must be a 64-bit unsigned integer")
     population = _parse_population(doc["population"])
     direction = _parse_direction(doc["direction"])
     if direction.kind == "basis":
@@ -150,7 +157,7 @@ def parse_config(text: str) -> RunConfig:
     _require(command in COMMANDS, f"command must be one of {COMMANDS}")
     reps = doc.get("reps")
     if reps is not None:
-        _require(isinstance(reps, int) and reps >= 1, "reps must be >= 1")
+        _require(type(reps) is int and reps >= 1, "reps must be >= 1")
     functionals = []
     for i, spec in enumerate(doc.get("functionals", [])):
         try:
@@ -160,7 +167,7 @@ def parse_config(text: str) -> RunConfig:
     grid = doc.get("grid")
     if grid is not None:
         _require(isinstance(grid, list) and grid, "grid must be a nonempty list of numbers")
-        grid = tuple(float(v) for v in grid)
+        grid = tuple(_number(v, f"grid[{i}]") for i, v in enumerate(grid))
     which = doc.get("which")
     if which is not None:
         _require(which in (1, 2, 3), "which must be 1, 2 or 3")

@@ -34,7 +34,7 @@ from .kernels import Contour, contour_pair, kernel_from_mbar, mbar_on_nodes
 from .law import LimitLaw, _density_integral, mean_functional
 from .model import (ModelConfig, Workspace, build_sample_cov, realize_direction,
                     realize_population)
-from .mp import solve_mbar, support_interval
+from .mp import _mass_at_zero, solve_mbar, support
 from .spectrum import SpectralMeasure
 from .weighted import weighted_spectrum, y_process
 
@@ -222,10 +222,11 @@ def _contour_cov(gs1: Sequence[FunctionalSpec], gs2: Sequence[FunctionalSpec],
     """
     if contour1.intersects(contour2):
         raise ValueError("contours intersect; use nested rectangles")
-    lo, hi = support_interval(H, c)
+    bulk = support(H, c)
+    lo = 0.0 if _mass_at_zero(H, c) > 0 else bulk[0][0]  # a mass at zero is enclosed too
     needs_positive = any(g.needs_positive_support for g in (*gs1, *gs2))
     for cont in (contour1, contour2):
-        if not (cont.u_l < lo if lo > 0 else cont.u_l < 0) or cont.u_r <= hi:
+        if not cont.u_l < lo or cont.u_r <= bulk[-1][1]:
             raise ValueError("contour does not enclose the support")
         if needs_positive and cont.u_l <= 0:
             raise ValueError("log functional needs contours with u_l > 0")

@@ -3,15 +3,16 @@
 The law is pinned down by the ratio c and the population measure H.  Its
 density on the real line is the boundary value f(x) = Im mbar(x)/(c*pi) of
 the companion transform (Silverstein & Choi 1995), taken directly at real x
-by the same arrowhead root selection that ``mp`` uses off the axis, so
-there is no offset above the axis and no extrapolation.  Each point costs
-O(k^3) for k atoms.  The distribution function, the moments by density
-and the log mean integrate a shape-preserving cubic (PCHIP) interpolant of
-the density on a cached edge-clustered grid, in numpy.  The distribution
-function adds the point mass max(0, 1 - 1/c) at zero that appears once the
-dimension exceeds the sample count.  A LimitLaw builds that grid once,
-under a lock, so one instance can serve every replicate worker, each of
-which draws into its own ``model.Workspace``.
+by the same arrowhead root selection that ``mp`` uses off the axis, at
+O(k^3) per point for k atoms.  The distribution function, the moments by
+density and every mean that is not an exact moment integrate a PCHIP
+interpolant of the density on a cached grid that spans the exact support
+(``mp.support``) and is refined at every edge.  At a zero lower edge (c
+times the weight of the positive atoms is 1) f ~ x^(-1/2), so the piece
+next to zero is integrated in s = sqrt(x).  The distribution function adds
+the point mass at zero, max(w_0, 1 - 1/c) for a zero atom of weight w_0.
+A LimitLaw builds its grid once, under a lock, so one instance can serve
+every replicate worker, each drawing into its own ``model.Workspace``.
 """
 
 from __future__ import annotations
@@ -25,10 +26,12 @@ from typing import Optional
 import numpy as np
 
 from .functionals import FunctionalSpec
-from .kernels import contour_around_support
-from .mp import (_arrowhead_parts, _upper_root, continuous_support, solve_mbar_grid,
-                 support_interval)
+from .mp import _mass_at_zero, _upper_root, support
 from .spectrum import SpectralMeasure
+
+_GRID_POINTS = 2001
+# padding of the grid window beyond the support, as a share of its width
+_WINDOW_PAD = 0.05
 
 
 @dataclass
@@ -42,8 +45,6 @@ class LimitLaw:
 
     c: float
     H: SpectralMeasure
-    grid_points: int = 2001
-    pad: float = 0.05
     # (x, f, F, antiderivative of f), set once by ensure_grids
     _grids: Optional[tuple] = field(default=None, repr=False, compare=False)
     _mean_cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -55,23 +56,30 @@ class LimitLaw:
 
     @property
     def atom_at_zero(self) -> float:
-        return max(0.0, 1.0 - 1.0 / self.c)
+        return _mass_at_zero(self.H, self.c)
 
     def bulk_window(self) -> tuple[float, float]:
-        """Padded interval around the continuous part of the spectrum."""
-        lo, hi = continuous_support(self.H, self.c)
-        span = hi - lo if hi > lo else hi
-        floor = lo / 2.0 if lo > 0 else 1e-9
-        return max(lo - self.pad * span, floor), hi + self.pad * span
+        """Interval around the support, padded by a share of its width, never below 0."""
+        bulk = support(self.H, self.c)
+        lo, hi = bulk[0][0], bulk[-1][1]
+        span = hi - lo
+        return max(lo - _WINDOW_PAD * span, lo / 2.0), hi + _WINDOW_PAD * span
 
     def ensure_grids(self) -> tuple:
         if self._grids is None:
             with self._lock:
                 if self._grids is None:
-                    x = _edge_clustered_grid(self, self.grid_points)
-                    f = density(x, self)
-                    spline = _PchipAntiderivative(x, f)
-                    self._grids = (x, f, self.atom_at_zero + spline.values, spline)
+                    x, head = _edge_clustered_grid(self)
+                    f = dq = density(x, self)
+                    if head:
+                        # f ~ x^(-1/2): integrate in s = sqrt(x), where 2 s f(s^2) tends
+                        # to 2 sqrt(c S)/(c pi) at s = 0, S = sum of w/t over t > 0
+                        pos = self.H.atoms > 0
+                        inv_mean = np.sum(self.H.weights[pos] / self.H.atoms[pos])
+                        dq = np.concatenate([[2.0 * np.sqrt(self.c * inv_mean) / (self.c * np.pi)],
+                                             2.0 * np.sqrt(x[1:head]) * f[1:head], f[head:]])
+                    cdf = _GridAntiderivative(x, dq, head)
+                    self._grids = (x, f, self.atom_at_zero + cdf.values, cdf)
         return self._grids
 
     def _cached_mean(self, key, compute) -> float:
@@ -97,43 +105,33 @@ class LimitLaw:
 
     def continuous_cdf(self, x) -> np.ndarray:
         """Mass of the continuous part up to x."""
-        grid, _, _, spline = self.ensure_grids()
-        return spline(np.clip(np.asarray(x, dtype=float), grid[0], grid[-1]))
+        grid, _, _, cdf = self.ensure_grids()
+        return cdf(np.clip(np.asarray(x, dtype=float), grid[0], grid[-1]))
 
 
-def _bulk_edges(H: SpectralMeasure, c: float) -> np.ndarray:
-    """Real stationary values of the inverse map: candidate bulk edges.
-
-    In y = -1/mbar the inverse map z(y) = y + shift + sum_k u_k^2/(y - t_k)
-    is stationary where sum_k u_k^2/(y - t_k)^2 = 1.  Those y solve the
-    quadratic eigenproblem (D - y)^2 x = u u^T x, D = diag(t), whose
-    linearization is the matrix [[D, -I], [-u u^T, D]]; its real eigenvalues
-    map through z(y) to the edges, where the density has square-root
-    behavior.
-    """
-    t, u, shift = _arrowhead_parts(H, c)
-    d, eye = np.diag(t), np.eye(t.size)
-    y = np.linalg.eigvals(np.block([[d, -eye], [-np.outer(u, u), d]]))
-    y = y[np.abs(y.imag) < 1e-9 * (1 + np.abs(y.real))].real
-    return np.unique(y + shift + np.sum(u ** 2 / (y[:, None] - t), axis=1))
-
-
-def _edge_clustered_grid(law: LimitLaw, total: int) -> np.ndarray:
-    """Composite cosine grid refined at every candidate spectral edge."""
+def _edge_clustered_grid(law: LimitLaw) -> tuple[np.ndarray, int]:
+    """Composite cosine grid refined at every support edge, and its head length:
+    at a zero lower edge the first piece, of ``head`` nodes, is cosine-spaced in
+    sqrt(x) and ends exactly at the next edge; otherwise head is 0."""
     lo, hi = law.bulk_window()
     span = hi - lo
-    inner = [e for e in _bulk_edges(law.H, law.c) if lo + 1e-9 * span < e < hi - 1e-9 * span]
+    edges = [e for interval in support(law.H, law.c) for e in interval]
+    inner = [e for e in edges if lo + 1e-9 * span < e < hi - 1e-9 * span]
     breaks = np.array([lo] + sorted(inner) + [hi])
     # drop near-coincident breakpoints
     keep = np.concatenate([[True], np.diff(breaks) > 1e-9 * span])
     breaks = breaks[keep]
     lengths = np.diff(breaks)
-    counts = np.maximum((total * lengths / lengths.sum()).astype(int), 65)
+    counts = np.maximum((_GRID_POINTS * lengths / lengths.sum()).astype(int), 65)
     pieces = []
     for (a, b), npts in zip(zip(breaks[:-1], breaks[1:]), counts):
         theta = np.linspace(np.pi, 0.0, npts)
         pieces.append(0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta))
-    return np.unique(np.concatenate(pieces))
+    if lo > 0:
+        return np.unique(np.concatenate(pieces)), 0
+    edge = breaks[1]
+    rest = np.unique(np.concatenate(pieces[1:]))
+    return np.concatenate([edge * (pieces[0] / edge) ** 2, rest[rest > edge]]), counts[0]
 
 
 def density(x, law: LimitLaw):
@@ -142,15 +140,18 @@ def density(x, law: LimitLaw):
     f(x) = max(0, Im mbar(x))/(c*pi) with mbar the root of the equation at
     real x whose imaginary part is largest: inside the bulk the roots include
     one conjugate pair, outside it every root is real and f is exactly 0.
-    Zero lies below the bulk for c < 1, where f(0) = 0; for c >= 1 the law
-    has an atom or an unbounded density there, and zero is rejected.
+    At zero f is +inf where the lower edge is zero; below a positive lower
+    edge it is 0, and zero is rejected if the law has a point mass there.
     """
     scalar = np.isscalar(x)
     xx = np.atleast_1d(np.asarray(x, dtype=float))
     at_zero = xx == 0
-    if law.c >= 1 and np.any(at_zero):
-        raise ValueError("density undefined at zero for c >= 1; use cdf_limit")
     out = np.zeros_like(xx)
+    if np.any(at_zero):
+        zero_edge = support(law.H, law.c)[0][0] == 0
+        if law.atom_at_zero > 0 and not zero_edge:
+            raise ValueError("density undefined at the point mass at zero; use cdf_limit")
+        out[at_zero] = np.inf if zero_edge else 0.0
     mbar, _, _ = _upper_root(xx[~at_zero], law.H, law.c)
     out[~at_zero] = np.maximum(mbar.imag, 0.0) / (law.c * np.pi)
     return float(out[0]) if scalar else out
@@ -190,8 +191,28 @@ def limit_moments(law: LimitLaw, k: int) -> float:
 
 def _density_integral(law: LimitLaw, vals) -> float:
     """Integral of vals * f over the density grid, vals given at the grid points."""
-    x, f = law.density_grid
-    return float(_PchipAntiderivative(x, f * vals).values[-1])
+    cdf = law.ensure_grids()[3]
+    return float(_GridAntiderivative(cdf.x, cdf.dq * vals, cdf.head).values[-1])
+
+
+class _GridAntiderivative:
+    """Antiderivative, zero at x[0], of dq: PCHIP in s = sqrt(x) on the first
+    ``head`` nodes (dq per unit s there), then PCHIP in x from the last of them."""
+
+    def __init__(self, x, dq, head: int):
+        self.x, self.dq, self.head = x, dq, head
+        self._tail = _PchipAntiderivative(x[max(head - 1, 0):], dq[max(head - 1, 0):])
+        self.values = self._tail.values
+        if head:
+            self._head = _PchipAntiderivative(np.sqrt(x[:head]), dq[:head])
+            self.values = np.concatenate([self._head.values, self._head.values[-1] + self.values[1:]])
+
+    def __call__(self, xq) -> np.ndarray:
+        if not self.head:
+            return self._tail(xq)
+        split = self.x[self.head - 1]
+        return np.where(xq <= split, self._head(np.sqrt(np.minimum(xq, split))),
+                        self._head.values[-1] + self._tail(xq))
 
 
 def _pchip_end_slope(h0, h1, m0, m1) -> float:
@@ -270,8 +291,8 @@ def _add_terms(total, terms):
 
 def mean_functional_density(law: LimitLaw, g: FunctionalSpec) -> float:
     """Integral of g against the law by quadrature on the cached density grid."""
-    if g.needs_positive_support:
-        _require_positive_support(law)
+    if g.needs_positive_support and (law.atom_at_zero > 0 or support(law.H, law.c)[0][0] <= 0):
+        raise ValueError("log functional needs the spectrum bounded away from zero")
     x, _ = law.density_grid
     val = _density_integral(law, np.asarray(g(x), dtype=float))
     if law.atom_at_zero > 0:
@@ -279,40 +300,12 @@ def mean_functional_density(law: LimitLaw, g: FunctionalSpec) -> float:
     return val
 
 
-def _require_positive_support(law: LimitLaw):
-    if support_interval(law.H, law.c)[0] <= 0:
-        raise ValueError("log functional needs the spectrum bounded away from zero")
-
-
-def mean_functional(law: LimitLaw, g: FunctionalSpec, method: str = "auto") -> float:
-    """Integral of g against the limiting law.
-
-    'auto' uses exact moments for polynomials under a degenerate population,
-    density quadrature for log (whose guard keeps the grid away from zero,
-    where it is accurate), and otherwise a contour integral of g(z) m(z)
-    around the support.
-    """
+def mean_functional(law: LimitLaw, g: FunctionalSpec) -> float:
+    """Integral of g against the limiting law: exact moments for a polynomial
+    under a point-mass population, density quadrature otherwise."""
     def compute():
-        if method == "density" or g.needs_positive_support:
-            return mean_functional_density(law, g)
         if g.kind == "poly" and law.H.is_degenerate:
             return float(sum(coef * limit_moments(law, d) for d, coef in enumerate(g.coeffs)))
-        return _mean_functional_contour(law, g)
+        return mean_functional_density(law, g)
 
-    return law._cached_mean((g.kind, g.coeffs, method), compute)
-
-
-def _mean_functional_contour(law: LimitLaw, g: FunctionalSpec, nodes_per_side: int = 1024) -> float:
-    if g.needs_positive_support:
-        _require_positive_support(law)
-    contour = contour_around_support(law.H, law.c, margin=0.05, v0=1.0,
-                                     nodes_per_side=nodes_per_side)
-    z, w = contour.nodes()
-    mbar, _, _ = solve_mbar_grid(z, law.H, law.c)
-    m = (mbar + (1.0 - law.c) / z) / law.c
-    total = np.sum(g(z) * m * w)
-    val = (-total / (2j * np.pi)).real
-    if law.atom_at_zero > 0 and contour.u_l > 0:
-        # contour misses the mass at zero; add it back
-        val += law.atom_at_zero * float(g(0.0))
-    return float(val)
+    return law._cached_mean((g.kind, g.coeffs), compute)

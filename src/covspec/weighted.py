@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import EigenSystem
-from .functionals import FunctionalSpec
 
 
 @dataclass(frozen=True)
@@ -73,26 +72,8 @@ def y_process(ws: WeightedSpectrum, t: float) -> float:
     return float(np.sqrt(n / 2.0) * (ws.weights[:k].sum() - k / n))
 
 
-def x_process(es: EigenSystem, x: np.ndarray, x_arg: float) -> float:
-    """Scaled gap between weighted and uniform empirical CDFs at x_arg."""
-    ws = weighted_spectrum(es, x)
-    uni = WeightedSpectrum.uniform(es.lambdas)
-    return float(np.sqrt(es.n / 2.0) * (eval_cdf(ws, x_arg) - eval_cdf(uni, x_arg)))
-
-
 def w_statistic(es: EigenSystem) -> float:
     """Log-determinant statistic: sum of log eigenvalues."""
     if np.any(es.lambdas <= 1e-300):
         raise ValueError("singular sample covariance")
     return float(np.log(es.lambdas).sum())
-
-
-def functional_gap(es: EigenSystem, x: np.ndarray, g: FunctionalSpec) -> tuple[float, float]:
-    """Gap sum_i w_i g(lambda_i) - mean_i g(lambda_i), raw and sqrt(n/2)-scaled."""
-    if g.needs_positive_support and es.lambdas[0] <= 0:
-        raise ValueError("log functional needs strictly positive eigenvalues")
-    ws = weighted_spectrum(es, x)
-    gvals = np.asarray(g(ws.lambdas), dtype=float)
-    gap = float(np.dot(ws.weights, gvals) - gvals.mean())
-    return gap, float(np.sqrt(es.n / 2.0) * gap)
-

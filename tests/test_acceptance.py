@@ -15,7 +15,7 @@ from covspec import (DirectionSpec, FunctionalSpec, LimitLaw, ModelConfig,
                      estimate_mean_cov, eval_cdf, homogeneity_residual, inverse_z,
                      proof_kernels, quad_form_power, realize_direction,
                      resolvent_quad_form, run_clt, run_replications, solve_mbar_grid,
-                     support_interval, theoretical_cov_contour,
+                     support, theoretical_cov_contour,
                      theoretical_cov_simplified, w_statistic, weighted_spectrum,
                      y_process)
 from covspec.cli import main
@@ -114,8 +114,8 @@ def test_a4_resolvent_oracle():
 def test_a5_mp_solver():
     t0 = time.perf_counter()
     for c in (0.25, 0.5):
-        lo, hi = support_interval(MP1, c)
-        re = np.linspace(lo * 0.9 if lo > 0 else 0.05, hi * 1.1, 20)
+        (lo, hi), = support(MP1, c)
+        re = np.linspace(lo * 0.9, hi * 1.1, 20)
         im = np.geomspace(1e-2, 10, 20)
         zs = (re[:, None] + 1j * im[None, :]).ravel()
         mbar, res, _ = solve_mbar_grid(zs, MP1, c)

@@ -201,6 +201,29 @@ class TestDispatch:
         cfgfile = _config(tmp_path, n=0)
         assert main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("overrides", [
+        {"population": {"atoms": [{"t": "abc", "w": 1.0}]}},
+        {"population": {"atoms": [{"t": None, "w": 1.0}]}},
+        {"population": {"atoms": [{"t": 1.0, "w": [1.0]}]}},
+        {"population": {"atoms": [{"t": True, "w": 1.0}]}},
+        {"direction": {"kind": "e", "index": "x"}},
+        {"direction": {"kind": "e", "index": 1.7}},
+        {"direction": {"kind": "e", "index": 1.0}},
+        {"direction": {"kind": "custom", "vector": [1.0, "a"]}},
+        {"direction": {"kind": "custom", "vector": [None]}},
+        {"grid": ["a"]},
+        {"grid": [0.5, None]},
+        {"n": True},
+        {"seed": True},
+        {"reps": True},
+    ], ids=["t-str", "t-null", "w-list", "t-bool", "index-str", "index-frac", "index-float",
+            "vector-str", "vector-null", "grid-str", "grid-null", "n-bool", "seed-bool",
+            "reps-bool"])
+    def test_malformed_number_exit_2(self, tmp_path, capsys, overrides):
+        cfgfile = _config(tmp_path, **overrides)
+        assert main(["density", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
         # log functional is inadmissible at c >= 1: numerical failure path
         cfgfile = _config(tmp_path, n=40, N=20)

@@ -212,8 +212,8 @@ class TestThreadSafety:
         try:
             for _ in range(3):
                 calls.clear()
-                law = LimitLaw(c=0.5, H=SpectralMeasure([1.0, 3.0], [0.5, 0.5]), grid_points=301)
-                work = lambda _: (law.cdf_grid[1], mean_functional(law, g, method="density"))
+                law = LimitLaw(c=0.5, H=SpectralMeasure([1.0, 3.0], [0.5, 0.5]))
+                work = lambda _: (law.cdf_grid[1], mean_functional(law, g))
                 with ThreadPoolExecutor(max_workers=8) as pool:
                     seen = list(pool.map(work, range(16), timeout=60))
                 assert len(calls) == 1
@@ -243,9 +243,11 @@ class TestCdf:
             assert np.all(np.diff(F) >= -1e-12)
 
     def test_total_mass(self):
-        for h, c in [(MP1, 0.25), (MP1, 0.5), (MP1, 2.0),
+        # at c = 1 the lower edge is 0, where f ~ x^(-1/2)
+        for h, c in [(MP1, 0.25), (MP1, 0.5), (MP1, 1.0), (MP1, 2.0),
                      (SpectralMeasure([1.0, 2.0], [0.5, 0.5]), 0.25),
-                     (SpectralMeasure([1.0, 3.0], [0.5, 0.5]), 0.5)]:
+                     (SpectralMeasure([1.0, 3.0], [0.5, 0.5]), 0.5),
+                     (SpectralMeasure([1.0, 3.0], [0.5, 0.5]), 1.0)]:
             law = LimitLaw(c=c, H=h)
             assert abs(law.total_mass() - 1.0) <= 1e-6
 
@@ -255,6 +257,15 @@ class TestCdf:
         assert cdf_limit(-0.5, law) == 0.0
         assert cdf_limit(0.0, law) == pytest.approx(0.5)
         assert abs(cdf_limit(10.0, law) - 1.0) <= 1e-6
+
+    def test_zero_population_atom(self):
+        # the zero rows of T put mass max(w_0, 1 - 1/c) = 0.5 at zero
+        law = LimitLaw(c=0.5, H=SpectralMeasure([0.0, 1.0], [0.5, 0.5]))
+        assert abs(law.total_mass() - 1.0) <= 1e-6
+        assert cdf_limit(0.0, law) == 0.5
+        assert abs(mean_functional(law, FunctionalSpec.poly([1.0, 1.0])) - 1.5) <= 1e-8
+        with pytest.raises(ValueError):
+            mean_functional(law, FunctionalSpec.log())
 
 
 def test_density_integrates_to_continuous_mass():
@@ -305,20 +316,18 @@ class TestMeanFunctional:
         expected = 1.0 + 2.0 * 1.0 + 3.0 * 1.5
         assert mean_functional(law, g) == pytest.approx(expected)
 
-    def test_contour_agrees_with_moments(self):
-        law = LimitLaw(c=0.5, H=SpectralMeasure([1.0, 3.0], [0.5, 0.5]))
-        # first moment of the limit law is the population mean
-        assert abs(mean_functional(law, FunctionalSpec.monomial(1)) - 2.0) <= 1e-6
+    @pytest.mark.parametrize("h,c", [
+        (SpectralMeasure([1.0, 3.0], [0.5, 0.5]), 0.5),
+        (SpectralMeasure([1.0, 3.0], [0.5, 0.5]), 1.0),
+        (SpectralMeasure([1.0, 3.0], [0.5, 0.5]), 2.0),
+        (SpectralMeasure([0.5, 1.0, 2.0, 4.0, 8.0], [0.2] * 5), 0.5),
+    ], ids=["atoms1-3_c0.5", "atoms1-3_c1", "atoms1-3_c2", "atoms5_c0.5"])
+    def test_poly_means_match_exact_moments(self, h, c):
+        # first two moments of the limit law: H.m1 and H.m2 + c H.m1^2
+        law = LimitLaw(c=c, H=h)
+        assert abs(mean_functional(law, FunctionalSpec.monomial(1)) - h.moment(1)) <= 1e-8
         got2 = mean_functional(law, FunctionalSpec.monomial(2))
-        expected2 = law.H.moment(2) + 0.5 * law.H.moment(1) ** 2
-        assert abs(got2 - expected2) <= 1e-6
-
-    def test_density_method_cross_check(self):
-        law = LimitLaw(c=0.5, H=SpectralMeasure([1.0, 3.0], [0.5, 0.5]))
-        for g in (FunctionalSpec.monomial(1), FunctionalSpec.monomial(2)):
-            a = mean_functional(law, g)
-            b = mean_functional_density(law, g)
-            assert abs(a - b) <= 1e-4 * max(1.0, abs(a))
+        assert abs(got2 - (h.moment(2) + c * h.moment(1) ** 2)) <= 1e-8
 
     def test_log_functional(self):
         law = LimitLaw(c=0.2, H=MP1)
@@ -328,8 +337,6 @@ class TestMeanFunctional:
 
     @pytest.mark.parametrize("c", [0.2, 0.5])
     def test_log_functional_closed_form(self, c):
-        # 'auto' integrates log on the density grid; the 1024-node contour
-        # errs by 5e-8 (c = 0.2) and 1e-7 (c = 0.5) here
         law = LimitLaw(c=c, H=MP1)
         closed = -1.0 - (1.0 - c) / c * np.log(1.0 - c)
         assert abs(mean_functional(law, FunctionalSpec.log()) - closed) <= 1e-8
@@ -341,6 +348,10 @@ class TestMeanFunctional:
 
 
 def test_density_errors_at_atom():
-    law = LimitLaw(c=2.0, H=MP1)
-    with pytest.raises(ValueError):
-        density(0.0, law)
+    for law in (LimitLaw(c=2.0, H=MP1), LimitLaw(c=0.5, H=SpectralMeasure([0.0, 1.0], [0.5, 0.5]))):
+        with pytest.raises(ValueError):
+            density(0.0, law)
+    # a zero lower edge, where f grows like x^(-1/2), with or without a point mass
+    assert density(0.0, LimitLaw(c=1.0, H=MP1)) == np.inf
+    assert density(0.0, LimitLaw(c=2.0, H=SpectralMeasure([0.0, 1.0], [0.5, 0.5]))) == np.inf
+    assert density(0.0, LimitLaw(c=0.5, H=MP1)) == 0.0

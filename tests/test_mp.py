@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from covspec import (ConvergenceError, LimitLaw, SpectralMeasure, closed_form_mp,
-                     companion_transform, inverse_z, mp, solve_mbar, solve_mbar_grid,
-                     support_interval)
+                     companion_transform, density, inverse_z, mp, solve_mbar, solve_mbar_grid,
+                     support)
 
 MP1 = SpectralMeasure.point(1.0)
 H13 = SpectralMeasure([1.0, 3.0], [0.5, 0.5])
@@ -145,7 +145,7 @@ def test_many_atoms_root_selection():
 
 
 def test_herglotz_properties():
-    lo, hi = support_interval(MP1, 0.5)
+    (lo, hi), = support(MP1, 0.5)
     re = np.linspace(lo * 0.9, hi * 1.1, 20)
     im = np.geomspace(1e-2, 10, 20)
     zs = (re[:, None] + 1j * im[None, :]).ravel()
@@ -156,7 +156,7 @@ def test_herglotz_properties():
 
 
 def test_round_trip_on_grid():
-    lo, hi = support_interval(H13, 0.5)
+    (lo, hi), = support(H13, 0.5)
     re = np.linspace(lo * 0.9, hi * 1.1, 20)
     im = np.geomspace(1e-2, 10, 20)
     zs = (re[:, None] + 1j * im[None, :]).ravel()
@@ -166,17 +166,57 @@ def test_round_trip_on_grid():
     assert np.max(np.abs(back - zs)) <= 1e-8
 
 
+def _envelope(H, c):
+    # loose bounds t_min(1-sqrt(c))^2 (0 once c >= 1) and t_max(1+sqrt(c))^2
+    lo = H.t_min * (1 - np.sqrt(c)) ** 2 if c < 1 else 0.0
+    return lo, H.t_max * (1 + np.sqrt(c)) ** 2
+
+
+def _assert_inside_envelope(H, c):
+    lo, hi = _envelope(H, c)
+    bulk = support(H, c)
+    assert all(a < b for a, b in bulk)
+    assert all(b1 < a2 for (_, b1), (a2, _) in zip(bulk, bulk[1:]))
+    assert lo - 1e-14 <= bulk[0][0] and bulk[-1][1] <= hi * (1 + 1e-14)
+    return bulk
+
+
+H5 = SpectralMeasure([0.5, 1.0, 2.0, 4.0, 8.0], [0.2] * 5)
+
+
 class TestSupportInterval:
+    @pytest.mark.parametrize("c", [0.25, 0.5, 0.9, 1.0, 2.0])
+    def test_point_mass(self, c):
+        t = 2.5
+        (lo, hi), = support(SpectralMeasure.point(t), c)
+        assert abs(lo - t * (1 - np.sqrt(c)) ** 2) <= 1e-14 * t
+        assert abs(hi - t * (1 + np.sqrt(c)) ** 2) <= 1e-14 * hi
+        if c == 1.0:
+            assert lo == 0.0
+
     def test_quarter(self):
-        np.testing.assert_allclose(support_interval(MP1, 0.25), (0.25, 2.25))
+        # the exact bulk is tighter than the envelope once H has two atoms
+        assert _assert_inside_envelope(MP1, 0.25) == ((0.25, 2.25),)
+        for h in (SpectralMeasure([1.0, 2.0], [0.5, 0.5]), H13, H5):
+            bulk = _assert_inside_envelope(h, 0.25)
+            env_lo, env_hi = _envelope(h, 0.25)
+            assert bulk[0][0] > env_lo and bulk[-1][1] < env_hi
 
     def test_ratio_one(self):
-        np.testing.assert_allclose(support_interval(MP1, 1.0), (0.0, 4.0))
+        # c times the weight of the positive atoms is 1: the lower edge is exactly 0
+        for h, c in ((MP1, 1.0), (H13, 1.0), (H5, 1.0),
+                     (SpectralMeasure([0.0, 1.0], [0.5, 0.5]), 2.0)):
+            assert _assert_inside_envelope(h, c)[0][0] == 0.0
+        assert support(SpectralMeasure([0.0, 1.0], [0.5, 0.5]), 0.5) == support(MP1, 0.25)
 
     def test_two_atoms(self):
-        h = SpectralMeasure([1.0, 2.0], [0.5, 0.5])
-        np.testing.assert_allclose(support_interval(h, 0.25), (0.25, 4.5))
+        (a1, b1), (a2, b2) = _assert_inside_envelope(H13, 0.05)
+        assert density((b1 + a2) / 2, LimitLaw(c=0.05, H=H13)) == 0.0
+        for a, b in ((a1, b1), (a2, b2)):
+            assert density((a + b) / 2, LimitLaw(c=0.05, H=H13)) > 0
+        assert len(_assert_inside_envelope(H13, 0.3)) == 1
 
     def test_bad_ratio(self):
-        with pytest.raises(ValueError):
-            support_interval(MP1, 0.0)
+        for c in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                support(MP1, c)

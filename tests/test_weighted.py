@@ -3,9 +3,9 @@ import pytest
 
 from covspec import (DirectionSpec, FunctionalSpec, LimitLaw, ModelConfig,
                      PopulationSpec, SpectralMeasure, WeightedSpectrum,
-                     build_sample_cov, eig_decompose, eval_cdf, functional_gap,
-                     mean_functional, quad_form_power, realize_direction, resolvent_quad_form,
-                     w_statistic, weighted_spectrum, x_process, y_process)
+                     build_sample_cov, eig_decompose, eval_cdf, mean_functional,
+                     quad_form_power, realize_direction, resolvent_quad_form,
+                     w_statistic, weighted_spectrum, y_process)
 
 
 def _random_instance(n=20, seed=0):
@@ -101,25 +101,6 @@ class TestYProcess:
             assert abs(y_process(ws, 1.0)) <= 1e-10
 
 
-class TestXProcess:
-    def test_outside_spectrum(self):
-        a, x = _random_instance(seed=7)
-        es = eig_decompose(a)
-        assert x_process(es, x, es.lambdas[0] - 1.0) == 0.0
-        assert abs(x_process(es, x, es.lambdas[-1] + 1.0)) <= 1e-10
-
-    def test_two_point_example(self):
-        es = eig_decompose(np.diag([1.0, 3.0]))
-        x = np.array([np.sqrt(0.75), np.sqrt(0.25)])
-        assert x_process(es, x, 2.0) == pytest.approx(0.25)
-
-    def test_bounded(self):
-        a, x = _random_instance(seed=8)
-        es = eig_decompose(a)
-        for arg in np.linspace(0, 4, 50):
-            assert abs(x_process(es, x, arg)) <= np.sqrt(es.n / 2.0) + 1e-12
-
-
 class TestWStatistic:
     def test_identity(self):
         assert w_statistic(eig_decompose(np.eye(4))) == 0.0
@@ -139,25 +120,6 @@ class TestWStatistic:
                           direction=DirectionSpec.basis(0), seed=0)
         a = build_sample_cov(cfg, entries=np.array([[2.0]]))
         assert w_statistic(eig_decompose(a)) == pytest.approx(np.log(4.0))
-
-
-class TestFunctionalGap:
-    def test_constant_gap_zero(self):
-        a, x = _random_instance(seed=9)
-        gap, scaled = functional_gap(eig_decompose(a), x, FunctionalSpec.poly([1.0]))
-        assert abs(gap) <= 1e-12 and abs(scaled) <= 1e-12
-
-    def test_linear_matches_oracle(self):
-        a, x = _random_instance(seed=10)
-        es = eig_decompose(a)
-        gap, _ = functional_gap(es, x, FunctionalSpec.monomial(1))
-        expected = quad_form_power(a, x, 1) - np.trace(a) / es.n
-        assert abs(gap - expected) <= 1e-8
-
-    def test_log_needs_positive(self):
-        es = eig_decompose(np.diag([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            functional_gap(es, np.array([1.0, 0.0]), FunctionalSpec.log())
 
 
 def _diag_moment_gap(n, N, m, seed):
