@@ -15,8 +15,8 @@ from .eigen import (EigenSystem, cholesky_logdet, eig_decompose, quad_form_power
 from .mp import (ConvergenceError, StieltjesSolution, closed_form_mp,
                  companion_transform, inverse_z, solve_mbar, solve_mbar_grid, support)
 from .law import LimitLaw, cdf_limit, density, limit_moments, mean_functional
-from .kernels import (Contour, ProofKernels, contour_around_support, contour_pair,
-                      cov_kernel, homogeneity_residual, proof_kernels)
+from .kernels import (ProofKernels, contour_nodes, cov_kernel, homogeneity_residual,
+                      proof_kernels)
 from .functionals import FunctionalSpec, poly_product
 from .weighted import (WeightedSpectrum, eval_cdf, w_statistic, weighted_spectrum,
                        y_process)

@@ -7,9 +7,10 @@ reuses from one replicate to the next (``model.Workspace``); while they
 run, numpy's OpenBLAS is pinned to one thread, so each worker does its
 linear algebra serially and the results depend neither on scheduling nor
 on the BLAS thread setting.  Theory comes in two independently computed
-flavors: a double contour integral of the covariance kernel, and the
-simplified variance formula available when the population spectrum is a
-single point mass.
+flavors: a double contour integral of the covariance kernel on two
+ellipses around the exact support, with an error estimate from halving
+the node count, and the simplified variance formula available when the
+population spectrum is a single point mass.
 """
 
 from __future__ import annotations
@@ -30,16 +31,15 @@ import numpy as np
 
 from .eigen import cholesky_logdet, eig_decompose
 from .functionals import FunctionalSpec, poly_product
-from .kernels import Contour, contour_pair, kernel_from_mbar, mbar_on_nodes
+from .kernels import contour_nodes, kernel_from_mbar
 from .law import LimitLaw, _density_integral, mean_functional
 from .model import (ModelConfig, Workspace, build_sample_cov, realize_direction,
                     realize_population)
-from .mp import _mass_at_zero, solve_mbar, support
+from .mp import _lower_end, solve_mbar, solve_mbar_grid
 from .spectrum import SpectralMeasure
 from .weighted import weighted_spectrum, y_process
 
 WORKERS_ENV = "COVSPEC_WORKERS"
-IMAG_WARN = 1e-6  # contour covariance imaginary residue that triggers a warning
 
 # (get, set) thread-count entry points: numpy's bundled scipy-openblas with
 # its symbol suffix first, then a plain OpenBLAS build
@@ -211,65 +211,39 @@ def estimate_mean_cov(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
-def _contour_cov(gs1: Sequence[FunctionalSpec], gs2: Sequence[FunctionalSpec],
-                 H: SpectralMeasure, c: float, contour1: Contour, contour2: Contour,
-                 case: str) -> np.ndarray:
-    """Complex matrix whose entry (i, j) pairs gs1[i] on contour1 with gs2[j] on contour2.
+def theoretical_cov_contour(gs: Sequence[FunctionalSpec], H: SpectralMeasure, c: float,
+                            case: str = "real") -> tuple[np.ndarray, float]:
+    """Theoretical covariance matrix by double contour integration of the kernel.
 
-    One pass over the kernel: the transform is solved once per contour, and
-    each 1024-row chunk of the node-by-node kernel is evaluated once and
-    contracted with every functional pair by matrix products.
+    Entry (i, j) integrates gs[i] on the outer and gs[j] on the inner ellipse
+    of ``contour_nodes``, which enclose 0 unless a functional is a log; the
+    returned real matrix is the symmetric average of the two orders.  The
+    transform is solved once on both node sets, and each 1024-row chunk of the node-by-node kernel is evaluated once and
+    contracted with every functional pair by matrix products.  Returns
+    (matrix, err), err the larger of the largest |Q_M - Q_M/2| and |Im Q_M|,
+    where Q_M/2 is the same sum over every other node of both ellipses.
     """
-    if contour1.intersects(contour2):
-        raise ValueError("contours intersect; use nested rectangles")
-    bulk = support(H, c)
-    lo = 0.0 if _mass_at_zero(H, c) > 0 else bulk[0][0]  # a mass at zero is enclosed too
-    needs_positive = any(g.needs_positive_support for g in (*gs1, *gs2))
-    for cont in (contour1, contour2):
-        if not cont.u_l < lo or cont.u_r <= bulk[-1][1]:
-            raise ValueError("contour does not enclose the support")
-        if needs_positive and cont.u_l <= 0:
-            raise ValueError("log functional needs contours with u_l > 0")
-    z1, w1, m1 = mbar_on_nodes(contour1, H, c)
-    z2, w2, m2 = mbar_on_nodes(contour2, H, c)
-    gw1 = np.array([g(z1) * w1 for g in gs1])
-    gw2 = np.array([g(z2) * w2 for g in gs2])
-    total = np.zeros((len(gs1), len(gs2)), dtype=complex)
+    gs = list(gs)
+    log = any(g.needs_positive_support for g in gs)
+    if log and _lower_end(H, c) <= 0:
+        raise ValueError("log functional needs the spectrum bounded away from zero")
+    (z1, w1), (z2, w2) = contour_nodes(H, c, enclose_zero=not log)
+    m1, m2 = np.split(solve_mbar_grid(np.concatenate([z1, z2]), H, c)[0], [z1.size])
+    gw1 = np.array([g(z1) * w1 for g in gs])
+    gw2 = np.array([g(z2) * w2 for g in gs])
+    full = np.zeros((len(gs), len(gs)), dtype=complex)
+    half = np.zeros_like(full)
     chunk = 1024
     for start in range(0, z1.size, chunk):
         sl = slice(start, start + chunk)
         k = kernel_from_mbar(z1[sl, None], m1[sl, None], z2[None, :], m2[None, :],
                              c, case=case)
-        total += gw1[:, sl] @ (k @ gw2.T)
-    return -total / (4.0 * np.pi ** 2)
-
-
-def _real_part(val: complex, imag_warn: float) -> float:
-    if abs(val.imag) > imag_warn:
-        warnings.warn(f"contour covariance imaginary residue {val.imag:.2e}")
-    return float(val.real)
-
-
-def theoretical_cov_contour(g1: FunctionalSpec, g2: FunctionalSpec,
-                            H: SpectralMeasure, c: float,
-                            contour1: Optional[Contour] = None,
-                            contour2: Optional[Contour] = None,
-                            case: str = "real",
-                            imag_warn: float = IMAG_WARN) -> float:
-    """Theoretical covariance by double contour integration of the kernel.
-
-    The two rectangles must be disjoint (one strictly inside the other),
-    both enclosing the support.  Composite trapezoid on midpoint-shifted
-    nodes; the conjugate-symmetric node sets make the imaginary part cancel,
-    and any residue beyond ``imag_warn`` triggers a warning.  g1 is
-    integrated on contour1, g2 on contour2.
-    """
-    if contour1 is None or contour2 is None:
-        c1, c2 = contour_pair(H, c)
-        contour1 = contour1 or c1
-        contour2 = contour2 or c2
-    cov = _contour_cov([g1], [g2], H, c, contour1, contour2, case)
-    return _real_part(cov[0, 0], imag_warn)
+        full += gw1[:, sl] @ (k @ gw2.T)
+        # chunks start at even rows, so the chunk's even rows are the global ones
+        half += 4.0 * gw1[:, sl][:, ::2] @ (k[::2, ::2] @ gw2[:, ::2].T)
+    full, half = -full / (4.0 * np.pi ** 2), -half / (4.0 * np.pi ** 2)
+    err = max(float(np.max(np.abs(full - half))), float(np.max(np.abs(full.imag))))
+    return (full.real + full.real.T) / 2.0, err
 
 
 def theoretical_cov_simplified(g1: FunctionalSpec, g2: FunctionalSpec,
@@ -341,6 +315,7 @@ class MCReport:
     seed: int
     entry_dist: str
     wall_time: float
+    theory_err: Optional[float] = None  # error estimate of theory_cov_contour
 
     def to_dict(self) -> dict:
         return {
@@ -357,11 +332,12 @@ class MCReport:
             "seed": self.seed,
             "entry_dist": self.entry_dist,
             "wall_time": self.wall_time,
+            "theory_err": self.theory_err,
         }
 
 
 def run_clt(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
-            workers: Optional[int] = None, nodes_per_side: int = 512) -> MCReport:
+            workers: Optional[int] = None) -> MCReport:
     """Full verification run: replicate, estimate, and evaluate both theory paths."""
     t0 = time.perf_counter()
     gs = list(gs)
@@ -369,13 +345,8 @@ def run_clt(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
     mean, cov = estimate_mean_cov(values)
     law = realized_law(cfg)
     case = "complex" if cfg.entry_dist == "complex-gaussian" else "real"
+    theory, theory_err = theoretical_cov_contour(gs, law.H, law.c, case)
     k = len(gs)
-    theory = np.empty((k, k))
-    c1, c2 = contour_pair(law.H, law.c, nodes_per_side=nodes_per_side)
-    contour = _contour_cov(gs, gs, law.H, law.c, c1, c2, case)
-    for i in range(k):
-        for j in range(i, k):
-            theory[i, j] = theory[j, i] = _real_part(contour[i, j], IMAG_WARN)
     simplified = None
     if law.H.is_degenerate:
         simplified = np.empty((k, k))
@@ -398,6 +369,7 @@ def run_clt(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
         seed=cfg.seed,
         entry_dist=cfg.entry_dist,
         wall_time=time.perf_counter() - t0,
+        theory_err=theory_err,
     )
 
 

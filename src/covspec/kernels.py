@@ -1,9 +1,14 @@
-"""Rectangular spectral contours and theoretical covariance kernels.
+"""Elliptic contours around the exact support and theoretical covariance kernels.
 
 The limiting Gaussian fluctuation of eigenvector-weighted spectral
 statistics has a covariance expressed through the companion transform at
-pairs of points off the real axis, taken on rectangles around the support
-envelope (``contour_around_support``).  This module evaluates that kernel,
+pairs of points off the real axis, integrated over two nested contours
+around the support (Bai & Silverstein 2004).  The contours are confocal
+ellipses whose foci are the exact support ends (``mp.support``), or 0 and
+the upper end where no log is integrated, with the periodic trapezoid
+rule on each; that rule converges geometrically in the
+ellipse parameter (Trefethen & Weideman 2014), so the node count follows
+from H and c (``contour_nodes``).  This module also evaluates the kernel,
 the two auxiliary kernels of its derivation, and the homogeneity residual
 that decides whether the simplified (degenerate-population) formula applies.
 """
@@ -14,80 +19,55 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mp import solve_mbar, solve_mbar_grid
+from .mp import _lower_end, solve_mbar_grid, support
 from .spectrum import SpectralMeasure
 
 _MIN_SEPARATION = 1e-8
+_MAX_NODES = 2048
+# each ellipse sits a factor rho^(1/3) from its nearest singularity, so the
+# trapezoid rule on M nodes errs like rho^(-M/3): e^-36 at M = 2*54/ln(rho)
+_DECAY = 54.0
 
 
-@dataclass(frozen=True)
-class Contour:
-    """Closed rectangle with corners u_l +/- i*v0 and u_r +/- i*v0."""
+def contour_nodes(H: SpectralMeasure, c: float, enclose_zero: bool = False):
+    """Nodes and weights ((z_out, w_out), (z_in, w_in)) of the two contour ellipses.
 
-    u_l: float
-    u_r: float
-    v0: float
-    nodes_per_side: int = 512
+    Both ellipses have foci a and b: b the upper support edge, a the lower
+    one, or 0 when the law has a point mass there or ``enclose_zero`` is
+    set.  With rho the ellipse parameter at which the ellipse reaches 0,
+    capped at 2 (2 when a = 0), the outer ellipse has parameter rho^(2/3)
+    and the inner rho^(1/3), so the support, the other ellipse and 0 each
+    lie at least a factor rho^(1/3) away from either ellipse in that
+    parameter.  Each carries M = min(2048, 2*ceil(54/ln rho)) nodes at
+    theta_j = 2 pi (j+1/2)/M, z = centre + half (r e^(i theta) +
+    e^(-i theta)/r)/2, counterclockwise, with weights dz/dtheta * 2 pi/M;
+    the node sets are conjugate-symmetric.
 
-    def __post_init__(self):
-        if self.u_r <= self.u_l:
-            raise ValueError("contour needs u_r > u_l")
-        if self.v0 <= 0:
-            raise ValueError("contour needs v0 > 0")
-        if self.nodes_per_side < 64:
-            raise ValueError("insufficient resolution")
-
-    def nodes(self, offset: float = 0.5):
-        """Quadrature nodes and complex weights, counterclockwise.
-
-        Midpoint-shifted composite trapezoid per side; the half-step shift
-        keeps nodes off the corners and off the real axis, and makes the
-        node set conjugate-symmetric for even counts.
-        """
-        corners = [self.u_l - 1j * self.v0, self.u_r - 1j * self.v0,
-                   self.u_r + 1j * self.v0, self.u_l + 1j * self.v0]
-        zs, ws = [], []
-        nside = self.nodes_per_side
-        for k in range(4):
-            z0, z1 = corners[k], corners[(k + 1) % 4]
-            tt = (np.arange(nside) + offset) / nside
-            zs.append(z0 + (z1 - z0) * tt)
-            ws.append(np.full(nside, (z1 - z0) / nside))
-        return np.concatenate(zs), np.concatenate(ws)
-
-    def encloses(self, other: "Contour") -> bool:
-        return (self.u_l < other.u_l and self.u_r > other.u_r
-                and self.v0 > other.v0)
-
-    def intersects(self, other: "Contour") -> bool:
-        """True unless one rectangle strictly contains the other."""
-        return not (self.encloses(other) or other.encloses(self))
-
-
-def contour_around_support(H: SpectralMeasure, c: float, margin: float = 0.05,
-                           v0: float = 1.0, nodes_per_side: int = 512) -> Contour:
-    """Rectangle around the envelope [t_min(1-sqrt(c))^2, t_max(1+sqrt(c))^2] with a margin.
-
-    The envelope contains the exact support (``mp.support``); rectangles on
-    the exact hull were 5-10x less accurate at 512 nodes per side against an
-    8192-node reference.  For c >= 1 the envelope starts at zero and u_l
-    goes negative by the margin relative to the upper edge.
+    The covariance kernel is analytic at 0, so ``enclose_zero`` suits every
+    integrand but the log, whose branch point must stay outside.  It keeps
+    rho at 2 where a lower edge close to 0 would push rho towards 1 and M
+    past its cap: for H = delta_1 at c = 0.999 the capped ellipses around
+    (a, b) miss the polynomial covariances by 1.4 times the largest entry.
     """
-    if c <= 0:
-        raise ValueError("ratio c must be positive")
-    root = np.sqrt(c)
-    lo = H.t_min * (1.0 - root) ** 2 if c < 1 else 0.0
-    hi = H.t_max * (1.0 + root) ** 2
-    u_r = hi * (1.0 + margin)
-    u_l = lo * (1.0 - margin) if lo > 0 else -margin * hi
-    return Contour(u_l=u_l, u_r=u_r, v0=v0, nodes_per_side=nodes_per_side)
+    a, b = 0.0 if enclose_zero else _lower_end(H, c), support(H, c)[-1][1]
+    rho = 2.0
+    if a > 0:
+        rho = min((np.sqrt(b) + np.sqrt(a)) / (np.sqrt(b) - np.sqrt(a)), 2.0)
+    M = min(_MAX_NODES, 2 * int(np.ceil(_DECAY / np.log(rho))))
+    return _ellipses(a, b, rho, M)
 
 
-def contour_pair(H: SpectralMeasure, c: float, nodes_per_side: int = 512) -> tuple[Contour, Contour]:
-    """Default disjoint pair: a nested inner rectangle inside an outer one."""
-    outer = contour_around_support(H, c, margin=0.08, v0=1.0, nodes_per_side=nodes_per_side)
-    inner = contour_around_support(H, c, margin=0.04, v0=0.5, nodes_per_side=nodes_per_side)
-    return outer, inner
+def _ellipses(a: float, b: float, rho: float, M: int):
+    """The ellipses with foci a, b and parameters rho^(2/3), rho^(1/3), M nodes each."""
+    theta = 2.0 * np.pi * (np.arange(M) + 0.5) / M
+    centre, half = (a + b) / 2.0, (b - a) / 2.0
+    ellipses = []
+    for r in (rho ** (2.0 / 3.0), rho ** (1.0 / 3.0)):
+        e = r * np.exp(1j * theta)
+        z = centre + half * (e + 1.0 / e) / 2.0
+        w = 1j * half * (e - 1.0 / e) / 2.0 * (2.0 * np.pi / M)
+        ellipses.append((z, w))
+    return tuple(ellipses)
 
 
 def kernel_from_mbar(z1, mbar1, z2, mbar2, c: float, case: str = "real"):
@@ -105,14 +85,19 @@ def kernel_from_mbar(z1, mbar1, z2, mbar2, c: float, case: str = "real"):
     raise ValueError("case must be 'real' or 'complex'")
 
 
-def cov_kernel(z1: complex, z2: complex, H: SpectralMeasure, c: float,
-               case: str = "real") -> complex:
-    """Covariance kernel of the limiting Gaussian spectral process at (z1, z2)."""
+def _mbar_pair(z1, z2, H: SpectralMeasure, c: float):
+    """(z1, z2, mbar(z1), mbar(z2)) from one solve; rejects near-coincident points."""
     z1, z2 = complex(z1), complex(z2)
     if abs(z1 - z2) < _MIN_SEPARATION:
         raise ValueError("use offset contours")
-    m1 = solve_mbar(z1, H, c).mbar
-    m2 = solve_mbar(z2, H, c).mbar
+    m1, m2 = solve_mbar_grid(np.array([z1, z2]), H, c)[0]
+    return z1, z2, complex(m1), complex(m2)
+
+
+def cov_kernel(z1: complex, z2: complex, H: SpectralMeasure, c: float,
+               case: str = "real") -> complex:
+    """Covariance kernel of the limiting Gaussian spectral process at (z1, z2)."""
+    z1, z2, m1, m2 = _mbar_pair(z1, z2, H, c)
     if abs(m1 - m2) < 1e-14:
         raise ValueError("transform values coincide; use offset contours")
     return complex(kernel_from_mbar(z1, m1, z2, m2, c, case))
@@ -144,11 +129,7 @@ def proof_kernels(z1: complex, z2: complex, H: SpectralMeasure, c: float) -> Pro
     h = (m1 m2 / (z1 z2)) * (integral t / ((1+t m1)(1+t m2)) dH)^2
       = (m1 m2 / (z1 z2)) * ((z1 m1 - z2 m2) / (c (m2 - m1)))^2.
     """
-    z1, z2 = complex(z1), complex(z2)
-    if abs(z1 - z2) < _MIN_SEPARATION:
-        raise ValueError("use offset contours")
-    m1 = solve_mbar(z1, H, c).mbar
-    m2 = solve_mbar(z2, H, c).mbar
+    z1, z2, m1, m2 = _mbar_pair(z1, z2, H, c)
     if abs(m1 - m2) < 1e-14:
         raise ValueError("transform values coincide; use offset contours")
     t, w = H.atoms, H.weights
@@ -170,20 +151,9 @@ def homogeneity_residual(z1: complex, z2: complex, H: SpectralMeasure, c: float)
     single-argument integrals.  Choosing z2 = conj(z1) makes it a real,
     strictly positive Cauchy-Schwarz defect for any non-degenerate H.
     """
-    z1, z2 = complex(z1), complex(z2)
-    if abs(z1 - z2) < _MIN_SEPARATION:
-        raise ValueError("use offset contours")
-    m1 = solve_mbar(z1, H, c).mbar
-    m2 = solve_mbar(z2, H, c).mbar
+    _, _, m1, m2 = _mbar_pair(z1, z2, H, c)
     t, w = H.atoms, H.weights
     f1 = 1.0 + t * m1
     f2 = 1.0 + t * m2
     joint = np.sum(w / (f1 * f2))
     return complex(joint - np.sum(w / f1) * np.sum(w / f2))
-
-
-def mbar_on_nodes(contour: Contour, H: SpectralMeasure, c: float):
-    """Companion transform on the contour's quadrature nodes."""
-    z, w = contour.nodes()
-    mbar, _, _ = solve_mbar_grid(z, H, c)
-    return z, w, mbar

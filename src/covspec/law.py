@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .functionals import FunctionalSpec
-from .mp import _mass_at_zero, _upper_root, support
+from .mp import _lower_end, _mass_at_zero, _upper_root, support
 from .spectrum import SpectralMeasure
 
 _GRID_POINTS = 2001
@@ -126,12 +126,15 @@ def _edge_clustered_grid(law: LimitLaw) -> tuple[np.ndarray, int]:
     pieces = []
     for (a, b), npts in zip(zip(breaks[:-1], breaks[1:]), counts):
         theta = np.linspace(np.pi, 0.0, npts)
-        pieces.append(0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta))
-    if lo > 0:
-        return np.unique(np.concatenate(pieces)), 0
-    edge = breaks[1]
-    rest = np.unique(np.concatenate(pieces[1:]))
-    return np.concatenate([edge * (pieces[0] / edge) ** 2, rest[rest > edge]]), counts[0]
+        piece = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta)
+        piece[0], piece[-1] = a, b  # rounding would leave near-duplicates of a and b
+        pieces.append(piece)
+    head = 0
+    if lo == 0:
+        edge = breaks[1]
+        pieces[0] = edge * (pieces[0] / edge) ** 2
+        head = counts[0]
+    return np.concatenate([pieces[0]] + [p[1:] for p in pieces[1:]]), head
 
 
 def density(x, law: LimitLaw):
@@ -291,7 +294,7 @@ def _add_terms(total, terms):
 
 def mean_functional_density(law: LimitLaw, g: FunctionalSpec) -> float:
     """Integral of g against the law by quadrature on the cached density grid."""
-    if g.needs_positive_support and (law.atom_at_zero > 0 or support(law.H, law.c)[0][0] <= 0):
+    if g.needs_positive_support and _lower_end(law.H, law.c) <= 0:
         raise ValueError("log functional needs the spectrum bounded away from zero")
     x, _ = law.density_grid
     val = _density_integral(law, np.asarray(g(x), dtype=float))

@@ -232,6 +232,11 @@ def _mass_at_zero(H: SpectralMeasure, c: float) -> float:
     return max(float(H.weights[H.atoms == 0].sum()), 1.0 - 1.0 / c)
 
 
+def _lower_end(H: SpectralMeasure, c: float) -> float:
+    """Lowest point of the law: 0 if it has a point mass there, else the bulk's lower edge."""
+    return 0.0 if _mass_at_zero(H, c) > 0 else support(H, c)[0][0]
+
+
 def support(H: SpectralMeasure, c: float) -> tuple[tuple[float, float], ...]:
     """Exact bulk of the limiting law: disjoint intervals (lo, hi), ascending.
 

@@ -11,7 +11,7 @@ import numpy as np
 from covspec import (DirectionSpec, FunctionalSpec, LimitLaw, ModelConfig,
                      PopulationSpec, SpectralMeasure, Tolerances, bb_samples,
                      build_sample_cov, cdf_limit, closed_form_mp, compare_report,
-                     contour_pair, cov_kernel, density, eig_decompose,
+                     cov_kernel, density, eig_decompose,
                      estimate_mean_cov, eval_cdf, homogeneity_residual, inverse_z,
                      proof_kernels, quad_form_power, realize_direction,
                      resolvent_quad_form, run_clt, run_replications, solve_mbar_grid,
@@ -19,6 +19,7 @@ from covspec import (DirectionSpec, FunctionalSpec, LimitLaw, ModelConfig,
                      theoretical_cov_simplified, w_statistic, weighted_spectrum,
                      y_process)
 from covspec.cli import main
+from test_harness import perturbed_contour
 
 MP1 = SpectralMeasure.point(1.0)
 H12 = SpectralMeasure([1.0, 2.0], [0.5, 0.5])
@@ -159,27 +160,28 @@ def test_a7_clt_complex_case():
     _report("A7 CLT complex case", f"(var {cov[0, 0]:.2f} in [0.8, 1.2])")
 
 
-def test_a8_contour_equals_simplified():
+def test_a8_contour_equals_simplified(monkeypatch):
     t0 = time.perf_counter()
-    pairs = [(X1, X1), (X1, X2), (X1, X3), (X2, X2), (X2, X3), (X3, X3)]
+    gs = [X1, X2, X3]
     for c in (0.25, 0.5):
         law = LimitLaw(c=c, H=MP1)
-        for g1, g2 in pairs:
-            via_contour = theoretical_cov_contour(g1, g2, MP1, c)
-            via_moments = theoretical_cov_simplified(g1, g2, law)
-            assert abs(via_contour - via_moments) <= 1e-3
-    # refinement stability: double the node count, then double v0
-    base = theoretical_cov_contour(X1, X1, MP1, 0.5)
-    fine = theoretical_cov_contour(X1, X1, MP1, 0.5, *contour_pair(MP1, 0.5, nodes_per_side=1024))
-    assert abs(base - fine) <= 1e-4
-    from covspec import contour_around_support
-    tall1 = contour_around_support(MP1, 0.5, margin=0.08, v0=2.0)
-    tall2 = contour_around_support(MP1, 0.5, margin=0.04, v0=1.0)
-    tall = theoretical_cov_contour(X1, X1, MP1, 0.5, tall1, tall2)
-    assert abs(base - tall) <= 1e-4
+        via_moments = np.array([[theoretical_cov_simplified(g1, g2, law) for g2 in gs]
+                                for g1 in gs])
+        via_contour, _ = theoretical_cov_contour(gs, MP1, c)
+        assert np.abs(via_contour - via_moments).max() <= 1e-12
+    # contour independence: double the node count, then narrow the ellipses
+    base, _ = theoretical_cov_contour(gs, MP1, 0.5)
+    with monkeypatch.context() as m:
+        perturbed_contour(m, node_factor=2)
+        fine, _ = theoretical_cov_contour(gs, MP1, 0.5)
+    with monkeypatch.context() as m:
+        perturbed_contour(m, rho_power=0.75)
+        narrow, _ = theoretical_cov_contour(gs, MP1, 0.5)
+    assert np.abs(base - fine).max() <= 1e-12
+    assert np.abs(base - narrow).max() <= 1e-12
     assert time.perf_counter() - t0 <= 30
     _report("A8 contour vs simplified covariance",
-            "(all monomial pairs within 1e-3, refinement within 1e-4)")
+            "(all monomial pairs within 1e-12, node doubling and narrower ellipses within 1e-12)")
 
 
 def test_a9_homogeneity_criterion():

@@ -158,7 +158,8 @@ class TestDispatch:
         assert report["R"] == 20
         assert report["functionals"] == ["poly:0,1"]
         assert abs(report["theory_cov_simplified"][0][0] - 2.0) <= 1e-6
-        assert abs(report["theory_cov_contour"][0][0] - 2.0) <= 1e-3
+        assert abs(report["theory_cov_contour"][0][0] - 2.0) <= 1e-12
+        assert 0 <= report["theory_err"] <= 1e-8
 
     def test_bridge_output(self, tmp_path):
         cfgfile = _config(tmp_path, n=50, N=100, seed=2)

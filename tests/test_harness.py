@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import covspec
-from covspec import (Contour, DirectionSpec, FunctionalSpec, LimitLaw, ModelConfig,
+from covspec import (DirectionSpec, FunctionalSpec, LimitLaw, ModelConfig,
                      PopulationSpec, SpectralMeasure, Statistic, Tolerances, bb_covariance,
                      bb_samples, bb_target, build_sample_cov, compare_report,
-                     condition_profile, contour_pair, direction_condition_gap,
+                     condition_profile, direction_condition_gap,
                      eig_decompose, estimate_mean_cov, map_replicates, quad_form_power,
                      realize_direction, run_clt, run_replications,
                      theoretical_cov_contour, theoretical_cov_simplified, w_statistic)
@@ -20,6 +20,22 @@ from covspec.cli import FIGURE_ONE_SIZES, FIGURE_SMALL
 MP1 = SpectralMeasure.point(1.0)
 G1 = FunctionalSpec.monomial(1)
 G2 = FunctionalSpec.monomial(2)
+G3 = FunctionalSpec.monomial(3)
+GLOG = FunctionalSpec.log()
+
+
+def perturbed_contour(monkeypatch, node_factor=1, rho_power=1.0):
+    """Make contour_nodes use node_factor times the nodes, or rho**rho_power
+    with the node count the rule gives for it."""
+    ellipses = covspec.kernels._ellipses
+
+    def replaced(a, b, rho, M):
+        if rho_power != 1.0:
+            rho = rho ** rho_power
+            M = min(2048, 2 * int(np.ceil(54.0 / np.log(rho))))
+        return ellipses(a, b, rho, M * node_factor)
+
+    monkeypatch.setattr(covspec.kernels, "_ellipses", replaced)
 
 
 def _cfg(n=40, N=80, dist="real-gaussian", seed=0):
@@ -211,48 +227,83 @@ class TestEstimateMeanCov:
 
 class TestTheoreticalCovContour:
     def test_linear_pair(self):
-        got = theoretical_cov_contour(G1, G1, MP1, 0.5)
-        assert abs(got - 2.0) <= 1e-3
+        got, err = theoretical_cov_contour([G1], MP1, 0.5)
+        assert got.shape == (1, 1)
+        assert abs(got[0, 0] - 2.0) <= 1e-12
+        assert err <= 1e-8
 
     def test_mixed_pair(self):
-        got = theoretical_cov_contour(G1, G2, MP1, 0.5)
-        assert abs(got - 5.0) <= 5e-3
+        got, _ = theoretical_cov_contour([G1, G2], MP1, 0.5)
+        assert abs(got[0, 1] - 5.0) <= 1e-12
+        assert got[0, 1] == got[1, 0]
 
     def test_complex_case_half(self):
-        got = theoretical_cov_contour(G1, G1, MP1, 0.5, case="complex")
-        assert abs(got - 1.0) <= 1e-3
+        got, _ = theoretical_cov_contour([G1], MP1, 0.5, case="complex")
+        assert abs(got[0, 0] - 1.0) <= 1e-12
 
     def test_real_is_twice_complex(self):
-        for g1, g2 in [(G1, G1), (G1, G2)]:
-            full = theoretical_cov_contour(g1, g2, MP1, 0.25, case="real")
-            half = theoretical_cov_contour(g1, g2, MP1, 0.25, case="complex")
-            assert abs(full - 2 * half) <= 1e-12
+        full, full_err = theoretical_cov_contour([G1, G2], MP1, 0.25, case="real")
+        half, half_err = theoretical_cov_contour([G1, G2], MP1, 0.25, case="complex")
+        assert np.abs(full - 2 * half).max() <= 1e-12
+        assert full_err == 2 * half_err
 
-    def test_intersecting_contours_rejected(self):
-        c1, _ = contour_pair(MP1, 0.5)
-        shifted = Contour(u_l=c1.u_l, u_r=c1.u_r, v0=c1.v0 / 2)
-        with pytest.raises(ValueError, match="intersect"):
-            theoretical_cov_contour(G1, G1, MP1, 0.5, c1, shifted)
-
-    def test_contour_must_enclose_support(self):
-        small = Contour(u_l=0.5, u_r=1.0, v0=1.0)
-        tiny = Contour(u_l=0.6, u_r=0.9, v0=0.5)
-        with pytest.raises(ValueError, match="enclose"):
-            theoretical_cov_contour(G1, G1, MP1, 0.5, small, tiny)
+    @pytest.mark.parametrize("case", ["real", "complex"])
+    @pytest.mark.parametrize("c", [0.25, 0.5, 0.999, 2.0])
+    def test_poly_pairs_match_exact_moments(self, c, case):
+        # at c = 0.999 the lower edge is 2.5e-7: ellipses kept right of 0
+        # would need far more than the 2048-node cap
+        gs = [G1, G2, G3]
+        law = LimitLaw(c=c, H=MP1)
+        scale = 1.0 if case == "real" else 0.5
+        want = np.array([[scale * theoretical_cov_simplified(g1, g2, law) for g2 in gs]
+                         for g1 in gs])
+        got, err = theoretical_cov_contour(gs, MP1, c, case)
+        assert np.abs(got - want).max() <= 1e-12
+        assert err <= 1e-9
 
     def test_log_requires_positive_left_edge(self):
-        glog = FunctionalSpec.log()
-        outer = Contour(u_l=-0.5, u_r=5.0, v0=1.0)
-        inner = Contour(u_l=-0.25, u_r=4.5, v0=0.5)
-        with pytest.raises(ValueError, match="log"):
-            theoretical_cov_contour(glog, G1, MP1, 0.5, outer, inner)
+        for c in (1.0, 2.0):
+            with pytest.raises(ValueError, match="log"):
+                theoretical_cov_contour([GLOG, G1], MP1, c)
 
     def test_log_pair_matches_simplified(self):
-        glog = FunctionalSpec.log()
         law = LimitLaw(c=0.2, H=MP1)
-        via_contour = theoretical_cov_contour(glog, glog, MP1, 0.2)
-        via_grid = theoretical_cov_simplified(glog, glog, law)
-        assert abs(via_contour - via_grid) <= 1e-3
+        via_contour, _ = theoretical_cov_contour([GLOG], MP1, 0.2)
+        via_grid = theoretical_cov_simplified(GLOG, GLOG, law)
+        assert abs(via_contour[0, 0] - via_grid) <= 1e-7
+
+    def test_log_pair_against_quadrature(self):
+        # (2/c) Var_F(log) under the closed-form Marchenko-Pastur density at
+        # c = 0.9, where the lower edge 0.0026 nearly touches the log's branch point
+        from scipy.integrate import quad
+
+        c = 0.9
+        a, b = (1 - np.sqrt(c)) ** 2, (1 + np.sqrt(c)) ** 2
+        moments = [quad(lambda x, k=k: np.log(x) ** k / (2 * np.pi * c * x), a, b,
+                        weight="alg", wvar=(0.5, 0.5), epsabs=1e-13, epsrel=1e-13,
+                        limit=200)[0] for k in (1, 2)]
+        want = 2 / c * (moments[1] - moments[0] ** 2)
+        got, err = theoretical_cov_contour([GLOG], MP1, c)
+        assert abs(got[0, 0] - want) <= 1e-10
+        assert err <= 1e-8
+
+    @pytest.mark.parametrize("h,c,gs", [
+        (SpectralMeasure([1.0, 2.0], [0.5, 0.5]), 0.5, [G1, G2, GLOG]),
+        (SpectralMeasure([1.0, 2.0], [0.5, 0.5]), 0.5, [G1, G2, G3]),
+        (SpectralMeasure([1.0, 3.0], [0.5, 0.5]), 2.0, [G1, G2]),
+        (SpectralMeasure([0.5, 1.0, 2.0, 4.0, 8.0], [0.2] * 5), 0.5, [G1, G2, GLOG]),
+    ], ids=["atoms1-2_c0.5", "atoms1-2_c0.5_poly", "atoms1-3_c2", "atoms5_c0.5"])
+    def test_independent_of_the_contour(self, monkeypatch, h, c, gs):
+        base, _ = theoretical_cov_contour(gs, h, c)
+        with monkeypatch.context() as m:
+            perturbed_contour(m, node_factor=2)
+            doubled, _ = theoretical_cov_contour(gs, h, c)
+        with monkeypatch.context() as m:
+            perturbed_contour(m, rho_power=0.75)
+            narrower, _ = theoretical_cov_contour(gs, h, c)
+        scale = np.abs(base).max()
+        assert np.abs(doubled - base).max() <= 1e-12 * scale
+        assert np.abs(narrower - base).max() <= 1e-12 * scale
 
 
 class TestTheoreticalCovSimplified:
@@ -322,10 +373,12 @@ def test_run_clt_report_fields():
     assert report.theory_cov_contour.shape == (2, 2)
     assert report.theory_cov_simplified is not None
     np.testing.assert_allclose(report.theory_cov_contour,
-                               report.theory_cov_simplified, atol=5e-3)
+                               report.theory_cov_simplified, atol=1e-12)
+    assert 0 <= report.theory_err <= 1e-8
     assert report.wall_time > 0
     d = report.to_dict()
     assert d["n"] == 30 and len(d["sample_mean"]) == 2
+    assert list(d)[-1] == "theory_err" and d["theory_err"] == report.theory_err
 
 
 def test_seed_band_consistency():

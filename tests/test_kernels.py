@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from covspec import (Contour, SpectralMeasure, closed_form_mp, contour_around_support,
-                     contour_pair, cov_kernel, homogeneity_residual, proof_kernels,
-                     solve_mbar)
+from covspec import (SpectralMeasure, closed_form_mp, contour_nodes, cov_kernel,
+                     homogeneity_residual, proof_kernels, solve_mbar, support)
 from covspec.kernels import kernel_from_mbar
 
 MP1 = SpectralMeasure.point(1.0)
 H12 = SpectralMeasure([1.0, 2.0], [0.5, 0.5])
+H13 = SpectralMeasure([1.0, 3.0], [0.5, 0.5])
+H5 = SpectralMeasure([0.5, 1.0, 2.0, 4.0, 8.0], [0.2] * 5)
+# (H, c) with a positive lower edge, then with a point mass at zero
+CONTOUR_CASES = [(MP1, 0.25), (MP1, 0.9), (H12, 0.5), (H5, 0.5), (MP1, 2.0), (H13, 2.0)]
 
 
 class TestCovKernel:
@@ -84,43 +87,45 @@ class TestHomogeneityResidual:
 
 
 class TestContour:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Contour(u_l=1.0, u_r=0.5, v0=1.0)
-        with pytest.raises(ValueError, match="resolution"):
-            Contour(u_l=0.0, u_r=1.0, v0=1.0, nodes_per_side=32)
-
     def test_around_support(self):
-        cont = contour_around_support(MP1, 0.25)
-        assert cont.u_l < 0.25 and cont.u_r > 2.25 and cont.u_l > 0
-        cont2 = contour_around_support(MP1, 2.0)
-        assert cont2.u_l < 0
+        for h, c in CONTOUR_CASES:
+            bulk = support(h, c)
+            a, b = (bulk[0][0], bulk[-1][1]) if c < 1 else (0.0, bulk[-1][1])
+            (z_out, _), (z_in, _) = contour_nodes(h, c)
+            # the inner ellipse surrounds [a, b], the outer surrounds the inner
+            assert z_in.real.min() < a and z_in.real.max() > b
+            assert z_out.real.min() < z_in.real.min() and z_out.real.max() > z_in.real.max()
+            assert np.abs(z_out.imag).max() > np.abs(z_in.imag).max() > 0
+            if c < 1:
+                assert z_out.real.min() > 0  # log stays analytic inside
+            else:
+                assert z_in.real.max() > 0 > z_in.real.min()  # the point mass at zero inside
+            (z_out, _), (z_in, _) = contour_nodes(h, c, enclose_zero=True)
+            assert z_in.real.min() < 0 and z_in.real.max() > b
+            assert z_out.real.min() < z_in.real.min() and z_out.real.max() > z_in.real.max()
 
     def test_nodes_conjugate_symmetric(self):
-        z, w = contour_around_support(MP1, 0.25, nodes_per_side=128).nodes()
-        # every node's conjugate is a node too
-        nearest = np.abs(np.conj(z)[:, None] - z[None, :]).min(axis=1)
-        assert nearest.max() <= 1e-12
-        assert np.all(z.imag != 0)
-        # closed path: weights sum to zero
-        assert abs(w.sum()) <= 1e-12
+        for h, c in CONTOUR_CASES:
+            for z, w in contour_nodes(h, c) + contour_nodes(h, c, enclose_zero=True):
+                # every node's conjugate is a node too
+                nearest = np.abs(np.conj(z)[:, None] - z[None, :]).min(axis=1)
+                assert nearest.max() <= 1e-12
+                assert np.all(z.imag != 0)
+                # closed path: weights sum to zero
+                assert abs(w.sum()) <= 1e-12
 
     def test_winding_integral(self):
-        # trapezoid nodes integrate 1/(z - a) to 2*pi*i for a inside
-        cont = Contour(u_l=-1.0, u_r=1.0, v0=1.0, nodes_per_side=1024)
-        z, w = cont.nodes()
-        for a in (0.0, 0.5 + 0.2j, -0.7 - 0.4j):
-            val = np.sum(w / (z - a))
-            assert abs(val - 2j * np.pi) <= 1e-6
-        outside = np.sum(w / (z - 3.0))
-        assert abs(outside) <= 1e-6
-
-    def test_nesting(self):
-        outer, inner = contour_pair(MP1, 0.5)
-        assert outer.encloses(inner)
-        assert not outer.intersects(inner)
-        shifted = Contour(u_l=outer.u_l, u_r=outer.u_r, v0=inner.v0)
-        assert shifted.intersects(outer)
+        # trapezoid nodes integrate 1/(z - p) to 2*pi*i for p inside, 0 outside;
+        # at c = 0.9 the ellipses are thin and pass within 3e-4 of the foci
+        for h, c in CONTOUR_CASES:
+            bulk = support(h, c)
+            a, b = (bulk[0][0], bulk[-1][1]) if c < 1 else (0.0, bulk[-1][1])
+            ellipses = contour_nodes(h, c) + contour_nodes(h, c, enclose_zero=True)
+            for z, w in ellipses:
+                for p in (a, (2 * a + b) / 3, b):
+                    assert abs(np.sum(w / (z - p)) - 2j * np.pi) <= 1e-11
+                for p in (2.0 * b + 1.0, -b - 1.0, (a + b) / 2 + 1j * (b - a)):
+                    assert abs(np.sum(w / (z - p))) <= 1e-12
 
 
 def test_kernel_from_mbar_broadcasts():

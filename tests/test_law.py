@@ -242,6 +242,20 @@ class TestCdf:
             _, F = law.cdf_grid
             assert np.all(np.diff(F) >= -1e-12)
 
+    @pytest.mark.parametrize("atoms,c", [
+        ([(1.0, 1.0)], 0.5), ([(1.0, 1.0)], 2.0), ([(1.0, 1.0)], 1.0),
+        ([(1.0, 0.5), (3.0, 0.5)], 0.5), ([(1.0, 0.5), (3.0, 0.5)], 2.0),
+        ([(0.5, 0.2), (1.0, 0.2), (2.0, 0.2), (4.0, 0.2), (8.0, 0.2)], 0.5),
+    ])
+    def test_grid_cells_not_degenerate(self, atoms, c):
+        # every cosine piece ends exactly at its breakpoints, so no cell of
+        # rounding size sits at an edge (the sqrt(x) head is cosine-spaced in
+        # s, so its cells in x shrink quadratically and are left out)
+        law = LimitLaw(c=c, H=SpectralMeasure([t for t, _ in atoms], [w for _, w in atoms]))
+        x, head = law_module._edge_clustered_grid(law)
+        np.testing.assert_array_equal(x, law.density_grid[0])
+        assert np.diff(x[max(head - 1, 0):]).min() >= 1e-12 * (x[-1] - x[0])
+
     def test_total_mass(self):
         # at c = 1 the lower edge is 0, where f ~ x^(-1/2)
         for h, c in [(MP1, 0.25), (MP1, 0.5), (MP1, 1.0), (MP1, 2.0),
