@@ -11,7 +11,8 @@ figures    kernel-density data for the log-determinant statistic: figN.csv
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 Replicates (clt, bridge, figures) run on COVSPEC_WORKERS pool threads
 (default: machine parallelism), each with one OpenBLAS thread while the
-replicates run, also when COVSPEC_WORKERS=1; simulate builds and
+replicates run, also when COVSPEC_WORKERS=1; a COVSPEC_WORKERS that is
+not a positive integer is a configuration error.  simulate builds and
 decomposes its one matrix on one OpenBLAS thread too.  Outputs are bitwise
 independent of the worker count and of OPENBLAS_NUM_THREADS.
 
@@ -30,7 +31,8 @@ import numpy as np
 
 from .eigen import eig_decompose, quad_form_power
 from .functionals import FunctionalSpec
-from .harness import _BLAS, Statistic, bb_covariance, bb_target, map_replicates, run_clt
+from .harness import (_BLAS, Statistic, _env_workers, bb_covariance, bb_target,
+                      map_replicates, run_clt)
 from .kde import default_grid, kde, silverman_bandwidth
 from .law import LimitLaw, cdf_limit, density
 from .model import (ENTRY_DISTS, DirectionSpec, ModelConfig, PopulationSpec,
@@ -170,9 +172,11 @@ def parse_config(text: str) -> RunConfig:
         grid = tuple(_number(v, f"grid[{i}]") for i, v in enumerate(grid))
     which = doc.get("which")
     if which is not None:
-        _require(which in (1, 2, 3), "which must be 1, 2 or 3")
+        _require(type(which) is int and which in (1, 2, 3), "which must be 1, 2 or 3")
+    out = doc.get("out", ".")
+    _require(isinstance(out, str), "out must be a string")
     return RunConfig(command=command, model=model, functionals=tuple(functionals),
-                     reps=reps, out=doc.get("out", "."), grid=grid, which=which)
+                     reps=reps, out=out, grid=grid, which=which)
 
 
 def serialize_config(rc: RunConfig) -> str:
@@ -359,10 +363,11 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             rc = parse_config(fh.read())
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
+        try:
+            _env_workers()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     updates = {"command": args.command}

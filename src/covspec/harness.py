@@ -32,7 +32,7 @@ import numpy as np
 from .eigen import cholesky_logdet, eig_decompose
 from .functionals import FunctionalSpec, poly_product
 from .kernels import contour_nodes, kernel_from_mbar
-from .law import LimitLaw, _density_integral, mean_functional
+from .law import LimitLaw, mean_functional
 from .model import (ModelConfig, Workspace, build_sample_cov, realize_direction,
                     realize_population)
 from .mp import _lower_end, solve_mbar, solve_mbar_grid
@@ -47,13 +47,20 @@ _OPENBLAS_SYMBOLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_n
                      ("openblas_get_num_threads", "openblas_set_num_threads"))
 
 
+def _env_workers() -> Optional[int]:
+    """COVSPEC_WORKERS as a positive int, None when unset or empty."""
+    env = os.environ.get(WORKERS_ENV)
+    if not env:
+        return None
+    if not (env.isdecimal() and int(env) >= 1):
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer (got {env!r})")
+    return int(env)
+
+
 def _worker_count(workers: Optional[int]) -> int:
     if workers is not None:
         return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    return _env_workers() or os.cpu_count() or 1
 
 
 @functools.cache
@@ -260,12 +267,10 @@ def theoretical_cov_simplified(g1: FunctionalSpec, g2: FunctionalSpec,
         m1 = mean_functional(law, g1)
         m2 = mean_functional(law, g2)
     else:
-        x, _ = law.density_grid
+        x, q = law.quadrature
         g1v = np.asarray(g1(x), dtype=float)
         g2v = np.asarray(g2(x), dtype=float)
-        cross = _density_integral(law, g1v * g2v)
-        m1 = _density_integral(law, g1v)
-        m2 = _density_integral(law, g2v)
+        cross, m1, m2 = q @ (g1v * g2v), q @ g1v, q @ g2v
     return float(2.0 / law.c * (cross - m1 * m2))
 
 

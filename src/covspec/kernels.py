@@ -19,14 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mp import _lower_end, solve_mbar_grid, support
+from .mp import _lower_end, _node_count, solve_mbar_grid, support
 from .spectrum import SpectralMeasure
 
 _MIN_SEPARATION = 1e-8
-_MAX_NODES = 2048
-# each ellipse sits a factor rho^(1/3) from its nearest singularity, so the
-# trapezoid rule on M nodes errs like rho^(-M/3): e^-36 at M = 2*54/ln(rho)
-_DECAY = 54.0
 
 
 def contour_nodes(H: SpectralMeasure, c: float, enclose_zero: bool = False):
@@ -50,11 +46,9 @@ def contour_nodes(H: SpectralMeasure, c: float, enclose_zero: bool = False):
     (a, b) miss the polynomial covariances by 1.4 times the largest entry.
     """
     a, b = 0.0 if enclose_zero else _lower_end(H, c), support(H, c)[-1][1]
-    rho = 2.0
-    if a > 0:
-        rho = min((np.sqrt(b) + np.sqrt(a)) / (np.sqrt(b) - np.sqrt(a)), 2.0)
-    M = min(_MAX_NODES, 2 * int(np.ceil(_DECAY / np.log(rho))))
-    return _ellipses(a, b, rho, M)
+    # each ellipse sits a factor rho^(1/3) from its nearest singularity, so the
+    # trapezoid rule on M nodes errs like rho^(-M/3): e^-36 at the M of _node_count
+    return _ellipses(a, b, *_node_count(a, b))
 
 
 def _ellipses(a: float, b: float, rho: float, M: int):

@@ -4,20 +4,22 @@ The law is pinned down by the ratio c and the population measure H.  Its
 density on the real line is the boundary value f(x) = Im mbar(x)/(c*pi) of
 the companion transform (Silverstein & Choi 1995), taken directly at real x
 by the same arrowhead root selection that ``mp`` uses off the axis, at
-O(k^3) per point for k atoms.  The distribution function, the moments by
-density and every mean that is not an exact moment integrate a PCHIP
-interpolant of the density on a cached grid that spans the exact support
-(``mp.support``) and is refined at every edge.  At a zero lower edge (c
-times the weight of the positive atoms is 1) f ~ x^(-1/2), so the piece
-next to zero is integrated in s = sqrt(x).  The distribution function adds
-the point mass at zero, max(w_0, 1 - 1/c) for a zero atom of weight w_0.
-A LimitLaw builds its grid once, under a lock, so one instance can serve
-every replicate worker, each drawing into its own ``model.Workspace``.
+O(k^3) per point for k atoms.  Every integral against the density runs on
+one rule.  On each interval (a, b) of the exact support (``mp.support``),
+x = (a+b)/2 - (b-a)/2 cos(theta) turns f dx into h(theta) dtheta with h
+even, periodic and analytic: f is sqrt((x-a)(b-x)) times an analytic
+function, or x^(-1/2) times one at a zero lower edge (c times the weight of
+the positive atoms is 1).  The midpoint rule in theta, with the node count
+of the contour ellipses (``mp._node_count``), therefore converges
+geometrically, and the distribution function is the cosine interpolant of
+the same samples of h, integrated term by term.  It adds the point mass at
+zero, max(w_0, 1 - 1/c) for a zero atom of weight w_0.  A LimitLaw builds
+its rule once, under a lock, so one instance can serve every replicate
+worker, each drawing into its own ``model.Workspace``.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass, field
 from math import comb
@@ -26,27 +28,31 @@ from typing import Optional
 import numpy as np
 
 from .functionals import FunctionalSpec
-from .mp import _lower_end, _mass_at_zero, _upper_root, support
+from .mp import _lower_end, _mass_at_zero, _node_count, _upper_root, support
 from .spectrum import SpectralMeasure
 
-_GRID_POINTS = 2001
-# padding of the grid window beyond the support, as a share of its width
+# padding of the density window beyond the support, as a share of its width
 _WINDOW_PAD = 0.05
+# bound on queries * terms per block of a sine-series evaluation
+_SERIES_ENTRIES = 1 << 16
 
 
 @dataclass
 class LimitLaw:
     """Limiting sample-spectrum distribution for ratio c and population H.
 
-    Density and CDF grids are built on first use, under a lock, and
-    published together; means are cached under the same lock.  Instances
-    are safe to share across threads.
+    The quadrature nodes, their masses and the density there are built on
+    first use, under a lock, and published together; the distribution
+    function and the means are built on first use and cached under the same
+    lock.  Instances are safe to share across threads.
     """
 
     c: float
     H: SpectralMeasure
-    # (x, f, F, antiderivative of f), set once by ensure_grids
+    # (x, f, q, pieces), set once by ensure_grids
     _grids: Optional[tuple] = field(default=None, repr=False, compare=False)
+    # (F at the nodes, series), set once by _cdf_series
+    _cdf: Optional[tuple] = field(default=None, repr=False, compare=False)
     _mean_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
@@ -69,18 +75,18 @@ class LimitLaw:
         if self._grids is None:
             with self._lock:
                 if self._grids is None:
-                    x, head = _edge_clustered_grid(self)
-                    f = dq = density(x, self)
-                    if head:
-                        # f ~ x^(-1/2): integrate in s = sqrt(x), where 2 s f(s^2) tends
-                        # to 2 sqrt(c S)/(c pi) at s = 0, S = sum of w/t over t > 0
-                        pos = self.H.atoms > 0
-                        inv_mean = np.sum(self.H.weights[pos] / self.H.atoms[pos])
-                        dq = np.concatenate([[2.0 * np.sqrt(self.c * inv_mean) / (self.c * np.pi)],
-                                             2.0 * np.sqrt(x[1:head]) * f[1:head], f[head:]])
-                    cdf = _GridAntiderivative(x, dq, head)
-                    self._grids = (x, f, self.atom_at_zero + cdf.values, cdf)
+                    self._grids = _midpoint_rule(self)
         return self._grids
+
+    def _cdf_series(self) -> tuple:
+        # the means need only q: building the series apart, on first use, keeps
+        # numpy.fft (and its memory) out of runs that never ask for F
+        if self._cdf is None:
+            pieces = self.ensure_grids()[3]
+            with self._lock:
+                if self._cdf is None:
+                    self._cdf = _cosine_cdf(self.atom_at_zero, pieces)
+        return self._cdf
 
     def _cached_mean(self, key, compute) -> float:
         """Value cached under key, computed outside the lock on a miss."""
@@ -97,44 +103,91 @@ class LimitLaw:
 
     @property
     def cdf_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        x, _, F, _ = self.ensure_grids()
-        return x, F
+        return self.ensure_grids()[0], self._cdf_series()[0]
+
+    @property
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes x and masses q: the integral of v against the density is q @ v(x)."""
+        x, _, q, _ = self.ensure_grids()
+        return x, q
 
     def total_mass(self) -> float:
-        return float(self.cdf_grid[1][-1])
+        return self.atom_at_zero + float(self.quadrature[1].sum())
 
     def continuous_cdf(self, x) -> np.ndarray:
         """Mass of the continuous part up to x."""
-        grid, _, _, cdf = self.ensure_grids()
-        return cdf(np.clip(np.asarray(x, dtype=float), grid[0], grid[-1]))
+        xx = np.asarray(x, dtype=float)
+        out = np.zeros(xx.shape)
+        for a, b, c0, coef in self._cdf_series()[1]:
+            inside = (xx > a) & (xx < b)
+            theta = np.arccos(np.clip((a + b - 2.0 * xx[inside]) / (b - a), -1.0, 1.0))
+            out[inside] += np.clip(c0 * theta + _sine_series(coef, theta), 0.0, c0 * np.pi)
+            out[xx >= b] += c0 * np.pi
+        return out
 
 
-def _edge_clustered_grid(law: LimitLaw) -> tuple[np.ndarray, int]:
-    """Composite cosine grid refined at every support edge, and its head length:
-    at a zero lower edge the first piece, of ``head`` nodes, is cosine-spaced in
-    sqrt(x) and ends exactly at the next edge; otherwise head is 0."""
-    lo, hi = law.bulk_window()
-    span = hi - lo
-    edges = [e for interval in support(law.H, law.c) for e in interval]
-    inner = [e for e in edges if lo + 1e-9 * span < e < hi - 1e-9 * span]
-    breaks = np.array([lo] + sorted(inner) + [hi])
-    # drop near-coincident breakpoints
-    keep = np.concatenate([[True], np.diff(breaks) > 1e-9 * span])
-    breaks = breaks[keep]
-    lengths = np.diff(breaks)
-    counts = np.maximum((_GRID_POINTS * lengths / lengths.sum()).astype(int), 65)
-    pieces = []
-    for (a, b), npts in zip(zip(breaks[:-1], breaks[1:]), counts):
-        theta = np.linspace(np.pi, 0.0, npts)
-        piece = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta)
-        piece[0], piece[-1] = a, b  # rounding would leave near-duplicates of a and b
-        pieces.append(piece)
-    head = 0
-    if lo == 0:
-        edge = breaks[1]
-        pieces[0] = edge * (pieces[0] / edge) ** 2
-        head = counts[0]
-    return np.concatenate([pieces[0]] + [p[1:] for p in pieces[1:]]), head
+def _midpoint_rule(law: LimitLaw) -> tuple:
+    """(x, f, q, pieces): on each support interval (a, b), M nodes
+    x_j = a + (b-a) sin^2(theta_j/2) at theta_j = pi (j+1/2)/M with masses
+    q_j = (pi/M) h_j, h_j = (b-a)/2 sin(theta_j) f(x_j); pieces holds
+    (a, b, theta, h) per interval.  All densities come from one call."""
+    bulk = support(law.H, law.c)
+    thetas = [np.pi * (np.arange(M) + 0.5) / M for M in (_node_count(a, b)[1] for a, b in bulk)]
+    # a + (b-a) sin^2(theta/2) is (a+b)/2 - (b-a)/2 cos(theta), accurate next to a
+    xs = [a + (b - a) * np.sin(theta / 2.0) ** 2 for (a, b), theta in zip(bulk, thetas)]
+    f = density(np.concatenate(xs), law)
+    fs = np.split(f, np.cumsum([theta.size for theta in thetas])[:-1])
+    pieces = tuple((a, b, theta, (b - a) / 2.0 * np.sin(theta) * fi)
+                   for (a, b), theta, fi in zip(bulk, thetas, fs))
+    q = np.concatenate([np.pi / h.size * h for _, _, _, h in pieces])
+    return np.concatenate(xs), f, q, pieces
+
+
+def _cosine_cdf(atom: float, pieces) -> tuple:
+    """(F, series): the distribution function at the nodes, and per interval
+    (a, b, c0, coef) with c0 theta + sum_k coef_k sin(k theta) the mass of the
+    interval up to angle theta, the integral of the cosine interpolant of h."""
+    F, series = [], []
+    below = atom
+    for a, b, theta, h in pieces:
+        c0 = h.sum() / h.size  # c0 pi is the interval's mass, the sum of its q
+        coef = _cosine_antiderivative(h)
+        F.append(below + np.clip(c0 * theta + _sine_series_at_nodes(coef), 0.0, c0 * np.pi))
+        series.append((a, b, c0, coef))
+        below += c0 * np.pi
+    return np.concatenate(F), tuple(series)
+
+
+def _cosine_antiderivative(h) -> np.ndarray:
+    """coef_k, k = 1..M-1, of the sine terms of the integral from 0 of the
+    cosine interpolant sum_k a_k cos(k theta) of h at the M midpoint angles.
+
+    a_k = (2/M) sum_j h_j cos(k theta_j) is a DCT-II, taken from the FFT of
+    h followed by its mirror image; coef_k = a_k/k.
+    """
+    M = h.size
+    k = np.arange(1, M)
+    spectrum = np.fft.fft(np.concatenate([h, h[::-1]]))[1:M]
+    return (np.exp(-0.5j * np.pi * k / M) * spectrum).real / (M * k)
+
+
+def _sine_series_at_nodes(coef) -> np.ndarray:
+    """sum_k coef_k sin(k theta_j) at the M = coef.size + 1 midpoint angles,
+    as the imaginary part of a 2M-point inverse FFT."""
+    M = coef.size + 1
+    k = np.arange(1, M)
+    terms = np.concatenate([[0.0], coef * np.exp(0.5j * np.pi * k / M)])
+    return (2 * M * np.fft.ifft(terms, n=2 * M)[:M]).imag
+
+
+def _sine_series(coef, theta) -> np.ndarray:
+    """sum_k coef_k sin(k theta) at any angles, in blocks of bounded size."""
+    k = np.arange(1, coef.size + 1)
+    step = max(1, _SERIES_ENTRIES // k.size)
+    out = np.empty(theta.size)
+    for start in range(0, theta.size, step):
+        out[start:start + step] = np.sin(np.outer(theta[start:start + step], k)) @ coef
+    return out
 
 
 def density(x, law: LimitLaw):
@@ -180,7 +233,7 @@ def _degenerate_moment(k: int, c: float, t: float) -> float:
 def limit_moments(law: LimitLaw, k: int) -> float:
     """k-th moment of the limiting law.
 
-    Closed form for a degenerate population, grid quadrature otherwise.
+    Closed form for a degenerate population, the midpoint rule otherwise.
     """
     if k < 0:
         raise ValueError("moment order must be nonnegative")
@@ -188,116 +241,16 @@ def limit_moments(law: LimitLaw, k: int) -> float:
         return 1.0
     if law.H.is_degenerate:
         return _degenerate_moment(k, law.c, law.H.t_min)
-    x, _ = law.density_grid
-    return _density_integral(law, x ** k)
-
-
-def _density_integral(law: LimitLaw, vals) -> float:
-    """Integral of vals * f over the density grid, vals given at the grid points."""
-    cdf = law.ensure_grids()[3]
-    return float(_GridAntiderivative(cdf.x, cdf.dq * vals, cdf.head).values[-1])
-
-
-class _GridAntiderivative:
-    """Antiderivative, zero at x[0], of dq: PCHIP in s = sqrt(x) on the first
-    ``head`` nodes (dq per unit s there), then PCHIP in x from the last of them."""
-
-    def __init__(self, x, dq, head: int):
-        self.x, self.dq, self.head = x, dq, head
-        self._tail = _PchipAntiderivative(x[max(head - 1, 0):], dq[max(head - 1, 0):])
-        self.values = self._tail.values
-        if head:
-            self._head = _PchipAntiderivative(np.sqrt(x[:head]), dq[:head])
-            self.values = np.concatenate([self._head.values, self._head.values[-1] + self.values[1:]])
-
-    def __call__(self, xq) -> np.ndarray:
-        if not self.head:
-            return self._tail(xq)
-        split = self.x[self.head - 1]
-        return np.where(xq <= split, self._head(np.sqrt(np.minimum(xq, split))),
-                        self._head.values[-1] + self._tail(xq))
-
-
-def _pchip_end_slope(h0, h1, m0, m1) -> float:
-    # one-sided three-point rule, limited so the end cell does not overshoot
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-class _PchipAntiderivative:
-    """Antiderivative, zero at x[0], of the PCHIP interpolant of (x, y).
-
-    The interpolant is the shape-preserving piecewise cubic Hermite of
-    Fritsch & Carlson (SIAM J. Numer. Anal. 17, 1980).  Its node slopes are
-    the Fritsch-Butland weighted harmonic mean of the adjacent secants
-    inside, 0 where those differ in sign or one vanishes, and a limited
-    one-sided three-point rule at both ends (Moler, Numerical Computing with
-    MATLAB, 3.6); with two points the interpolant is the line.  ``values``
-    holds the antiderivative at the nodes; calls evaluate it anywhere,
-    extrapolating the end cells.  Sums run in the order of scipy's
-    ``PchipInterpolator(x, y).antiderivative()``, which this reproduces.
-    """
-
-    def __init__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.ndim != 1 or x.shape != y.shape or x.size < 2:
-            raise ValueError("PCHIP needs 1-D x and y of equal length, at least 2 points")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValueError("PCHIP data must be finite")
-        h = np.diff(x)
-        if np.any(h <= 0):
-            raise ValueError("PCHIP nodes must be strictly increasing")
-        m = np.diff(y) / h
-        d = np.empty_like(x)
-        if m.size == 1:
-            d[:] = m[0]
-        else:
-            d[1:-1] = 0.0
-            inner = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
-            w1 = (2.0 * h[1:] + h[:-1])[inner]
-            w2 = (h[1:] + 2.0 * h[:-1])[inner]
-            d[1:-1][inner] = 1.0 / ((w1 / m[:-1][inner] + w2 / m[1:][inner]) / (w1 + w2))
-            d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-            d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-        t = (d[:-1] + d[1:] - 2.0 * m) / h
-        # on cell i the interpolant is y_i + d_i s + b_i s^2 + a_i s^3 with
-        # s = x - x_i, b_i = (m_i - d_i)/h_i - t_i, a_i = t_i/h_i; _coef holds
-        # the coefficients of s, s^2, s^3, s^4 in its integral from x_i
-        self._coef = (y[:-1], d[:-1] / 2.0, ((m - d[:-1]) / h - t) / 3.0, t / h / 4.0)
-        self.x = x
-        # each node value is the previous one plus the cell's terms, one at a time
-        cells = zip(*(term.tolist() for term in self._terms(slice(None), h)))
-        self.values = np.fromiter(itertools.accumulate(cells, _add_terms, initial=0.0),
-                                  dtype=float, count=x.size)
-
-    def _terms(self, i, s):
-        s2 = s * s
-        s3 = s2 * s
-        return tuple(coef[i] * power for coef, power in zip(self._coef, (s, s2, s3, s3 * s)))
-
-    def __call__(self, xq) -> np.ndarray:
-        xq = np.asarray(xq, dtype=float)
-        i = np.clip(np.searchsorted(self.x, xq, side="right") - 1, 0, self.x.size - 2)
-        return _add_terms(self.values[i], self._terms(i, xq - self.x[i]))
-
-
-def _add_terms(total, terms):
-    for term in terms:
-        total = total + term
-    return total
+    x, q = law.quadrature
+    return float(q @ x ** k)
 
 
 def mean_functional_density(law: LimitLaw, g: FunctionalSpec) -> float:
-    """Integral of g against the law by quadrature on the cached density grid."""
+    """Integral of g against the law by the cached midpoint rule."""
     if g.needs_positive_support and _lower_end(law.H, law.c) <= 0:
         raise ValueError("log functional needs the spectrum bounded away from zero")
-    x, _ = law.density_grid
-    val = _density_integral(law, np.asarray(g(x), dtype=float))
+    x, q = law.quadrature
+    val = float(q @ np.asarray(g(x), dtype=float))
     if law.atom_at_zero > 0:
         val += law.atom_at_zero * float(g(0.0))
     return val

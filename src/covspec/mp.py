@@ -33,6 +33,12 @@ DEFAULT_TOL = 1e-12
 _NEWTON_STEPS = 2
 # bound on points * (k+1)^2 per batched eigenvalue call, k the atom count
 _CHUNK_ENTRIES = 1 << 18
+_MAX_NODES = 2048
+# the periodic rules in the angle of an ellipse with foci a, b (the contour's
+# trapezoid rule, the density's midpoint rule) err like a power of rho^(-M),
+# rho the ellipse parameter of the nearest singularity: M = 2*54/ln(rho)
+# puts that power at e^-36 or below
+_DECAY = 54.0
 
 
 class ConvergenceError(RuntimeError):
@@ -235,6 +241,16 @@ def _mass_at_zero(H: SpectralMeasure, c: float) -> float:
 def _lower_end(H: SpectralMeasure, c: float) -> float:
     """Lowest point of the law: 0 if it has a point mass there, else the bulk's lower edge."""
     return 0.0 if _mass_at_zero(H, c) > 0 else support(H, c)[0][0]
+
+
+def _node_count(a: float, b: float) -> tuple[float, int]:
+    """(rho, M) of a periodic rule around [a, b]: rho the parameter of the
+    ellipse with foci a, b through 0, capped at 2 (2 when a = 0), and
+    M = min(2048, 2*ceil(54/ln rho))."""
+    rho = 2.0
+    if a > 0:
+        rho = min((np.sqrt(b) + np.sqrt(a)) / (np.sqrt(b) - np.sqrt(a)), 2.0)
+    return rho, min(_MAX_NODES, 2 * int(np.ceil(_DECAY / np.log(rho))))
 
 
 def support(H: SpectralMeasure, c: float) -> tuple[tuple[float, float], ...]:

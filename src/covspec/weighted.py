@@ -21,12 +21,11 @@ class WeightedSpectrum:
 
     The weight order follows the ascending-eigenvalue order of the
     decomposition, and that same fixed order is used for the partial-sum
-    process.  ``uniform_weights`` marks the equal-weight variant.
+    process.
     """
 
     lambdas: np.ndarray
     weights: np.ndarray
-    uniform_weights: bool = False
 
     @property
     def n(self) -> int:
@@ -35,8 +34,7 @@ class WeightedSpectrum:
     @classmethod
     def uniform(cls, lambdas) -> "WeightedSpectrum":
         lam = np.asarray(lambdas, dtype=float)
-        return cls(lambdas=lam, weights=np.full(lam.size, 1.0 / lam.size),
-                   uniform_weights=True)
+        return cls(lambdas=lam, weights=np.full(lam.size, 1.0 / lam.size))
 
 
 def weighted_spectrum(es: EigenSystem, x: np.ndarray) -> WeightedSpectrum:

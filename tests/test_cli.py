@@ -225,6 +225,26 @@ class TestDispatch:
         assert main(["density", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize("overrides", [{"which": 2.0}, {"which": True}, {"out": 5}],
+                             ids=["which-float", "which-bool", "out-int"])
+    def test_figures_config_type_exit_2(self, tmp_path, capsys, overrides):
+        # "which": 2.0 once wrote fig2.0.csv, true ran figure 1, and "out": 5 raised TypeError
+        cfgfile = _config(tmp_path, reps=20, **overrides)
+        argv = ["figures", "--config", str(cfgfile)]
+        if "out" not in overrides:  # --out would replace the config's out
+            argv += ["--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not list(tmp_path.glob("fig*.csv"))
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_workers_env_exit_2(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("COVSPEC_WORKERS", value)
+        cfgfile = _config(tmp_path, n=20, N=40)
+        assert main(["clt", "--config", str(cfgfile), "--out", str(tmp_path), "--reps", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "COVSPEC_WORKERS" in err
+
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
         # log functional is inadmissible at c >= 1: numerical failure path
         cfgfile = _config(tmp_path, n=40, N=20)

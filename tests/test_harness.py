@@ -270,7 +270,7 @@ class TestTheoreticalCovContour:
         law = LimitLaw(c=0.2, H=MP1)
         via_contour, _ = theoretical_cov_contour([GLOG], MP1, 0.2)
         via_grid = theoretical_cov_simplified(GLOG, GLOG, law)
-        assert abs(via_contour[0, 0] - via_grid) <= 1e-7
+        assert abs(via_contour[0, 0] - via_grid) <= 1e-12
 
     def test_log_pair_against_quadrature(self):
         # (2/c) Var_F(log) under the closed-form Marchenko-Pastur density at

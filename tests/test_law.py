@@ -4,16 +4,17 @@ import json
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 from covspec import (DirectionSpec, FunctionalSpec, LimitLaw, ModelConfig,
                      PopulationSpec, SpectralMeasure, build_sample_cov, cdf_limit,
-                     density, limit_moments, mean_functional)
+                     density, limit_moments, mean_functional, support)
 from covspec.cli import main
 import covspec.law as law_module
-from covspec.law import _PchipAntiderivative, mean_functional_density
+from covspec.law import mean_functional_density
 
 MP1 = SpectralMeasure.point(1.0)
+H13 = SpectralMeasure([1.0, 3.0], [0.5, 0.5])
+H5 = SpectralMeasure([0.5, 1.0, 2.0, 4.0, 8.0], [0.2] * 5)
 # (population atoms (t, w), n, N) of the benchmark's density calls
 BENCH_DENSITY = [
     ([(1.0, 1.0)], 100, 400),
@@ -64,10 +65,10 @@ class TestDensity:
 
     @pytest.mark.parametrize("c", [0.999, 1.001])
     def test_lower_edge_near_zero(self, c):
-        # |mbar| reaches ~1e3 at the grid's lower edge, where the root is
+        # |mbar| reaches ~1e3 next to the lower edge, where the root is
         # double; the scaled residual check must pass and the mass hold
         law = LimitLaw(c=c, H=MP1)
-        assert abs(law.total_mass() - 1.0) <= 1e-3
+        assert abs(law.total_mass() - 1.0) <= 2e-4
         xs = np.linspace((1 - np.sqrt(c)) ** 2, (1 + np.sqrt(c)) ** 2, 2001)[1:-1]
         ref = mp_closed_density(xs, c)
         assert np.max(np.abs(density(xs, law) - ref) / ref) <= 1e-10
@@ -81,8 +82,11 @@ class TestDensity:
         cfgfile.write_text(json.dumps(doc))
         assert main(["density", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
         with open(tmp_path / "density.csv", newline="") as fh:
-            f = np.array([float(row["f"]) for row in csv.DictReader(fh)])
+            rows = list(csv.DictReader(fh))
+        f = np.array([float(row["f"]) for row in rows])
+        F = np.array([float(row["F"]) for row in rows])
         assert f.size == 400 and np.all(f >= 0)
+        assert np.all(np.diff(F) >= 0)
 
     def test_two_atom_against_simulation(self):
         # mean histogram mass of the spectrum near x = 1 over 40 replicates
@@ -99,71 +103,6 @@ class TestDensity:
         emp = count / (reps * n * width)
         theo = density(1.0, law)
         assert abs(emp - theo) <= 0.1 * theo
-
-
-def _assert_matches_scipy_pchip(x, y):
-    # scipy's PCHIP antiderivative is the oracle, at the nodes and between them
-    ref = PchipInterpolator(x, y).antiderivative()
-    ours = _PchipAntiderivative(x, y)
-    span = x[-1] - x[0]
-    query = np.concatenate([x, np.linspace(x[0] - 0.1 * span, x[-1] + 0.1 * span, 997)])
-    want = ref(query)
-    scale = np.max(np.abs(want))
-    assert np.max(np.abs(ours(query) - want)) <= 1e-13 * scale
-    assert np.max(np.abs(ours.values - ref(x))) <= 1e-13 * scale
-    assert ours(x[0]) == 0.0
-    assert float(ours(2.0 * x[-1] - x[0])) == pytest.approx(float(ref(2.0 * x[-1] - x[0])),
-                                                              rel=1e-13)
-
-
-class TestPchipAntiderivative:
-    @pytest.mark.parametrize("size", [3, 4, 17, 500])
-    def test_random_data(self, size):
-        rng = np.random.default_rng(size)
-        x = np.sort(rng.uniform(-3.0, 5.0, size))
-        _assert_matches_scipy_pchip(x, rng.normal(size=size))
-        _assert_matches_scipy_pchip(x, np.exp(rng.normal(size=size)))
-
-    def test_two_points_is_the_line(self):
-        x, y = np.array([1.0, 3.0]), np.array([2.0, -1.0])
-        _assert_matches_scipy_pchip(x, y)
-        ours = _PchipAntiderivative(x, y)
-        assert float(ours(3.0)) == pytest.approx(1.0, rel=1e-15)
-
-    def test_flat_runs(self):
-        x = np.arange(24.0) ** 1.3
-        y = np.repeat([0.0, 2.0, 2.0, 5.0, 5.0, 0.0], 4)
-        _assert_matches_scipy_pchip(x, y)
-        _assert_matches_scipy_pchip(x, np.zeros(24))
-
-    def test_sign_changes(self):
-        x = np.linspace(0.0, 7.0, 41) + 0.01 * np.sin(np.arange(41.0))
-        _assert_matches_scipy_pchip(x, np.sin(3.0 * x))
-        # end-slope limiter cases: secants of opposite sign at both ends
-        _assert_matches_scipy_pchip(np.array([0.0, 0.1, 1.0, 1.1]), np.array([0.0, 1.0, -1.0, 5.0]))
-        _assert_matches_scipy_pchip(np.array([0.0, 1.0, 1.2, 5.0]), np.array([1.0, 2.0, 0.0, 0.5]))
-
-    @pytest.mark.parametrize("atoms,n,N", BENCH_DENSITY)
-    def test_limit_law_grids(self, atoms, n, N):
-        law = LimitLaw(c=n / N, H=SpectralMeasure([t for t, _ in atoms], [w for _, w in atoms]))
-        x, f = law.density_grid
-        _assert_matches_scipy_pchip(x, f)
-        _assert_matches_scipy_pchip(x, f * np.log(x))
-
-    @pytest.mark.parametrize("x,y", [
-        ([1.0], [1.0]),
-        ([], []),
-        ([0.0, 1.0, 1.0], [1.0, 2.0, 3.0]),
-        ([0.0, 2.0, 1.0], [1.0, 2.0, 3.0]),
-        ([0.0, np.nan, 2.0], [1.0, 2.0, 3.0]),
-        ([0.0, 1.0, 2.0], [1.0, np.inf, 3.0]),
-        ([0.0, 1.0, 2.0], [1.0, 2.0]),
-    ])
-    def test_rejects_what_scipy_rejects(self, x, y):
-        with pytest.raises(ValueError):
-            PchipInterpolator(np.array(x), np.array(y))
-        with pytest.raises(ValueError):
-            _PchipAntiderivative(x, y)
 
 
 class TestThreadSafety:
@@ -242,20 +181,6 @@ class TestCdf:
             _, F = law.cdf_grid
             assert np.all(np.diff(F) >= -1e-12)
 
-    @pytest.mark.parametrize("atoms,c", [
-        ([(1.0, 1.0)], 0.5), ([(1.0, 1.0)], 2.0), ([(1.0, 1.0)], 1.0),
-        ([(1.0, 0.5), (3.0, 0.5)], 0.5), ([(1.0, 0.5), (3.0, 0.5)], 2.0),
-        ([(0.5, 0.2), (1.0, 0.2), (2.0, 0.2), (4.0, 0.2), (8.0, 0.2)], 0.5),
-    ])
-    def test_grid_cells_not_degenerate(self, atoms, c):
-        # every cosine piece ends exactly at its breakpoints, so no cell of
-        # rounding size sits at an edge (the sqrt(x) head is cosine-spaced in
-        # s, so its cells in x shrink quadratically and are left out)
-        law = LimitLaw(c=c, H=SpectralMeasure([t for t, _ in atoms], [w for _, w in atoms]))
-        x, head = law_module._edge_clustered_grid(law)
-        np.testing.assert_array_equal(x, law.density_grid[0])
-        assert np.diff(x[max(head - 1, 0):]).min() >= 1e-12 * (x[-1] - x[0])
-
     def test_total_mass(self):
         # at c = 1 the lower edge is 0, where f ~ x^(-1/2)
         for h, c in [(MP1, 0.25), (MP1, 0.5), (MP1, 1.0), (MP1, 2.0),
@@ -263,7 +188,24 @@ class TestCdf:
                      (SpectralMeasure([1.0, 3.0], [0.5, 0.5]), 0.5),
                      (SpectralMeasure([1.0, 3.0], [0.5, 0.5]), 1.0)]:
             law = LimitLaw(c=c, H=h)
-            assert abs(law.total_mass() - 1.0) <= 1e-6
+            assert abs(law.total_mass() - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("atoms,n,N", BENCH_DENSITY + [([(1.0, 1.0)], 100, 100)])
+    def test_against_quadrature(self, atoms, n, N):
+        # scipy quad of the density over each support interval up to x; for
+        # H = delta_1 of the closed form, with the square-root (or, at c = 1,
+        # inverse square-root) edge factor as quad's algebraic weight
+        c = n / N
+        law = LimitLaw(c=c, H=SpectralMeasure([t for t, _ in atoms], [w for _, w in atoms]))
+        lo, hi = law.bulk_window()
+        xs = np.linspace(lo, hi, 11)[1:-1]
+        got = cdf_limit(xs, law)
+        for x, F in zip(xs, got):
+            want = law.atom_at_zero
+            for a, b in support(law.H, c):
+                if x > a:
+                    want += _mass_by_quad(law, a, b, min(x, b), len(atoms) == 1)
+            assert abs(F - want) <= 1e-12
 
     def test_atom_at_zero(self):
         law = LimitLaw(c=2.0, H=MP1)
@@ -275,11 +217,25 @@ class TestCdf:
     def test_zero_population_atom(self):
         # the zero rows of T put mass max(w_0, 1 - 1/c) = 0.5 at zero
         law = LimitLaw(c=0.5, H=SpectralMeasure([0.0, 1.0], [0.5, 0.5]))
-        assert abs(law.total_mass() - 1.0) <= 1e-6
+        assert abs(law.total_mass() - 1.0) <= 1e-13
         assert cdf_limit(0.0, law) == 0.5
-        assert abs(mean_functional(law, FunctionalSpec.poly([1.0, 1.0])) - 1.5) <= 1e-8
+        assert abs(mean_functional(law, FunctionalSpec.poly([1.0, 1.0])) - 1.5) <= 1e-13
         with pytest.raises(ValueError):
             mean_functional(law, FunctionalSpec.log())
+
+
+def _mass_by_quad(law, a, b, x, closed_form):
+    """Mass of the density on [a, x], a <= x <= b the ends of a support interval."""
+    opts = dict(epsabs=1e-13, epsrel=1e-13, limit=400)
+    if not closed_form:
+        return quad(lambda t: density(float(t), law), a, x, **opts)[0]
+    c = law.c
+    if a == 0:
+        # sqrt((b - t) t)/(2 pi c t) = sqrt(b - t)/(2 pi c) * t^(-1/2)
+        return quad(lambda t: np.sqrt(b - t) / (2 * np.pi * c), a, x, weight="alg",
+                    wvar=(-0.5, 0.0), **opts)[0]
+    return quad(lambda t: np.sqrt(b - t) / (2 * np.pi * c * t), a, x, weight="alg",
+                wvar=(0.5, 0.0), **opts)[0]
 
 
 def test_density_integrates_to_continuous_mass():
@@ -331,17 +287,23 @@ class TestMeanFunctional:
         assert mean_functional(law, g) == pytest.approx(expected)
 
     @pytest.mark.parametrize("h,c", [
-        (SpectralMeasure([1.0, 3.0], [0.5, 0.5]), 0.5),
-        (SpectralMeasure([1.0, 3.0], [0.5, 0.5]), 1.0),
-        (SpectralMeasure([1.0, 3.0], [0.5, 0.5]), 2.0),
-        (SpectralMeasure([0.5, 1.0, 2.0, 4.0, 8.0], [0.2] * 5), 0.5),
-    ], ids=["atoms1-3_c0.5", "atoms1-3_c1", "atoms1-3_c2", "atoms5_c0.5"])
+        (H13, 0.5), (H13, 1.0), (H13, 2.0), (H5, 0.5),
+        (MP1, 0.25), (MP1, 0.5), (MP1, 0.9), (MP1, 1.0), (MP1, 2.0),
+        (SpectralMeasure([1.0, 10.0], [0.5, 0.5]), 0.05),
+    ], ids=["atoms1-3_c0.5", "atoms1-3_c1", "atoms1-3_c2", "atoms5_c0.5", "delta1_c0.25",
+            "delta1_c0.5", "delta1_c0.9", "delta1_c1", "delta1_c2", "atoms1-10_c0.05"])
     def test_poly_means_match_exact_moments(self, h, c):
-        # first two moments of the limit law: H.m1 and H.m2 + c H.m1^2
+        # the midpoint rule in the angle of each support interval integrates
+        # 1, x and x^2 to rounding: mass 1 and the first two moments of the
+        # limit law, H.m1 and H.m2 + c H.m1^2 (mean_functional_density runs
+        # the rule also where mean_functional takes exact moments, for
+        # delta_1; {1, 10} at c = 0.05 has two support intervals)
         law = LimitLaw(c=c, H=h)
-        assert abs(mean_functional(law, FunctionalSpec.monomial(1)) - h.moment(1)) <= 1e-8
-        got2 = mean_functional(law, FunctionalSpec.monomial(2))
-        assert abs(got2 - (h.moment(2) + c * h.moment(1) ** 2)) <= 1e-8
+        assert abs(law.total_mass() - 1.0) <= 1e-13
+        got1 = mean_functional_density(law, FunctionalSpec.monomial(1))
+        assert abs(got1 - h.moment(1)) <= 1e-13
+        got2 = mean_functional_density(law, FunctionalSpec.monomial(2))
+        assert abs(got2 - (h.moment(2) + c * h.moment(1) ** 2)) <= 1e-13
 
     def test_log_functional(self):
         law = LimitLaw(c=0.2, H=MP1)
@@ -349,11 +311,11 @@ class TestMeanFunctional:
         d = (0.2 - 1) / 0.2 * np.log(1 - 0.2) - 1  # known limit of the mean log eigenvalue
         assert abs(got - d) <= 1e-6
 
-    @pytest.mark.parametrize("c", [0.2, 0.5])
+    @pytest.mark.parametrize("c", [0.2, 0.5, 0.9])
     def test_log_functional_closed_form(self, c):
         law = LimitLaw(c=c, H=MP1)
         closed = -1.0 - (1.0 - c) / c * np.log(1.0 - c)
-        assert abs(mean_functional(law, FunctionalSpec.log()) - closed) <= 1e-8
+        assert abs(mean_functional(law, FunctionalSpec.log()) - closed) <= 1e-12
 
     def test_log_needs_positive_support(self):
         law = LimitLaw(c=2.0, H=MP1)

@@ -141,7 +141,7 @@ def test_many_atoms_root_selection():
     assert np.max(np.abs(mbar - _single_upper_root(zs, H, 0.5))) <= 1e-10
     back = np.array([inverse_z(m, H, 0.5) for m in mbar])
     assert np.max(np.abs(back - zs)) <= 1e-10
-    assert abs(LimitLaw(c=0.5, H=H).total_mass() - 1.0) <= 1e-6
+    assert abs(LimitLaw(c=0.5, H=H).total_mass() - 1.0) <= 1e-13
 
 
 def test_herglotz_properties():

@@ -73,7 +73,6 @@ class TestEvalCdf:
 
     def test_uniform_variant(self):
         ws = WeightedSpectrum.uniform([1.0, 2.0, 3.0])
-        assert ws.uniform_weights
         assert eval_cdf(ws, 2.5) == pytest.approx(2.0 / 3.0)
 
 
