@@ -10,7 +10,7 @@ from .spectrum import SpectralMeasure
 from .model import (ENTRY_DISTS, DirectionSpec, ModelConfig, PopulationSpec, Workspace,
                     build_sample_cov, companion_sample_cov, draw_entries,
                     realize_direction, realize_population, replicate_rng)
-from .eigen import (EigenSystem, cholesky_logdet, eig_decompose, quad_form_power,
+from .eigen import (EigenSystem, cholesky_logdet, eig_decompose, gauss_rule, quad_form_power,
                     resolvent_quad_form)
 from .mp import (ConvergenceError, StieltjesSolution, closed_form_mp,
                  companion_transform, inverse_z, solve_mbar, solve_mbar_grid, support)

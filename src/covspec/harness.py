@@ -6,7 +6,12 @@ number of worker threads, each drawing into and multiplying in buffers it
 reuses from one replicate to the next (``model.Workspace``); while they
 run, numpy's OpenBLAS is pinned to one thread, so each worker does its
 linear algebra serially and the results depend neither on scheduling nor
-on the BLAS thread setting.  Theory comes in two independently computed
+on the BLAS thread setting.  A statistic asks for the decomposition it
+needs: the ``clt`` statistics x* g(A) x take a Lanczos Gauss rule
+(``eigen.gauss_rule``) where it settles within n/4 steps and the full
+eigendecomposition otherwise, the bridge's partial sums take the eigenvector
+weights in eigenvalue order (``eig_decompose``), and the figures take a
+Cholesky log-determinant.  Theory comes in two independently computed
 flavors: a double contour integral of the covariance kernel on two
 ellipses around the exact support, with an error estimate from halving
 the node count, and the simplified variance formula available when the
@@ -29,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .eigen import cholesky_logdet, eig_decompose
+from .eigen import cholesky_logdet, eig_decompose, gauss_rule
 from .functionals import FunctionalSpec, poly_product
 from .kernels import contour_nodes, kernel_from_mbar
 from .law import LimitLaw, mean_functional
@@ -37,7 +42,7 @@ from .model import (ModelConfig, Workspace, build_sample_cov, realize_direction,
                     realize_population)
 from .mp import _lower_end, solve_mbar, solve_mbar_grid
 from .spectrum import SpectralMeasure
-from .weighted import weighted_spectrum, y_process
+from .weighted import WeightedSpectrum, weighted_spectrum, y_process
 
 WORKERS_ENV = "COVSPEC_WORKERS"
 
@@ -125,17 +130,25 @@ class Statistic:
 
     ``needs="weights"``: ``fn`` gets the WeightedSpectrum of the config's
     direction, from ``eig_decompose`` (with its self-checks) and
-    ``weighted_spectrum``.  ``needs="logdet"``: ``fn`` gets log det A from a
-    Cholesky factorization.  ``fn`` returns a number or a fixed-length
-    sequence of numbers.
+    ``weighted_spectrum``: every eigenvalue with its weight, in eigenvalue
+    order.  ``needs="gauss"``: ``fn`` gets a WeightedSpectrum whose
+    lambdas are the Ritz values and whose weights are the Gauss weights of
+    ``gauss_rule`` from the config's direction, refined until ``fn``'s
+    outputs settle, or, where the rule does not settle within n/4 steps,
+    the full WeightedSpectrum of ``"weights"``; only for statistics linear
+    in the weighted measure, sum_i w_i g(lambda_i) = x* g(A) x.
+    ``needs="logdet"``: ``fn`` gets log det A from a Cholesky
+    factorization.  ``fn`` returns a number or a fixed-length sequence of
+    numbers.
     """
 
     needs: str
     fn: Callable
 
     def __post_init__(self):
-        if self.needs not in ("weights", "logdet"):
-            raise ValueError(f"statistic needs 'weights' or 'logdet' (got {self.needs!r})")
+        if self.needs not in ("weights", "gauss", "logdet"):
+            raise ValueError("statistic needs 'weights', 'gauss' or 'logdet' "
+                             f"(got {self.needs!r})")
 
 
 def map_replicates(cfg: ModelConfig, stat: Statistic, R: int,
@@ -150,7 +163,7 @@ def map_replicates(cfg: ModelConfig, stat: Statistic, R: int,
     OpenBLAS, of OPENBLAS_NUM_THREADS.
     A failure raises RuntimeError("replicate r failed: ...").
     """
-    x = realize_direction(cfg.direction, cfg.n) if stat.needs == "weights" else None
+    x = realize_direction(cfg.direction, cfg.n) if stat.needs != "logdet" else None
     local = threading.local()  # one Workspace per thread running replicates
 
     def one(r: int):
@@ -162,6 +175,10 @@ def map_replicates(cfg: ModelConfig, stat: Statistic, R: int,
             a = build_sample_cov(cfg, replicate=r, workspace=local.workspace)
             if stat.needs == "logdet":
                 return stat.fn(cholesky_logdet(a))
+            if stat.needs == "gauss":
+                rule = gauss_rule(a, x, lambda nodes, w: stat.fn(WeightedSpectrum(nodes, w)))
+                if rule is not None:
+                    return rule[2]
             return stat.fn(weighted_spectrum(eig_decompose(a), x))
         except Exception as exc:
             raise RuntimeError(f"replicate {r} failed: {exc}") from exc
@@ -189,8 +206,10 @@ def run_replications(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
                      workers: Optional[int] = None) -> np.ndarray:
     """R x k matrix of linear spectral statistics, one replicate per row.
 
-    Entry (r, j) is sqrt(N) * (sum_i w_i g_j(lambda_i) - integral g_j dF)
-    on replicate r, centered at the finite-n limit law.
+    Entry (r, j) is sqrt(N) * (x* g_j(A) x - integral g_j dF) on replicate
+    r, centered at the finite-n limit law, with x* g_j(A) x =
+    sum_i w_i g_j(lambda_i) evaluated by the Lanczos Gauss rule (need
+    ``"gauss"``).
     """
     if R < 2:
         raise ValueError("need at least 2 replications")
@@ -205,7 +224,7 @@ def run_replications(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
         return [rootN * (np.dot(ws.weights, np.asarray(g(ws.lambdas), dtype=float)) - m)
                 for g, m in zip(gs, means)]
 
-    return map_replicates(cfg, Statistic("weights", lss), R, workers=workers)
+    return map_replicates(cfg, Statistic("gauss", lss), R, workers=workers)
 
 
 def estimate_mean_cov(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,10 +277,13 @@ def theoretical_cov_simplified(g1: FunctionalSpec, g2: FunctionalSpec,
     """Simplified covariance (2/c) * (E[g1 g2] - E[g1] E[g2]) under the law.
 
     Valid only for a degenerate population spectrum; exact through moments
-    for polynomials, density quadrature when logs are involved.
+    for polynomials, density quadrature when logs are involved.  A log
+    needs the law bounded away from zero: a point mass there raises.
     """
     if not law.H.is_degenerate:
         raise ValueError("simplified covariance requires a degenerate population spectrum")
+    if (g1.needs_positive_support or g2.needs_positive_support) and _lower_end(law.H, law.c) <= 0:
+        raise ValueError("log functional needs the spectrum bounded away from zero")
     if g1.kind == "poly" and g2.kind == "poly":
         cross = mean_functional(law, poly_product(g1, g2))
         m1 = mean_functional(law, g1)

@@ -245,6 +245,17 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "COVSPEC_WORKERS" in err
 
+    def test_failed_replicate_exit_3(self, tmp_path, capsys, monkeypatch):
+        # an indefinite matrix in place of the sample covariance fails the Gauss rule's check
+        g = np.random.default_rng(1).standard_normal((200, 200))
+        monkeypatch.setattr(covspec.harness, "build_sample_cov", lambda *a, **k: g + g.T)
+        cfgfile = _config(tmp_path, n=200, N=400)
+        code = main(["clt", "--config", str(cfgfile), "--out", str(tmp_path), "--reps", "4"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure in clt: replicate 0 failed: ")
+        assert "nonnegative definite (min Ritz value" in err
+
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
         # log functional is inadmissible at c >= 1: numerical failure path
         cfgfile = _config(tmp_path, n=40, N=20)

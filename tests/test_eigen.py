@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from covspec import (cholesky_logdet, eig_decompose, quad_form_power, resolvent_quad_form,
+from covspec import (DirectionSpec, FunctionalSpec, ModelConfig, PopulationSpec,
+                     SpectralMeasure, build_sample_cov, cholesky_logdet, eig_decompose,
+                     gauss_rule, quad_form_power, realize_direction, resolvent_quad_form,
                      weighted_spectrum)
+from covspec.model import ENTRY_DISTS
 
 
 def test_diagonal_permutation():
@@ -128,3 +131,101 @@ class TestResolventQuadForm:
     def test_real_shift_rejected(self):
         with pytest.raises(ValueError):
             resolvent_quad_form(np.eye(2), np.array([1.0, 0.0]), 1.0)
+
+
+POLYS = [FunctionalSpec.monomial(d) for d in (1, 2, 5)]
+WITH_LOG = POLYS + [FunctionalSpec.log()]
+FIVE_ATOMS = SpectralMeasure([0.5, 1.0, 2.0, 4.0, 8.0], [0.2] * 5)
+
+
+def _sums(gs):
+    return lambda nodes, weights: [np.dot(weights, g(nodes)) for g in gs]
+
+
+def _gauss_against_eigh(a, x, gs):
+    """The Gauss rule's sums and the eigendecomposition's, and the rule itself."""
+    rule = gauss_rule(a, x, _sums(gs))
+    assert rule is not None, "the rule gave up"
+    nodes, weights, got = rule
+    ws = weighted_spectrum(eig_decompose(a), x)
+    return np.array(got), np.array(_sums(gs)(ws.lambdas, ws.weights)), nodes, weights
+
+
+def _sample_cov(n, N, dist="real-gaussian", h=None, direction=None, seed=3):
+    cfg = ModelConfig(n=n, N=N, entry_dist=dist,
+                      population=PopulationSpec(h or SpectralMeasure.point(1.0)),
+                      direction=direction or DirectionSpec.basis(0), seed=seed)
+    return build_sample_cov(cfg), realize_direction(cfg.direction, n)
+
+
+def _close(got, want):
+    return np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+
+class TestGaussRule:
+    # at n = 200 the rule may take up to 48 steps, at n = 400 up to 96
+    @pytest.mark.parametrize("case", [
+        dict(dist=dist) for dist in ENTRY_DISTS] + [
+        dict(dist="real-gaussian", direction=DirectionSpec.custom(
+            np.arange(1, 201) * np.exp(0.3j * np.arange(200)))),
+        dict(dist="complex-gaussian", direction=DirectionSpec.custom(
+            np.cos(np.arange(200)) + 1j * np.sin(3 * np.arange(200)))),
+        dict(n=400, N=800, h=FIVE_ATOMS, direction=DirectionSpec.uniform()),
+    ], ids=[*ENTRY_DISTS, "complex-direction", "complex-entries-and-direction", "five-atoms"])
+    def test_matches_eigendecomposition(self, case):
+        case = dict(dict(n=200, N=400), **case)
+        a, x = _sample_cov(**case)
+        got, want, nodes, weights = _gauss_against_eigh(a, x, WITH_LOG)
+        assert _close(got, want)
+        assert nodes.size <= case["n"] // 4 and abs(weights.sum() - 1.0) <= 1e-12
+
+    def test_singular_matrix_polynomials(self):
+        # c = 2: A has rank N = n/2, and its zero eigenvalue carries weight
+        a, x = _sample_cov(200, 100)
+        got, want, _, _ = _gauss_against_eigh(a, x, POLYS)
+        assert _close(got, want)
+
+    def test_krylov_space_exhausted_before_first_checkpoint(self):
+        # four distinct eigenvalues: the Krylov space of any x has dimension 4
+        a = np.diag(np.repeat([0.5, 1.0, 2.0, 4.0], 50))
+        x = np.linspace(1.0, 2.0, 200)
+        got, want, nodes, _ = _gauss_against_eigh(a, x / np.linalg.norm(x), WITH_LOG)
+        np.testing.assert_allclose(nodes, [0.5, 1.0, 2.0, 4.0], rtol=1e-14)
+        assert _close(got, want)
+
+    def test_eigenvector_direction_breaks_down_at_step_one(self):
+        a = np.diag(np.linspace(2.0, 3.0, 200))
+        nodes, weights, got = gauss_rule(a, np.eye(200)[0], _sums(WITH_LOG))
+        np.testing.assert_array_equal(nodes, [2.0])
+        np.testing.assert_array_equal(weights, [1.0])
+        np.testing.assert_allclose(got, [2.0, 4.0, 32.0, np.log(2.0)], rtol=1e-15)
+
+    @pytest.mark.parametrize("n", [200, 400])
+    def test_gives_up_where_eigh_is_cheaper(self, n):
+        # c = 0.9: log needs about 150 steps, past n/4; the moves at k = 32 and
+        # 40 show it, so the rule gives up at k = 40, the third decomposition
+        a, x = _sample_cov(n, int(n / 0.9))
+        sums, calls = _sums(WITH_LOG), []
+        assert gauss_rule(a, x, lambda *rule: calls.append(1) or sums(*rule)) is None
+        assert len(calls) == 3
+        got, want, _, _ = _gauss_against_eigh(a, x, POLYS)  # polynomials settle early
+        assert _close(got, want)
+
+    def test_below_two_checkpoints_gives_up_at_once(self):
+        a, x = _sample_cov(127, 254)
+        assert gauss_rule(a, x, _sums(POLYS)) is None
+
+    def test_indefinite_matrix_rejected(self):
+        rng = np.random.default_rng(2)
+        g = rng.standard_normal((200, 200))
+        x = rng.standard_normal(200)
+        with pytest.raises(RuntimeError, match="not nonnegative definite"):
+            gauss_rule(g + g.T, x / np.linalg.norm(x), _sums(POLYS))
+
+    def test_non_hermitian_rejected(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            gauss_rule(np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([1.0, 0.0]), _sums(POLYS))
+
+    def test_direction_must_be_unit(self):
+        with pytest.raises(ValueError, match="direction not unit"):
+            gauss_rule(np.eye(3), np.array([1.0, 1.0, 0.0]), _sums(POLYS))

@@ -65,9 +65,11 @@ class TestRunReplications:
         assert vals1.tobytes() == vals2.tobytes()
 
     def test_worker_count_invariance(self):
-        vals1 = run_replications(_cfg(seed=9), [G1, G2], 8, workers=1)
-        vals4 = run_replications(_cfg(seed=9), [G1, G2], 8, workers=4)
-        assert vals1.tobytes() == vals4.tobytes()
+        # n = 40 takes eig_decompose, n = 200 the Gauss rule
+        for cfg in (_cfg(seed=9), _cfg(n=200, N=400, seed=9)):
+            vals1 = run_replications(cfg, [G1, G2, GLOG], 8, workers=1)
+            vals4 = run_replications(cfg, [G1, G2, GLOG], 8, workers=4)
+            assert vals1.tobytes() == vals4.tobytes()
 
     def test_mean_near_zero(self):
         vals = run_replications(_cfg(n=50, N=100, seed=31), [G1], 100)
@@ -86,13 +88,26 @@ class TestRunReplications:
 
 
 _HASH_SCRIPT = """
-import hashlib
+import hashlib, json, os, re, tempfile
+from pathlib import Path
 from covspec import DirectionSpec, FunctionalSpec, ModelConfig, PopulationSpec, run_replications
+from covspec.cli import main
 cfg = ModelConfig(n=300, N=600, entry_dist="real-gaussian", population=PopulationSpec.identity(),
                   direction=DirectionSpec.basis(0), seed=7)
 gs = [FunctionalSpec.parse(g) for g in ("poly:0,1", "poly:0,0,1", "log")]
 for workers in (1, 2):
     print(hashlib.sha256(run_replications(cfg, gs, 8, workers=workers).tobytes()).hexdigest())
+doc = {"n": 200, "N": 400, "entries": "real-gaussian", "seed": 0, "reps": 8,
+       "population": {"atoms": [{"t": 1.0, "w": 1.0}]}, "direction": {"kind": "e", "index": 0},
+       "functionals": ["poly:0,1", "poly:0,0,1", "log"]}
+with tempfile.TemporaryDirectory() as tmp:
+    config = Path(tmp) / "config.json"
+    config.write_text(json.dumps(doc))
+    for workers in ("1", "2"):
+        os.environ["COVSPEC_WORKERS"] = workers
+        assert main(["clt", "--config", str(config), "--out", tmp]) == 0
+        report = (Path(tmp) / "report.json").read_bytes()
+        print(hashlib.sha256(re.sub(rb'"wall_time": [^,\\n}]*', b"", report)).hexdigest())
 """
 
 
@@ -128,11 +143,10 @@ def _stdout_per_blas_threads(script: str) -> list:
 
 class TestMapReplicates:
     def test_bytes_independent_of_blas_threads(self):
-        hashes = set()
-        for lines in _stdout_per_blas_threads(_HASH_SCRIPT):
-            assert len(lines) == 2
-            hashes.update(lines)
-        assert len(hashes) == 1
+        # run_replications, then the clt report without its wall time, each at 1 and 2 workers
+        one, two = _stdout_per_blas_threads(_HASH_SCRIPT)
+        assert len(one) == 4 and one == two
+        assert one[0] == one[1] and one[2] == one[3]
 
     def test_simulate_bytes_independent_of_blas_threads(self):
         one, two = _stdout_per_blas_threads(_SIMULATE_SCRIPT)
@@ -202,6 +216,52 @@ class TestMapReplicates:
         with pytest.raises(ValueError, match="logdet"):
             Statistic("eigvals", float)
 
+    @pytest.mark.parametrize("dist", ["real-gaussian", "complex-gaussian"])
+    def test_gauss_matches_weights(self, dist):
+        cfg = _cfg(n=200, N=400, dist=dist, seed=6)
+
+        def sums(ws):
+            return [np.dot(ws.weights, g(ws.lambdas)) for g in (G1, G2, G3, GLOG)]
+
+        got = map_replicates(cfg, Statistic("gauss", sums), 5, workers=2)
+        want = map_replicates(cfg, Statistic("weights", sums), 5, workers=2)
+        assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+    def test_gauss_falls_back_to_weights(self):
+        # at c = 0.9 the log takes the rule past n/4 steps: eig_decompose takes over
+        cfg = _cfg(n=200, N=222, seed=6)
+
+        def sums(ws):
+            return [np.dot(ws.weights, g(ws.lambdas)) for g in (G1, GLOG)]
+
+        got = map_replicates(cfg, Statistic("gauss", sums), 3, workers=2)
+        want = map_replicates(cfg, Statistic("weights", sums), 3, workers=2)
+        assert got.tobytes() == want.tobytes()
+
+    def test_replications_need_no_eigendecomposition(self, monkeypatch):
+        calls = []
+
+        def no_eig(a):
+            raise AssertionError("eig_decompose called")
+
+        def counted(*args):
+            calls.append(1)
+            return covspec.eigen.gauss_rule(*args)
+
+        monkeypatch.setattr(covspec.harness, "eig_decompose", no_eig)
+        monkeypatch.setattr(covspec.harness, "gauss_rule", counted)
+        vals = run_replications(_cfg(n=200, N=400, seed=2), [G1, G2, GLOG], 7, workers=2)
+        assert vals.shape == (7, 3) and len(calls) == 7
+
+    def test_failed_gauss_rule_names_replicate(self, monkeypatch):
+        # a symmetric indefinite matrix in place of the sample covariance
+        g = np.random.default_rng(1).standard_normal((200, 200))
+        monkeypatch.setattr(covspec.harness, "build_sample_cov", lambda *a, **k: g + g.T)
+        monkeypatch.setattr(covspec.harness, "eig_decompose", None)  # the rule fails first
+        with pytest.raises(RuntimeError, match="replicate 0 failed: matrix is not nonnegative "
+                                               "definite \\(min Ritz value"):
+            run_replications(_cfg(n=200, N=400), [G1], 3, workers=2)
+
 
 class TestEstimateMeanCov:
     def test_hand_example(self):
@@ -267,10 +327,12 @@ class TestTheoreticalCovContour:
                 theoretical_cov_contour([GLOG, G1], MP1, c)
 
     def test_log_pair_matches_simplified(self):
-        law = LimitLaw(c=0.2, H=MP1)
-        via_contour, _ = theoretical_cov_contour([GLOG], MP1, 0.2)
-        via_grid = theoretical_cov_simplified(GLOG, GLOG, law)
-        assert abs(via_contour[0, 0] - via_grid) <= 1e-12
+        for c in (0.2, 0.5):
+            law = LimitLaw(c=c, H=MP1)
+            via_contour, _ = theoretical_cov_contour([GLOG, G1], MP1, c)
+            via_grid = [[theoretical_cov_simplified(g1, g2, law) for g2 in (GLOG, G1)]
+                        for g1 in (GLOG, G1)]
+            assert np.abs(via_contour - np.array(via_grid)).max() <= 1e-12
 
     def test_log_pair_against_quadrature(self):
         # (2/c) Var_F(log) under the closed-form Marchenko-Pastur density at
@@ -324,6 +386,14 @@ class TestTheoreticalCovSimplified:
         law = LimitLaw(c=0.5, H=SpectralMeasure([1.0, 2.0], [0.5, 0.5]))
         with pytest.raises(ValueError, match="degenerate"):
             theoretical_cov_simplified(G1, G1, law)
+
+    def test_log_rejects_mass_at_zero(self):
+        # at c = 2 the law has an atom of mass 1/2 at zero, where log is undefined
+        law = LimitLaw(c=2.0, H=MP1)
+        for g1, g2 in ((GLOG, GLOG), (GLOG, G1), (G1, GLOG)):
+            with pytest.raises(ValueError, match="log functional needs the spectrum bounded"):
+                theoretical_cov_simplified(g1, g2, law)
+        assert theoretical_cov_simplified(G1, G2, law) == pytest.approx(4.0 + 2.0 * 2.0)  # 4 + 2c
 
 
 class TestBrownianBridge:
