@@ -12,8 +12,7 @@ from .model import (ENTRY_DISTS, DirectionSpec, ModelConfig, PopulationSpec, Wor
                     realize_direction, realize_population, replicate_rng)
 from .eigen import (EigenSystem, cholesky_logdet, eig_decompose, gauss_rule, quad_form_power,
                     resolvent_quad_form)
-from .mp import (ConvergenceError, StieltjesSolution, closed_form_mp,
-                 companion_transform, inverse_z, solve_mbar, solve_mbar_grid, support)
+from .mp import ConvergenceError, closed_form_mp, inverse_z, solve_mbar_grid, support
 from .law import LimitLaw, cdf_limit, density, limit_moments, mean_functional
 from .kernels import (ProofKernels, contour_nodes, cov_kernel, homogeneity_residual,
                       proof_kernels)
@@ -21,9 +20,8 @@ from .functionals import FunctionalSpec, poly_product
 from .weighted import (WeightedSpectrum, eval_cdf, w_statistic, weighted_spectrum,
                        y_process)
 from .kde import default_grid, kde, silverman_bandwidth
-from .harness import (CompareVerdict, MCReport, Statistic, Tolerances, bb_covariance,
-                      bb_samples, bb_target, compare_report, condition_profile,
-                      direction_condition_gap, estimate_mean_cov, map_replicates,
+from .harness import (CompareVerdict, MCReport, Tolerances, bb_covariance, bb_samples,
+                      bb_target, compare_report, estimate_mean_cov, map_replicates,
                       realized_law, run_clt, run_replications, theoretical_cov_contour,
                       theoretical_cov_simplified)
 

@@ -29,14 +29,13 @@ from typing import Optional
 
 import numpy as np
 
-from .eigen import eig_decompose, quad_form_power
+from .eigen import cholesky_logdet, eig_decompose, quad_form_power
 from .functionals import FunctionalSpec
-from .harness import (_BLAS, Statistic, _env_workers, bb_covariance, bb_target,
-                      map_replicates, run_clt)
+from .harness import _BLAS, _env_workers, bb_covariance, bb_target, map_replicates, run_clt
 from .kde import default_grid, kde, silverman_bandwidth
 from .law import LimitLaw, cdf_limit, density
 from .model import (ENTRY_DISTS, DirectionSpec, ModelConfig, PopulationSpec,
-                    build_sample_cov, realize_direction)
+                    build_sample_cov, realize_direction, realize_population)
 from .mp import ConvergenceError
 from .spectrum import SpectralMeasure
 from .weighted import WeightedSpectrum, w_statistic, weighted_spectrum
@@ -179,38 +178,6 @@ def parse_config(text: str) -> RunConfig:
                      reps=reps, out=out, grid=grid, which=which)
 
 
-def serialize_config(rc: RunConfig) -> str:
-    """JSON text that parse_config maps back to an equal RunConfig."""
-    model = rc.model
-    doc = {
-        "command": rc.command,
-        "n": model.n,
-        "N": model.N,
-        "entries": model.entry_dist,
-        "population": {"atoms": [{"t": float(t), "w": float(w)}
-                                 for t, w in zip(model.population.spectrum.atoms,
-                                                 model.population.spectrum.weights)]},
-        "seed": model.seed,
-        "out": rc.out,
-    }
-    d = model.direction
-    if d.kind == "basis":
-        doc["direction"] = {"kind": "e", "index": d.index}
-    elif d.kind == "uniform":
-        doc["direction"] = {"kind": "uniform"}
-    else:
-        doc["direction"] = {"kind": "custom", "vector": [float(v) for v in d.vector]}
-    if rc.reps is not None:
-        doc["reps"] = rc.reps
-    if rc.functionals:
-        doc["functionals"] = [g.label for g in rc.functionals]
-    if rc.grid is not None:
-        doc["grid"] = list(rc.grid)
-    if rc.which is not None:
-        doc["which"] = rc.which
-    return json.dumps(doc, indent=2)
-
-
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
@@ -262,7 +229,30 @@ def _cmd_density(rc: RunConfig, outdir) -> None:
     _write_csv(outdir / "density.csv", ["x", "f", "F"], [xs, fs, Fs])
 
 
+def _check_direction(cfg: ModelConfig) -> None:
+    """Refuse a direction that weighs the population atoms unlike H_n.
+
+    The CLT centres x* g(A) x at the law of H_n, which holds only when
+    x*(mbar T + I)^(-1) x equals integral dH_n/(mbar t + 1) at every z.  For
+    diagonal T that is exactly W = w: W_k the sum of |x_i|^2 over the
+    coordinates of atom t_k, w_k the weight of t_k in H_n.
+    """
+    tdiag = realize_population(cfg.population, cfg.n)
+    x = realize_direction(cfg.direction, cfg.n)
+    atoms, counts = np.unique(tdiag, return_counts=True)
+    # pairwise sums: a running sum of n terms 1/n drifts by 1e-12 at n = 10^5
+    W = np.array([np.sum(np.abs(x[tdiag == t]) ** 2) for t in atoms])
+    w = counts / cfg.n
+    if np.max(np.abs(W - w)) > 1e-12:
+        d = cfg.direction
+        name = {"basis": f"e{d.index}", "uniform": "uniform"}.get(d.kind, "custom")
+        raise ConfigError(f"direction {name} puts weights {np.round(W, 6).tolist()} on the "
+                          f"population atoms {atoms.tolist()}, not their weights "
+                          f"{np.round(w, 6).tolist()} in H_n; the clt theory does not apply")
+
+
 def _cmd_clt(rc: RunConfig, outdir) -> None:
+    _check_direction(rc.model)
     gs = rc.functionals or (FunctionalSpec.monomial(1),)
     report = run_clt(rc.model, gs, rc.reps or 100)
     (outdir / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
@@ -282,11 +272,13 @@ def _cmd_bridge(rc: RunConfig, outdir) -> None:
 
 
 def _figure_samples(base: ModelConfig, n: int, N: int, reps: int, scaled: bool) -> np.ndarray:
+    if n > N:  # A has rank at most N < n, whatever its Cholesky factorization says
+        raise ValueError("singular sample covariance")
     cfg = ModelConfig(n=n, N=N, entry_dist=base.entry_dist,
                       population=base.population, direction=base.direction,
                       seed=base.seed)
     scale = np.sqrt(N / n) if scaled else 1.0
-    return map_replicates(cfg, Statistic("logdet", lambda logdet: scale * logdet), reps)
+    return map_replicates(cfg, lambda a: scale * cholesky_logdet(a), reps)
 
 
 def _cmd_figures(rc: RunConfig, outdir) -> None:
@@ -386,7 +378,8 @@ def main(argv=None) -> int:
             return 2
     if args.grid is not None:
         try:
-            updates["grid"] = tuple(float(tok) for tok in args.grid.split(","))
+            updates["grid"] = tuple(_number(float(tok), f"grid[{i}]")
+                                    for i, tok in enumerate(args.grid.split(",")))
         except ValueError as exc:
             print(f"config error: bad grid: {exc}", file=sys.stderr)
             return 2

@@ -1,21 +1,24 @@
 """Monte Carlo replication harness and theoretical covariance evaluation.
 
-Every replicate loop runs through ``map_replicates``.  Replicates are
-mutually independent, seeded by (seed, replicate), and may run on any
-number of worker threads, each drawing into and multiplying in buffers it
-reuses from one replicate to the next (``model.Workspace``); while they
-run, numpy's OpenBLAS is pinned to one thread, so each worker does its
-linear algebra serially and the results depend neither on scheduling nor
-on the BLAS thread setting.  A statistic asks for the decomposition it
-needs: the ``clt`` statistics x* g(A) x take a Lanczos Gauss rule
-(``eigen.gauss_rule``) where it settles within n/4 steps and the full
-eigendecomposition otherwise, the bridge's partial sums take the eigenvector
-weights in eigenvalue order (``eig_decompose``), and the figures take a
-Cholesky log-determinant.  Theory comes in two independently computed
-flavors: a double contour integral of the covariance kernel on two
-ellipses around the exact support, with an error estimate from halving
-the node count, and the simplified variance formula available when the
-population spectrum is a single point mass.
+Every replicate loop runs through ``map_replicates(cfg, fn, R)``, which
+calls ``fn(A)`` on each replicate's sample covariance A and stacks the
+results.  Replicates are mutually independent, seeded by (seed,
+replicate), and may run on any number of worker threads, each drawing into
+and multiplying in buffers it reuses from one replicate to the next
+(``model.Workspace``); A is that worker's Gram buffer, valid only during
+the call.  While they run, numpy's OpenBLAS is pinned to one thread, so
+each worker does its linear algebra serially and the results depend
+neither on scheduling nor on the BLAS thread setting.  Each caller does
+the decomposition its statistic needs: ``run_replications`` evaluates
+x* g(A) x by a Lanczos Gauss rule (``eigen.gauss_rule``) where it settles
+within n/4 steps and from the full eigendecomposition otherwise,
+``bb_samples`` takes the eigenvector weights in eigenvalue order
+(``eig_decompose``), and the figures take a Cholesky log-determinant.
+Theory comes in two independently computed flavors: a double contour
+integral of the covariance kernel on two ellipses around the exact
+support, with an error estimate from halving the node count, and the
+simplified variance formula available when the population spectrum is a
+single point mass.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import glob
 import os
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -34,15 +36,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .eigen import cholesky_logdet, eig_decompose, gauss_rule
+from .eigen import eig_decompose, gauss_rule
 from .functionals import FunctionalSpec, poly_product
 from .kernels import contour_nodes, kernel_from_mbar
 from .law import LimitLaw, mean_functional
 from .model import (ModelConfig, Workspace, build_sample_cov, realize_direction,
                     realize_population)
-from .mp import _lower_end, solve_mbar, solve_mbar_grid
+from .mp import _lower_end, solve_mbar_grid
 from .spectrum import SpectralMeasure
-from .weighted import WeightedSpectrum, weighted_spectrum, y_process
+from .weighted import weighted_spectrum, y_process
 
 WORKERS_ENV = "COVSPEC_WORKERS"
 
@@ -124,62 +126,27 @@ class _BlasPin:
 _BLAS = _BlasPin()
 
 
-@dataclass(frozen=True)
-class Statistic:
-    """A per-replicate statistic and the decomposition it needs.
-
-    ``needs="weights"``: ``fn`` gets the WeightedSpectrum of the config's
-    direction, from ``eig_decompose`` (with its self-checks) and
-    ``weighted_spectrum``: every eigenvalue with its weight, in eigenvalue
-    order.  ``needs="gauss"``: ``fn`` gets a WeightedSpectrum whose
-    lambdas are the Ritz values and whose weights are the Gauss weights of
-    ``gauss_rule`` from the config's direction, refined until ``fn``'s
-    outputs settle, or, where the rule does not settle within n/4 steps,
-    the full WeightedSpectrum of ``"weights"``; only for statistics linear
-    in the weighted measure, sum_i w_i g(lambda_i) = x* g(A) x.
-    ``needs="logdet"``: ``fn`` gets log det A from a Cholesky
-    factorization.  ``fn`` returns a number or a fixed-length sequence of
-    numbers.
-    """
-
-    needs: str
-    fn: Callable
-
-    def __post_init__(self):
-        if self.needs not in ("weights", "gauss", "logdet"):
-            raise ValueError("statistic needs 'weights', 'gauss' or 'logdet' "
-                             f"(got {self.needs!r})")
-
-
-def map_replicates(cfg: ModelConfig, stat: Statistic, R: int,
+def map_replicates(cfg: ModelConfig, fn: Callable, R: int,
                    workers: Optional[int] = None) -> np.ndarray:
-    """``stat`` on replicates 0..R-1, stacked in replicate order (R or R x k).
+    """``fn(A)`` on replicates 0..R-1, stacked in replicate order (R or R x k).
 
-    Replicate r draws from the stream keyed on (cfg.seed, r).  The loop runs
-    on ``workers`` threads (default: COVSPEC_WORKERS, else the CPU count),
-    each reusing one Workspace for its draws and products, with numpy's
-    OpenBLAS pinned to one thread throughout, so the result is
-    bitwise independent of the worker count and, where numpy bundles
-    OpenBLAS, of OPENBLAS_NUM_THREADS.
+    A is replicate r's sample covariance, drawn from the stream keyed on
+    (cfg.seed, r) into the running thread's Workspace: ``fn`` may read or
+    decompose it but must not keep it, and returns a number or a
+    fixed-length sequence of numbers.  The loop runs on ``workers`` threads
+    (default: COVSPEC_WORKERS, else the CPU count) with numpy's OpenBLAS
+    pinned to one thread throughout, so the result is bitwise independent
+    of the worker count and, where numpy bundles OpenBLAS, of
+    OPENBLAS_NUM_THREADS.
     A failure raises RuntimeError("replicate r failed: ...").
     """
-    x = realize_direction(cfg.direction, cfg.n) if stat.needs != "logdet" else None
     local = threading.local()  # one Workspace per thread running replicates
 
     def one(r: int):
         try:
-            if stat.needs == "logdet" and cfg.n > cfg.N:  # A has rank at most N < n
-                raise ValueError("singular sample covariance")
             if not hasattr(local, "workspace"):
                 local.workspace = Workspace(cfg)
-            a = build_sample_cov(cfg, replicate=r, workspace=local.workspace)
-            if stat.needs == "logdet":
-                return stat.fn(cholesky_logdet(a))
-            if stat.needs == "gauss":
-                rule = gauss_rule(a, x, lambda nodes, w: stat.fn(WeightedSpectrum(nodes, w)))
-                if rule is not None:
-                    return rule[2]
-            return stat.fn(weighted_spectrum(eig_decompose(a), x))
+            return fn(build_sample_cov(cfg, replicate=r, workspace=local.workspace))
         except Exception as exc:
             raise RuntimeError(f"replicate {r} failed: {exc}") from exc
 
@@ -208,8 +175,8 @@ def run_replications(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
 
     Entry (r, j) is sqrt(N) * (x* g_j(A) x - integral g_j dF) on replicate
     r, centered at the finite-n limit law, with x* g_j(A) x =
-    sum_i w_i g_j(lambda_i) evaluated by the Lanczos Gauss rule (need
-    ``"gauss"``).
+    sum_i w_i g_j(lambda_i) evaluated by the Lanczos Gauss rule, or from
+    the full eigendecomposition where the rule does not settle.
     """
     if R < 2:
         raise ValueError("need at least 2 replications")
@@ -219,12 +186,20 @@ def run_replications(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
         raise ValueError("log functionals need 0 < n/N < 1")
     means = np.array([mean_functional(law, g) for g in gs])
     rootN = np.sqrt(cfg.N)
+    x = realize_direction(cfg.direction, cfg.n)
 
-    def lss(ws):
-        return [rootN * (np.dot(ws.weights, np.asarray(g(ws.lambdas), dtype=float)) - m)
+    def lss(lambdas, weights):
+        return [rootN * (np.dot(weights, np.asarray(g(lambdas), dtype=float)) - m)
                 for g, m in zip(gs, means)]
 
-    return map_replicates(cfg, Statistic("gauss", lss), R, workers=workers)
+    def fn(a):
+        rule = gauss_rule(a, x, lss)
+        if rule is not None:
+            return rule[2]
+        ws = weighted_spectrum(eig_decompose(a), x)
+        return lss(ws.lambdas, ws.weights)
+
+    return map_replicates(cfg, fn, R, workers=workers)
 
 
 def estimate_mean_cov(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,8 +275,13 @@ def bb_samples(cfg: ModelConfig, grid: Sequence[float], R: int,
                workers: Optional[int] = None) -> np.ndarray:
     """R x len(grid) matrix of partial-sum process values across replicates."""
     grid = np.asarray(grid, dtype=float)
-    stat = Statistic("weights", lambda ws: [y_process(ws, t) for t in grid])
-    return map_replicates(cfg, stat, R, workers=workers)
+    x = realize_direction(cfg.direction, cfg.n)
+
+    def fn(a):
+        ws = weighted_spectrum(eig_decompose(a), x)
+        return [y_process(ws, t) for t in grid]
+
+    return map_replicates(cfg, fn, R, workers=workers)
 
 
 def bb_covariance(cfg: ModelConfig, grid: Sequence[float], R: int,
@@ -432,33 +412,3 @@ def compare_report(mc: MCReport, tolerances: Tolerances) -> CompareVerdict:
                 failures.append({"entry": (i, j), "sample": float(sample[i, j]),
                                  "theory": float(theory[i, j]), "bound": float(bound)})
     return CompareVerdict(passed=not failures, failures=failures)
-
-
-def direction_condition_gap(tdiag: np.ndarray, x: np.ndarray, mbar: complex, N: int) -> float:
-    """Finite-n mismatch between the direction's resolvent weight and its average.
-
-    sqrt(N) * | x*(mbar T + I)^(-1) x  -  integral dH_n/(mbar t + 1) |;
-    identically zero for scalar T, required to vanish asymptotically for the
-    Gaussian limit to hold for a given (population, direction) pair.
-    """
-    tdiag = np.asarray(tdiag, dtype=float)
-    lhs = np.sum(np.abs(x) ** 2 / (mbar * tdiag + 1.0))
-    h = SpectralMeasure.empirical(tdiag)
-    rhs = np.sum(h.weights / (mbar * h.atoms + 1.0))
-    return float(np.sqrt(N) * abs(lhs - rhs))
-
-
-def condition_profile(population, direction, c: float, z: complex,
-                      ns: Sequence[int] = (100, 200, 400)) -> list[float]:
-    """Direction-condition gap across dimensions; warns if it is not decreasing."""
-    gaps = []
-    for n in ns:
-        N = int(round(n / c))
-        tdiag = realize_population(population, n)
-        x = realize_direction(direction, n)
-        h = SpectralMeasure.empirical(tdiag)
-        sol = solve_mbar(z, h, n / N)
-        gaps.append(direction_condition_gap(tdiag, x, sol.mbar, N))
-    if any(b > a for a, b in zip(gaps, gaps[1:])):
-        warnings.warn(f"direction-condition gap is not decreasing across n={tuple(ns)}: {gaps}")
-    return gaps

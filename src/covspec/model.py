@@ -121,7 +121,7 @@ def realize_population(spec: PopulationSpec, n: int) -> np.ndarray:
     return np.repeat(meas.atoms, counts)
 
 
-def realize_direction(spec: DirectionSpec, n: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def realize_direction(spec: DirectionSpec, n: int) -> np.ndarray:
     """Unit vector of length n according to the direction spec."""
     if spec.kind == "basis":
         if not (0 <= spec.index < n):

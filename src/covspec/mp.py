@@ -23,8 +23,6 @@ O(k^3): on a 2-core machine 4000 points take 0.08 s at 5 atoms, 0.9 s at
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .spectrum import SpectralMeasure
@@ -47,17 +45,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (last residual {residual:.3e})")
         self.residual = residual
-
-
-@dataclass(frozen=True)
-class StieltjesSolution:
-    """Solution of the self-consistent equation at one point z."""
-
-    z: complex
-    mbar: complex
-    m: complex
-    residual: float
-    iterations: int
 
 
 def _arrowhead_parts(H: SpectralMeasure, c: float):
@@ -176,29 +163,6 @@ def solve_mbar_grid(z, H: SpectralMeasure, c: float):
     m, res, steps = _upper_root(np.where(flip, zf.conj(), zf), H, c)
     m = np.where(flip, m.conj(), m)
     return m.reshape(z.shape), res.reshape(z.shape), steps.reshape(z.shape)
-
-
-def solve_mbar(z: complex, H: SpectralMeasure, c: float) -> StieltjesSolution:
-    """Solve the self-consistent equation at one point; raises ConvergenceError."""
-    zc = complex(z)
-    mbar, res, steps = solve_mbar_grid(np.array([zc]), H, c)
-    mb = complex(mbar[0])
-    return StieltjesSolution(z=zc, mbar=mb, m=companion_transform(mb, zc, c, "to_m"),
-                             residual=float(res[0]), iterations=int(steps[0]))
-
-
-def companion_transform(value: complex, z: complex, c: float, direction: str) -> complex:
-    """Convert between the two Stieltjes transforms.
-
-    ``to_mbar``: mbar = -(1-c)/z + c*m, ``to_m``: the inverse map.
-    """
-    if z == 0:
-        raise ValueError("transform relation is singular at z = 0")
-    if direction == "to_mbar":
-        return -(1.0 - c) / z + c * value
-    if direction == "to_m":
-        return (value + (1.0 - c) / z) / c
-    raise ValueError("direction must be 'to_mbar' or 'to_m'")
 
 
 def inverse_z(mbar: complex, H: SpectralMeasure, c: float) -> complex:

@@ -77,10 +77,6 @@ class SpectralMeasure:
     def is_degenerate(self) -> bool:
         return self.atoms.size == 1
 
-    def integrate(self, fn) -> complex:
-        """Integral of ``fn`` against the measure: sum of w_k * fn(t_k)."""
-        return np.sum(self.weights * fn(self.atoms))
-
     def moment(self, k: int) -> float:
         return float(np.sum(self.weights * self.atoms ** k))
 

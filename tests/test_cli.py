@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import covspec
-from covspec.cli import ConfigError, main, parse_config, serialize_config
-from covspec.model import DirectionSpec
+from covspec.cli import ConfigError, main, parse_config
+from covspec.model import DirectionSpec, ModelConfig, PopulationSpec
+from covspec.spectrum import SpectralMeasure
 
 BASE = {
     "n": 100, "N": 500, "entries": "real-gaussian",
@@ -78,19 +79,6 @@ class TestParseConfig:
         assert rc.functionals[1].kind == "log"
         with pytest.raises(ConfigError):
             parse_config(json.dumps(dict(BASE, functionals=["exp"])))
-
-    def test_round_trip(self):
-        docs = [
-            dict(BASE),
-            dict(BASE, command="clt", reps=50, functionals=["poly:0,1", "log"]),
-            dict(BASE, n=2, direction={"kind": "custom", "vector": [3.0, 4.0]},
-                 grid=[0.1, 0.2], which=2, command="figures"),
-            dict(BASE, direction={"kind": "uniform"},
-                 population={"atoms": [{"t": 1.0, "w": 0.5}, {"t": 2.0, "w": 0.5}]}),
-        ]
-        for doc in docs:
-            rc = parse_config(json.dumps(doc))
-            assert parse_config(serialize_config(rc)) == rc
 
 
 class TestDispatch:
@@ -236,6 +224,39 @@ class TestDispatch:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not list(tmp_path.glob("fig*.csv"))
+
+    @pytest.mark.parametrize("command, grid", [("density", "nan,1"), ("density", "inf"),
+                                               ("density", "1e400"), ("bridge", "0.5,nan")])
+    def test_nonfinite_grid_flag_exit_2(self, tmp_path, capsys, command, grid):
+        # as the same values under the config's grid key
+        cfgfile = _config(tmp_path, n=20, N=40)
+        assert main([command, "--config", str(cfgfile), "--out", str(tmp_path),
+                     "--reps", "4", "--grid", grid]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("bb.json"))
+
+    def test_direction_unlike_population_exit_2(self, tmp_path, capsys):
+        # with T = diag(1, 3) the direction e0 sees only the atom 1: W = (1, 0), not (1/2, 1/2)
+        atoms = {"atoms": [{"t": 1.0, "w": 0.5}, {"t": 3.0, "w": 0.5}]}
+        cfgfile = _config(tmp_path, n=30, N=60, population=atoms)
+        assert main(["clt", "--config", str(cfgfile), "--out", str(tmp_path),
+                     "--reps", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: direction e0 puts weights [1.0, 0.0] on the "
+                              "population atoms [1.0, 3.0]")
+        assert not (tmp_path / "report.json").exists()
+        cfgfile = _config(tmp_path, n=30, N=60, population=atoms, direction={"kind": "uniform"})
+        assert main(["clt", "--config", str(cfgfile), "--out", str(tmp_path),
+                     "--reps", "4"]) == 0
+        assert (tmp_path / "report.json").is_file()
+
+    def test_uniform_direction_weights_exact_at_large_n(self):
+        from covspec.cli import _check_direction
+
+        pop = PopulationSpec(SpectralMeasure([1.0, 3.0], [0.5, 0.5]))
+        for n in (10 ** 5 + 1, 10 ** 6):
+            _check_direction(ModelConfig(n=n, N=n, entry_dist="real-gaussian", population=pop,
+                                         direction=DirectionSpec.uniform()))
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_bad_workers_env_exit_2(self, tmp_path, capsys, monkeypatch, value):

@@ -9,13 +9,13 @@ import pytest
 
 import covspec
 from covspec import (DirectionSpec, FunctionalSpec, LimitLaw, ModelConfig,
-                     PopulationSpec, SpectralMeasure, Statistic, Tolerances, bb_covariance,
-                     bb_samples, bb_target, build_sample_cov, compare_report,
-                     condition_profile, direction_condition_gap,
-                     eig_decompose, estimate_mean_cov, map_replicates, quad_form_power,
-                     realize_direction, run_clt, run_replications,
-                     theoretical_cov_contour, theoretical_cov_simplified, w_statistic)
-from covspec.cli import FIGURE_ONE_SIZES, FIGURE_SMALL
+                     PopulationSpec, SpectralMeasure, Tolerances, bb_covariance,
+                     bb_samples, bb_target, build_sample_cov, cholesky_logdet, compare_report,
+                     eig_decompose, estimate_mean_cov, gauss_rule, map_replicates,
+                     mean_functional, quad_form_power, realize_direction, realized_law, run_clt,
+                     run_replications, theoretical_cov_contour, theoretical_cov_simplified,
+                     w_statistic, weighted_spectrum)
+from covspec.cli import FIGURE_ONE_SIZES, FIGURE_SMALL, _figure_samples
 
 MP1 = SpectralMeasure.point(1.0)
 G1 = FunctionalSpec.monomial(1)
@@ -174,7 +174,7 @@ class TestMapReplicates:
             workspaces.clear()
             cfg = ModelConfig(n=30, N=50, entry_dist=dist, population=pop,
                               direction=DirectionSpec.basis(0), seed=12)
-            map_replicates(cfg, Statistic("logdet", float), 7, workers=workers)
+            map_replicates(cfg, cholesky_logdet, 7, workers=workers)
             assert sorted(seen) == list(range(7))
             assert id(None) not in workspaces and len(workspaces) <= workers
             with harness._BLAS.pinned():
@@ -192,9 +192,9 @@ class TestMapReplicates:
         try:
             set_(2)
             seen = []
-            stat = Statistic("logdet", lambda logdet: seen.append(get()) or logdet)
             for workers in (1, 2):
-                map_replicates(_cfg(n=10, N=20), stat, 4, workers=workers)
+                map_replicates(_cfg(n=10, N=20), lambda a: seen.append(get()) or 0.0, 4,
+                               workers=workers)
                 assert get() == 2
             assert seen == [1] * 8
         finally:
@@ -204,38 +204,49 @@ class TestMapReplicates:
                              + list(FIGURE_SMALL.values()))
     def test_logdet_matches_eigenvalue_sum(self, n, N):
         cfg = _cfg(n=n, N=N, seed=4)
-        got = map_replicates(cfg, Statistic("logdet", float), 6, workers=2)
+        got = _figure_samples(cfg, n, N, 6, scaled=False)
         want = [w_statistic(eig_decompose(build_sample_cov(cfg, replicate=r))) for r in range(6)]
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
     def test_singular_logdet_names_replicate(self):
+        # n > N is refused before any replicate: Cholesky can factor a
+        # rank-deficient A in floating point and give a finite log det
+        with pytest.raises(ValueError, match="^singular sample covariance$"):
+            _figure_samples(_cfg(), 20, 10, 3, scaled=False)
         with pytest.raises(RuntimeError, match="replicate 0 failed: singular"):
-            map_replicates(_cfg(n=20, N=10), Statistic("logdet", float), 3, workers=2)
-
-    def test_unknown_need_rejected(self):
-        with pytest.raises(ValueError, match="logdet"):
-            Statistic("eigvals", float)
+            map_replicates(_cfg(n=20, N=10), lambda a: cholesky_logdet(0.0 * a), 3, workers=2)
 
     @pytest.mark.parametrize("dist", ["real-gaussian", "complex-gaussian"])
     def test_gauss_matches_weights(self, dist):
         cfg = _cfg(n=200, N=400, dist=dist, seed=6)
+        x = realize_direction(cfg.direction, cfg.n)
 
-        def sums(ws):
-            return [np.dot(ws.weights, g(ws.lambdas)) for g in (G1, G2, G3, GLOG)]
+        def sums(lambdas, weights):
+            return [np.dot(weights, g(lambdas)) for g in (G1, G2, G3, GLOG)]
 
-        got = map_replicates(cfg, Statistic("gauss", sums), 5, workers=2)
-        want = map_replicates(cfg, Statistic("weights", sums), 5, workers=2)
+        def eig_sums(a):
+            ws = weighted_spectrum(eig_decompose(a), x)
+            return sums(ws.lambdas, ws.weights)
+
+        got = map_replicates(cfg, lambda a: gauss_rule(a, x, sums)[2], 5, workers=2)
+        want = map_replicates(cfg, eig_sums, 5, workers=2)
         assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
     def test_gauss_falls_back_to_weights(self):
         # at c = 0.9 the log takes the rule past n/4 steps: eig_decompose takes over
         cfg = _cfg(n=200, N=222, seed=6)
+        x = realize_direction(cfg.direction, cfg.n)
+        law = realized_law(cfg)
+        means = np.array([mean_functional(law, g) for g in (G1, GLOG)])
+        assert gauss_rule(build_sample_cov(cfg), x, lambda nodes, w: [w @ np.log(nodes)]) is None
 
-        def sums(ws):
-            return [np.dot(ws.weights, g(ws.lambdas)) for g in (G1, GLOG)]
+        def eig_lss(a):
+            ws = weighted_spectrum(eig_decompose(a), x)
+            return [np.sqrt(cfg.N) * (np.dot(ws.weights, np.asarray(g(ws.lambdas), dtype=float))
+                                      - m) for g, m in zip((G1, GLOG), means)]
 
-        got = map_replicates(cfg, Statistic("gauss", sums), 3, workers=2)
-        want = map_replicates(cfg, Statistic("weights", sums), 3, workers=2)
+        got = run_replications(cfg, [G1, GLOG], 3, workers=2)
+        want = map_replicates(cfg, eig_lss, 3, workers=2)
         assert got.tobytes() == want.tobytes()
 
     def test_replications_need_no_eigendecomposition(self, monkeypatch):
@@ -470,23 +481,6 @@ def test_worker_env_variable(monkeypatch):
     assert _worker_count(2) == 2  # explicit argument wins
     monkeypatch.delenv(WORKERS_ENV)
     assert _worker_count(None) >= 1
-
-
-def test_condition_gap_zero_for_scalar_population():
-    tdiag = np.ones(30)
-    x = np.zeros(30)
-    x[0] = 1.0
-    assert direction_condition_gap(tdiag, x, 0.3 + 0.4j, 60) == 0.0
-
-
-def test_condition_profile_runs_quietly():
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        gaps = condition_profile(PopulationSpec.identity(), DirectionSpec.basis(0),
-                                 0.5, 1 + 1j, ns=(20, 40, 80))
-    assert all(g == 0.0 for g in gaps)
 
 
 def test_thread_scaling_informational():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from covspec import (SpectralMeasure, closed_form_mp, contour_nodes, cov_kernel,
-                     homogeneity_residual, proof_kernels, solve_mbar, support)
+                     homogeneity_residual, proof_kernels, solve_mbar_grid, support)
 from covspec.kernels import kernel_from_mbar
 
 MP1 = SpectralMeasure.point(1.0)
@@ -131,8 +131,8 @@ class TestContour:
 def test_kernel_from_mbar_broadcasts():
     z1 = np.array([1 + 1j, 2 + 1j])
     z2 = np.array([1 - 1j, 3 - 0.5j])
-    m1 = np.array([solve_mbar(z, MP1, 0.5).mbar for z in z1])
-    m2 = np.array([solve_mbar(z, MP1, 0.5).mbar for z in z2])
+    m1 = solve_mbar_grid(z1, MP1, 0.5)[0]
+    m2 = solve_mbar_grid(z2, MP1, 0.5)[0]
     grid = kernel_from_mbar(z1[:, None], m1[:, None], z2[None, :], m2[None, :], 0.5)
     assert grid.shape == (2, 2)
     one = cov_kernel(z1[0], z2[1], MP1, 0.5)

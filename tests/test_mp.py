@@ -1,31 +1,36 @@
 import numpy as np
 import pytest
 
-from covspec import (ConvergenceError, LimitLaw, SpectralMeasure, closed_form_mp,
-                     companion_transform, density, inverse_z, mp, solve_mbar, solve_mbar_grid,
-                     support)
+from covspec import (ConvergenceError, LimitLaw, SpectralMeasure, closed_form_mp, density,
+                     inverse_z, mp, solve_mbar_grid, support)
 
 MP1 = SpectralMeasure.point(1.0)
 H13 = SpectralMeasure([1.0, 3.0], [0.5, 0.5])
 
 
+def solve_mbar(z, H, c):
+    """(mbar, residual) at the one point z."""
+    mbar, res, _ = solve_mbar_grid(np.array([z]), H, c)
+    return complex(mbar[0]), float(res[0])
+
+
 def test_large_z_asymptotics():
-    sol = solve_mbar(100j, MP1, 0.25)
-    assert abs(sol.mbar - 0.01j) <= 1e-3
-    assert sol.residual <= 1e-12
+    mbar, residual = solve_mbar(100j, MP1, 0.25)
+    assert abs(mbar - 0.01j) <= 1e-3
+    assert residual <= 1e-12
 
 
 def test_matches_quadratic_oracle():
     for z in (2 + 0.5j, 0.7 + 0.2j, 1.5 + 3j):
-        sol = solve_mbar(z, MP1, 0.25)
-        assert abs(sol.mbar - closed_form_mp(z, 0.25)) <= 1e-10
+        mbar, _ = solve_mbar(z, MP1, 0.25)
+        assert abs(mbar - closed_form_mp(z, 0.25)) <= 1e-10
 
 
 def test_round_trip_through_inverse():
-    sol = solve_mbar(1 + 1j, H13, 0.5)
-    assert abs(inverse_z(sol.mbar, H13, 0.5) - (1 + 1j)) <= 1e-8
-    sol2 = solve_mbar(0.7 + 0.2j, MP1, 0.5)
-    assert abs(inverse_z(sol2.mbar, MP1, 0.5) - (0.7 + 0.2j)) <= 1e-8
+    mbar, _ = solve_mbar(1 + 1j, H13, 0.5)
+    assert abs(inverse_z(mbar, H13, 0.5) - (1 + 1j)) <= 1e-8
+    mbar2, _ = solve_mbar(0.7 + 0.2j, MP1, 0.5)
+    assert abs(inverse_z(mbar2, MP1, 0.5) - (0.7 + 0.2j)) <= 1e-8
 
 
 def test_inverse_hand_value():
@@ -47,8 +52,8 @@ def test_inverse_pole_rejected():
 
 
 def test_conjugate_symmetry():
-    up = solve_mbar(1 + 0.5j, MP1, 0.25).mbar
-    dn = solve_mbar(1 - 0.5j, MP1, 0.25).mbar
+    up, _ = solve_mbar(1 + 0.5j, MP1, 0.25)
+    dn, _ = solve_mbar(1 - 0.5j, MP1, 0.25)
     np.testing.assert_allclose(dn, np.conj(up), atol=1e-12)
     assert up.imag > 0 and dn.imag < 0
 
@@ -65,36 +70,6 @@ def test_nonconvergence_error_carries_residual(monkeypatch):
     with pytest.raises(ConvergenceError) as err:
         solve_mbar(1 + 0.01j, MP1, 0.25)
     assert err.value.residual > 0
-
-
-def test_transform_linkage():
-    sol = solve_mbar(2 + 0.5j, MP1, 0.25)
-    assert sol.m == companion_transform(sol.mbar, sol.z, 0.25, "to_m")
-    back = companion_transform(sol.m, sol.z, 0.25, "to_mbar")
-    assert abs(back - sol.mbar) <= 1e-15
-
-
-class TestCompanionTransform:
-    def test_ratio_one_collapses(self):
-        for z in (1 + 1j, 2 - 0.5j):
-            m = 0.3 + 0.4j
-            assert companion_transform(m, z, 1.0, "to_mbar") == m
-
-    def test_zero_m(self):
-        np.testing.assert_allclose(companion_transform(0.0, 1j, 0.5, "to_mbar"), 0.5j)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(17)
-        for _ in range(50):
-            m = complex(rng.standard_normal(), rng.standard_normal())
-            z = complex(rng.standard_normal(), rng.uniform(0.1, 2))
-            c = rng.uniform(0.05, 3)
-            back = companion_transform(companion_transform(m, z, c, "to_mbar"), z, c, "to_m")
-            assert abs(back - m) <= 1e-14 * max(1, abs(m))
-
-    def test_zero_z_rejected(self):
-        with pytest.raises(ValueError):
-            companion_transform(0.1j, 0.0, 0.5, "to_m")
 
 
 class TestClosedForm:
