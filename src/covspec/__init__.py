@@ -7,8 +7,8 @@ theoretical covariances.
 """
 
 from .spectrum import SpectralMeasure
-from .model import (ENTRY_DISTS, DirectionSpec, ModelConfig, PopulationSpec, Workspace,
-                    build_sample_cov, companion_sample_cov, draw_entries,
+from .model import (ENTRY_DISTS, ConfigError, DirectionSpec, ModelConfig, PopulationSpec,
+                    Workspace, build_sample_cov, companion_sample_cov, draw_entries,
                     realize_direction, realize_population, replicate_rng)
 from .eigen import (EigenSystem, cholesky_logdet, eig_decompose, gauss_rule, quad_form_power,
                     resolvent_quad_form)

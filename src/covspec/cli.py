@@ -8,11 +8,15 @@ clt        Monte Carlo covariance verification: report.json
 bridge     partial-sum process covariance check: bb.json
 figures    kernel-density data for the log-determinant statistic: figN.csv
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Each flag replaces its key in the decoded config document (--g the
+functionals) before any check, so flags and config keys pass the same
+checks.  Exit codes: 0 success; 2 a fault in the config, the flags or
+COVSPEC_WORKERS, also where the library finds it (``model.ConfigError``);
+3 a failed computation, and nothing else.
+
 Replicates (clt, bridge, figures) run on COVSPEC_WORKERS pool threads
 (default: machine parallelism), each with one OpenBLAS thread while the
-replicates run, also when COVSPEC_WORKERS=1; a COVSPEC_WORKERS that is
-not a positive integer is a configuration error.  simulate builds and
+replicates run, also when COVSPEC_WORKERS=1.  simulate builds and
 decomposes its one matrix on one OpenBLAS thread too.  Outputs are bitwise
 independent of the worker count and of OPENBLAS_NUM_THREADS.
 
@@ -34,7 +38,7 @@ from .functionals import FunctionalSpec
 from .harness import _BLAS, _env_workers, bb_covariance, bb_target, map_replicates, run_clt
 from .kde import default_grid, kde, silverman_bandwidth
 from .law import LimitLaw, cdf_limit, density
-from .model import (ENTRY_DISTS, DirectionSpec, ModelConfig, PopulationSpec,
+from .model import (ConfigError, DirectionSpec, ModelConfig, PopulationSpec,
                     build_sample_cov, realize_direction, realize_population)
 from .mp import ConvergenceError
 from .spectrum import SpectralMeasure
@@ -44,10 +48,6 @@ COMMANDS = ("simulate", "density", "clt", "bridge", "figures")
 
 FIGURE_ONE_SIZES = (20, 100, 200, 500)   # n = 0.2 N
 FIGURE_SMALL = {2: (5, 50), 3: (10, 50)}  # (n, N), statistic sqrt(N/n) W_n
-
-
-class ConfigError(ValueError):
-    """Invalid configuration; maps to exit code 2."""
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,12 @@ def _parse_population(obj, path="population.") -> PopulationSpec:
         ts.append(_number(entry["t"], f"{path}atoms[{i}].t"))
         ws.append(_number(entry["w"], f"{path}atoms[{i}].w"))
     try:
-        return PopulationSpec(SpectralMeasure(ts, ws))
+        spectrum = SpectralMeasure(ts, ws)
     except ValueError as exc:
         raise ConfigError(f"population: {exc}") from exc
+    # zero-weight atoms are dropped, so this asks for an atom t > 0 of weight w > 0
+    _require(spectrum.t_max > 0, f"{path}atoms needs an atom t > 0 of positive weight")
+    return PopulationSpec(spectrum)
 
 
 def _parse_direction(obj, path="direction.") -> DirectionSpec:
@@ -123,44 +126,46 @@ _TOP_KEYS = {"command", "n", "N", "entries", "population", "direction",
              "seed", "reps", "functionals", "grid", "which", "out"}
 
 
+def _decode(text: str) -> dict:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON: {exc}") from exc
+    _require(isinstance(doc, dict), "config must be a JSON object")
+    return doc
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config document into a RunConfig.
 
     Unknown keys are rejected.  Defaults: command 'simulate', seed 0;
     reps defaults per command at dispatch time (100, or 1000 for figures).
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc}") from exc
-    _require(isinstance(doc, dict), "config must be a JSON object")
+    return _parse_document(_decode(text))
+
+
+def _parse_document(doc: dict) -> RunConfig:
     _reject_unknown(doc, _TOP_KEYS, "")
     for name in ("n", "N", "entries", "population", "direction"):
         _require(name in doc, f"missing required field {name}")
-    n, N = doc["n"], doc["N"]
-    # type(v) is int: a JSON true or false must not pass as 1 or 0
-    _require(type(n) is int and n >= 1, "n must be >= 1")
-    _require(type(N) is int and N >= 1, "N must be >= 1")
-    _require(doc["entries"] in ENTRY_DISTS,
-             f"entries must be one of {ENTRY_DISTS} (got {doc['entries']!r})")
-    seed = doc.get("seed", 0)
-    _require(type(seed) is int and 0 <= seed < 2 ** 64, "seed must be a 64-bit unsigned integer")
-    population = _parse_population(doc["population"])
-    direction = _parse_direction(doc["direction"])
+    model = ModelConfig(n=doc["n"], N=doc["N"], entry_dist=doc["entries"],
+                        population=_parse_population(doc["population"]),
+                        direction=_parse_direction(doc["direction"]), seed=doc.get("seed", 0))
+    # checked here, not in the model: figures reuses the direction at smaller n
+    direction = model.direction
     if direction.kind == "basis":
-        _require(0 <= direction.index < n, f"direction.index {direction.index} out of range")
-    try:
-        model = ModelConfig(n=n, N=N, entry_dist=doc["entries"],
-                            population=population, direction=direction, seed=seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        _require(0 <= direction.index < model.n, f"direction.index {direction.index} out of range")
     command = doc.get("command", "simulate")
     _require(command in COMMANDS, f"command must be one of {COMMANDS}")
     reps = doc.get("reps")
     if reps is not None:
-        _require(type(reps) is int and reps >= 1, "reps must be >= 1")
+        # with one replicate no command has a sample covariance
+        _require(type(reps) is int and reps >= 2, "reps must be >= 2")
+    specs = doc.get("functionals", [])
+    _require(isinstance(specs, list) and all(isinstance(spec, str) for spec in specs),
+             "functionals must be a list of strings")
     functionals = []
-    for i, spec in enumerate(doc.get("functionals", [])):
+    for i, spec in enumerate(specs):
         try:
             functionals.append(FunctionalSpec.parse(spec))
         except ValueError as exc:
@@ -354,39 +359,17 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            rc = parse_config(fh.read())
-        try:
-            _env_workers()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    except (OSError, ConfigError) as exc:
+            doc = _decode(fh.read())
+        # each flag replaces its config key before any check
+        flags = {"command": args.command, "out": args.out, "reps": args.reps,
+                 "functionals": args.g, "which": getattr(args, "which", None),
+                 "grid": None if args.grid is None else [float(t) for t in args.grid.split(",")]}
+        doc.update((key, v) for key, v in flags.items() if v is not None)
+        rc = _parse_document(doc)
+        _env_workers()
+    except (OSError, ValueError) as exc:  # a ConfigError, or a --grid token float() refuses
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    updates = {"command": args.command}
-    if args.out is not None:
-        updates["out"] = args.out
-    if args.reps is not None:
-        if args.reps < 1:
-            print("config error: reps must be >= 1", file=sys.stderr)
-            return 2
-        updates["reps"] = args.reps
-    if args.g:
-        try:
-            updates["functionals"] = tuple(FunctionalSpec.parse(s) for s in args.g)
-        except ValueError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-    if args.grid is not None:
-        try:
-            updates["grid"] = tuple(_number(float(tok), f"grid[{i}]")
-                                    for i, tok in enumerate(args.grid.split(",")))
-        except ValueError as exc:
-            print(f"config error: bad grid: {exc}", file=sys.stderr)
-            return 2
-    if getattr(args, "which", None) is not None:
-        updates["which"] = args.which
-    from dataclasses import replace
-    rc = replace(rc, **updates)
     return dispatch(rc)
 
 

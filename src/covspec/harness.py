@@ -40,8 +40,8 @@ from .eigen import eig_decompose, gauss_rule
 from .functionals import FunctionalSpec, poly_product
 from .kernels import contour_nodes, kernel_from_mbar
 from .law import LimitLaw, mean_functional
-from .model import (ModelConfig, Workspace, build_sample_cov, realize_direction,
-                    realize_population)
+from .model import (ConfigError, ModelConfig, Workspace, build_sample_cov,
+                    realize_direction, realize_population)
 from .mp import _lower_end, solve_mbar_grid
 from .spectrum import SpectralMeasure
 from .weighted import weighted_spectrum, y_process
@@ -60,7 +60,7 @@ def _env_workers() -> Optional[int]:
     if not env:
         return None
     if not (env.isdecimal() and int(env) >= 1):
-        raise ValueError(f"{WORKERS_ENV} must be a positive integer (got {env!r})")
+        raise ConfigError(f"{WORKERS_ENV} must be a positive integer (got {env!r})")
     return int(env)
 
 
@@ -138,7 +138,8 @@ def map_replicates(cfg: ModelConfig, fn: Callable, R: int,
     pinned to one thread throughout, so the result is bitwise independent
     of the worker count and, where numpy bundles OpenBLAS, of
     OPENBLAS_NUM_THREADS.
-    A failure raises RuntimeError("replicate r failed: ...").
+    A failure raises RuntimeError("replicate r failed: ..."), except a
+    ConfigError, which passes unchanged.
     """
     local = threading.local()  # one Workspace per thread running replicates
 
@@ -147,6 +148,8 @@ def map_replicates(cfg: ModelConfig, fn: Callable, R: int,
             if not hasattr(local, "workspace"):
                 local.workspace = Workspace(cfg)
             return fn(build_sample_cov(cfg, replicate=r, workspace=local.workspace))
+        except ConfigError:
+            raise
         except Exception as exc:
             raise RuntimeError(f"replicate {r} failed: {exc}") from exc
 
@@ -179,11 +182,11 @@ def run_replications(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
     the full eigendecomposition where the rule does not settle.
     """
     if R < 2:
-        raise ValueError("need at least 2 replications")
+        raise ConfigError("need at least 2 replications")
     gs = list(gs)
     law = realized_law(cfg)
     if any(g.needs_positive_support for g in gs) and not (0 < cfg.ratio < 1):
-        raise ValueError("log functionals need 0 < n/N < 1")
+        raise ConfigError("log functionals need 0 < n/N < 1")
     means = np.array([mean_functional(law, g) for g in gs])
     rootN = np.sqrt(cfg.N)
     x = realize_direction(cfg.direction, cfg.n)
@@ -227,7 +230,7 @@ def theoretical_cov_contour(gs: Sequence[FunctionalSpec], H: SpectralMeasure, c:
     gs = list(gs)
     log = any(g.needs_positive_support for g in gs)
     if log and _lower_end(H, c) <= 0:
-        raise ValueError("log functional needs the spectrum bounded away from zero")
+        raise ConfigError("log functional needs the spectrum bounded away from zero")
     (z1, w1), (z2, w2) = contour_nodes(H, c, enclose_zero=not log)
     m1, m2 = np.split(solve_mbar_grid(np.concatenate([z1, z2]), H, c)[0], [z1.size])
     gw1 = np.array([g(z1) * w1 for g in gs])
@@ -258,7 +261,7 @@ def theoretical_cov_simplified(g1: FunctionalSpec, g2: FunctionalSpec,
     if not law.H.is_degenerate:
         raise ValueError("simplified covariance requires a degenerate population spectrum")
     if (g1.needs_positive_support or g2.needs_positive_support) and _lower_end(law.H, law.c) <= 0:
-        raise ValueError("log functional needs the spectrum bounded away from zero")
+        raise ConfigError("log functional needs the spectrum bounded away from zero")
     if g1.kind == "poly" and g2.kind == "poly":
         cross = mean_functional(law, poly_product(g1, g2))
         m1 = mean_functional(law, g1)
@@ -293,9 +296,11 @@ def bb_covariance(cfg: ModelConfig, grid: Sequence[float], R: int,
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or np.any((grid <= 0) | (grid >= 1)):
-        raise ValueError("grid values must lie strictly inside (0, 1)")
+        raise ConfigError("grid values must lie strictly inside (0, 1)")
     if cfg.entry_dist != "real-gaussian" or not cfg.population.spectrum.is_degenerate:
-        raise ValueError("bridge check needs real-gaussian entries and a scalar population")
+        raise ConfigError("bridge check needs real-gaussian entries and a scalar population")
+    if R < 2:
+        raise ConfigError("need at least 2 replications")
     samples = bb_samples(cfg, grid, R, workers=workers)
     return np.atleast_2d(np.cov(samples, rowvar=False, ddof=1))
 

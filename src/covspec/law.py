@@ -28,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .functionals import FunctionalSpec
+from .model import ConfigError
 from .mp import _lower_end, _mass_at_zero, _node_count, _upper_root, support
 from .spectrum import SpectralMeasure
 
@@ -51,7 +52,7 @@ class LimitLaw:
     H: SpectralMeasure
     # (x, f, q, pieces), set once by ensure_grids
     _grids: Optional[tuple] = field(default=None, repr=False, compare=False)
-    # (F at the nodes, series), set once by _cdf_series
+    # per interval (a, b, c0, coef), set once by _cdf_series
     _cdf: Optional[tuple] = field(default=None, repr=False, compare=False)
     _mean_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
@@ -85,7 +86,7 @@ class LimitLaw:
             pieces = self.ensure_grids()[3]
             with self._lock:
                 if self._cdf is None:
-                    self._cdf = _cosine_cdf(self.atom_at_zero, pieces)
+                    self._cdf = _cosine_cdf(pieces)
         return self._cdf
 
     def _cached_mean(self, key, compute) -> float:
@@ -102,10 +103,6 @@ class LimitLaw:
         return x, f
 
     @property
-    def cdf_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.ensure_grids()[0], self._cdf_series()[0]
-
-    @property
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes x and masses q: the integral of v against the density is q @ v(x)."""
         x, _, q, _ = self.ensure_grids()
@@ -118,7 +115,7 @@ class LimitLaw:
         """Mass of the continuous part up to x."""
         xx = np.asarray(x, dtype=float)
         out = np.zeros(xx.shape)
-        for a, b, c0, coef in self._cdf_series()[1]:
+        for a, b, c0, coef in self._cdf_series():
             inside = (xx > a) & (xx < b)
             theta = np.arccos(np.clip((a + b - 2.0 * xx[inside]) / (b - a), -1.0, 1.0))
             out[inside] += np.clip(c0 * theta + _sine_series(coef, theta), 0.0, c0 * np.pi)
@@ -130,32 +127,24 @@ def _midpoint_rule(law: LimitLaw) -> tuple:
     """(x, f, q, pieces): on each support interval (a, b), M nodes
     x_j = a + (b-a) sin^2(theta_j/2) at theta_j = pi (j+1/2)/M with masses
     q_j = (pi/M) h_j, h_j = (b-a)/2 sin(theta_j) f(x_j); pieces holds
-    (a, b, theta, h) per interval.  All densities come from one call."""
+    (a, b, h) per interval.  All densities come from one call."""
     bulk = support(law.H, law.c)
     thetas = [np.pi * (np.arange(M) + 0.5) / M for M in (_node_count(a, b)[1] for a, b in bulk)]
     # a + (b-a) sin^2(theta/2) is (a+b)/2 - (b-a)/2 cos(theta), accurate next to a
     xs = [a + (b - a) * np.sin(theta / 2.0) ** 2 for (a, b), theta in zip(bulk, thetas)]
     f = density(np.concatenate(xs), law)
     fs = np.split(f, np.cumsum([theta.size for theta in thetas])[:-1])
-    pieces = tuple((a, b, theta, (b - a) / 2.0 * np.sin(theta) * fi)
+    pieces = tuple((a, b, (b - a) / 2.0 * np.sin(theta) * fi)
                    for (a, b), theta, fi in zip(bulk, thetas, fs))
-    q = np.concatenate([np.pi / h.size * h for _, _, _, h in pieces])
+    q = np.concatenate([np.pi / h.size * h for _, _, h in pieces])
     return np.concatenate(xs), f, q, pieces
 
 
-def _cosine_cdf(atom: float, pieces) -> tuple:
-    """(F, series): the distribution function at the nodes, and per interval
-    (a, b, c0, coef) with c0 theta + sum_k coef_k sin(k theta) the mass of the
-    interval up to angle theta, the integral of the cosine interpolant of h."""
-    F, series = [], []
-    below = atom
-    for a, b, theta, h in pieces:
-        c0 = h.sum() / h.size  # c0 pi is the interval's mass, the sum of its q
-        coef = _cosine_antiderivative(h)
-        F.append(below + np.clip(c0 * theta + _sine_series_at_nodes(coef), 0.0, c0 * np.pi))
-        series.append((a, b, c0, coef))
-        below += c0 * np.pi
-    return np.concatenate(F), tuple(series)
+def _cosine_cdf(pieces) -> tuple:
+    """Per interval (a, b, c0, coef), with c0 theta + sum_k coef_k sin(k theta)
+    the mass of the interval up to angle theta, the integral of the cosine
+    interpolant of h; c0 pi is the interval's mass, the sum of its q."""
+    return tuple((a, b, h.sum() / h.size, _cosine_antiderivative(h)) for a, b, h in pieces)
 
 
 def _cosine_antiderivative(h) -> np.ndarray:
@@ -169,15 +158,6 @@ def _cosine_antiderivative(h) -> np.ndarray:
     k = np.arange(1, M)
     spectrum = np.fft.fft(np.concatenate([h, h[::-1]]))[1:M]
     return (np.exp(-0.5j * np.pi * k / M) * spectrum).real / (M * k)
-
-
-def _sine_series_at_nodes(coef) -> np.ndarray:
-    """sum_k coef_k sin(k theta_j) at the M = coef.size + 1 midpoint angles,
-    as the imaginary part of a 2M-point inverse FFT."""
-    M = coef.size + 1
-    k = np.arange(1, M)
-    terms = np.concatenate([[0.0], coef * np.exp(0.5j * np.pi * k / M)])
-    return (2 * M * np.fft.ifft(terms, n=2 * M)[:M]).imag
 
 
 def _sine_series(coef, theta) -> np.ndarray:
@@ -206,7 +186,7 @@ def density(x, law: LimitLaw):
     if np.any(at_zero):
         zero_edge = support(law.H, law.c)[0][0] == 0
         if law.atom_at_zero > 0 and not zero_edge:
-            raise ValueError("density undefined at the point mass at zero; use cdf_limit")
+            raise ConfigError("density undefined at the point mass at zero; use cdf_limit")
         out[at_zero] = np.inf if zero_edge else 0.0
     mbar, _, _ = _upper_root(xx[~at_zero], law.H, law.c)
     out[~at_zero] = np.maximum(mbar.imag, 0.0) / (law.c * np.pi)
@@ -248,7 +228,7 @@ def limit_moments(law: LimitLaw, k: int) -> float:
 def mean_functional_density(law: LimitLaw, g: FunctionalSpec) -> float:
     """Integral of g against the law by the cached midpoint rule."""
     if g.needs_positive_support and _lower_end(law.H, law.c) <= 0:
-        raise ValueError("log functional needs the spectrum bounded away from zero")
+        raise ConfigError("log functional needs the spectrum bounded away from zero")
     x, q = law.quadrature
     val = float(q @ np.asarray(g(x), dtype=float))
     if law.atom_at_zero > 0:

@@ -24,6 +24,15 @@ _SQRT3 = np.sqrt(3.0)
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
+class ConfigError(ValueError):
+    """A configuration the model or the theory cannot take; maps to exit code 2."""
+
+
+def _is_int(v) -> bool:
+    # a bool is an int to Python, but true or false must not pass as 1 or 0
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class PopulationSpec:
     """Population covariance description: the spectral measure of T."""
@@ -79,14 +88,14 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ValueError("n must be >= 1")
-        if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
-            raise ValueError("N must be >= 1")
+        if not (_is_int(self.n) and self.n >= 1):
+            raise ConfigError("n must be >= 1")
+        if not (_is_int(self.N) and self.N >= 1):
+            raise ConfigError("N must be >= 1")
         if self.entry_dist not in ENTRY_DISTS:
-            raise ValueError(f"entry_dist must be one of {ENTRY_DISTS}")
-        if not (0 <= int(self.seed) < 2 ** 64):
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise ConfigError(f"entries must be one of {ENTRY_DISTS} (got {self.entry_dist!r})")
+        if not (_is_int(self.seed) and 0 <= self.seed < 2 ** 64):
+            raise ConfigError("seed must be a 64-bit unsigned integer")
 
     @property
     def ratio(self) -> float:
@@ -109,7 +118,7 @@ def realize_population(spec: PopulationSpec, n: int) -> np.ndarray:
     meas = spec.spectrum
     k = meas.atoms.size
     if n < k:
-        raise ValueError("dimension too small")
+        raise ConfigError("dimension too small")
     ideal = n * meas.weights
     counts = np.floor(ideal).astype(int)
     leftover = n - counts.sum()
@@ -125,7 +134,7 @@ def realize_direction(spec: DirectionSpec, n: int) -> np.ndarray:
     """Unit vector of length n according to the direction spec."""
     if spec.kind == "basis":
         if not (0 <= spec.index < n):
-            raise ValueError(f"basis index {spec.index} out of range for n={n}")
+            raise ConfigError(f"basis index {spec.index} out of range for n={n}")
         x = np.zeros(n)
         x[spec.index] = 1.0
         return x
@@ -133,10 +142,10 @@ def realize_direction(spec: DirectionSpec, n: int) -> np.ndarray:
         return np.full(n, 1.0 / np.sqrt(n))
     v = np.asarray(spec.vector, dtype=complex if np.iscomplexobj(spec.vector) else float)
     if v.size != n:
-        raise ValueError(f"custom vector has length {v.size}, expected {n}")
+        raise ConfigError(f"custom vector has length {v.size}, expected {n}")
     norm = np.linalg.norm(v)
     if norm == 0:
-        raise ValueError("custom direction vector is zero")
+        raise ConfigError("custom direction vector is zero")
     return v / norm
 
 

@@ -277,10 +277,59 @@ class TestDispatch:
         assert err.startswith("numerical failure in clt: replicate 0 failed: ")
         assert "nonnegative definite (min Ritz value" in err
 
-    def test_numerical_failure_exit_3(self, tmp_path, capsys):
-        # log functional is inadmissible at c >= 1: numerical failure path
+    def test_log_functional_at_c_ge_1_exit_2(self, tmp_path, capsys):
+        # a log functional is inadmissible at c >= 1: a config fault the library finds
         cfgfile = _config(tmp_path, n=40, N=20)
         code = main(["clt", "--config", str(cfgfile), "--out", str(tmp_path),
                      "--reps", "4", "--g", "log"])
-        assert code == 3
-        assert "clt" in capsys.readouterr().err
+        assert code == 2
+        assert capsys.readouterr().err == "config error: log functionals need 0 < n/N < 1\n"
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("argv, overrides", [
+        (["clt", "--reps", "1"], {}),
+        (["figures", "--reps", "1"], {}),
+        (["bridge", "--reps", "1"], {}),
+        (["bridge", "--grid", "1.5"], {}),
+        (["bridge", "--grid", "0"], {}),
+        (["bridge"], {"entries": "rademacher"}),
+        (["clt", "--g", "log"], {"N": 20}),
+        (["clt", "--g", "log"], {"population": {"atoms": [{"t": 0.0, "w": 0.5},
+                                                          {"t": 1.0, "w": 0.5}]},
+                                 "direction": {"kind": "uniform"}}),
+        (["density", "--grid", "0,1"], {"n": 40, "N": 20}),
+        (["density", "--grid", "0.5,abc"], {}),
+        (["simulate"], {"n": 1, "population": {"atoms": [{"t": 1.0, "w": 0.5},
+                                                          {"t": 3.0, "w": 0.5}]}}),
+        (["simulate"], {"direction": {"kind": "custom", "vector": [1.0, 2.0]}}),
+        (["clt"], {"direction": {"kind": "custom", "vector": [0.0] * 20}}),
+        (["figures", "--which", "1"], {"population": {"atoms": [{"t": t, "w": 0.2}
+                                                                for t in (1, 2, 3, 4, 5)]},
+                                       "direction": {"kind": "uniform"}}),
+        (["density"], {"population": {"atoms": [{"t": 0.0, "w": 1.0}]}}),
+        (["clt"], {"population": {"atoms": [{"t": 0.0, "w": 1.0}]}}),
+        (["bridge"], {"population": {"atoms": [{"t": 0.0, "w": 1.0}]}}),
+        (["clt"], {"functionals": [5]}),
+        (["clt"], {"functionals": "log"}),
+    ], ids=["clt-reps-1", "figures-reps-1", "bridge-reps-1", "bridge-grid-1.5", "bridge-grid-0",
+            "bridge-rademacher", "clt-log-c-1", "clt-log-atom-0", "density-zero-at-atom",
+            "density-grid-str", "simulate-n-below-atoms", "simulate-vector-length",
+            "clt-vector-zero", "figures-n-below-atoms", "density-no-positive-atom",
+            "clt-no-positive-atom", "bridge-no-positive-atom", "functional-number",
+            "functionals-string"])
+    def test_input_fault_exit_2(self, tmp_path, capsys, argv, overrides):
+        # every fault of the input exits 2, also where the library finds it, and writes nothing
+        cfgfile = _config(tmp_path, **dict({"n": 20, "N": 40}, **overrides))
+        out = tmp_path / "out"
+        if "--reps" not in argv:
+            argv = argv + ["--reps", "4"]
+        assert main(argv[:1] + ["--config", str(cfgfile), "--out", str(out)] + argv[1:]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not list(out.glob("*"))
+
+    def test_basis_index_checked_at_config_n(self, tmp_path):
+        # figure 2 runs at n = 5: the direction, unused there, is checked only against n = 100
+        cfgfile = _config(tmp_path, n=100, direction={"kind": "e", "index": 10})
+        assert main(["figures", "--config", str(cfgfile), "--out", str(tmp_path),
+                     "--which", "2", "--reps", "20"]) == 0
+        assert (tmp_path / "fig2.csv").is_file()

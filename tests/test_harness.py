@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import covspec
-from covspec import (DirectionSpec, FunctionalSpec, LimitLaw, ModelConfig,
+from covspec import (ConfigError, DirectionSpec, FunctionalSpec, LimitLaw, ModelConfig,
                      PopulationSpec, SpectralMeasure, Tolerances, bb_covariance,
                      bb_samples, bb_target, build_sample_cov, cholesky_logdet, compare_report,
                      eig_decompose, estimate_mean_cov, gauss_rule, map_replicates,
@@ -418,6 +418,11 @@ class TestBrownianBridge:
             bb_covariance(_cfg(), [0.0, 0.5], 10)
         with pytest.raises(ValueError):
             bb_covariance(_cfg(dist="complex-gaussian"), [0.5], 10)
+
+    def test_single_replicate_rejected(self):
+        # one replicate has no sample covariance: np.cov would return NaN
+        with pytest.raises(ConfigError, match="at least 2"):
+            bb_covariance(_cfg(), [0.5], 1)
 
     def test_small_run_close_to_target(self):
         cov = bb_covariance(_cfg(n=100, N=200, seed=17), [0.25, 0.5], 200)

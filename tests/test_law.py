@@ -121,17 +121,17 @@ class TestThreadSafety:
 
         monkeypatch.setattr(law_module, "density", slow_density)
         law = LimitLaw(c=0.25, H=MP1)
+        xs = np.linspace(0.0, 2.5, 11)
         seen = {}
-        builder = threading.Thread(target=lambda: seen.setdefault("builder", law.cdf_grid))
+        builder = threading.Thread(target=lambda: seen.setdefault("builder", cdf_limit(xs, law)))
         builder.start()
         assert entered.wait(timeout=30)
-        seen["reader"] = law.cdf_grid   # the builder is inside density now
+        seen["reader"] = cdf_limit(xs, law)   # the builder is inside density now
         builder.join(timeout=60)
         assert not builder.is_alive()
         assert len(calls) == 1
-        for x, F in seen.values():
-            assert x is not None and F is not None and F.shape == x.shape
-        assert seen["reader"][1] is seen["builder"][1]
+        assert seen["reader"].shape == xs.shape
+        np.testing.assert_array_equal(seen["reader"], seen["builder"])
 
     def test_stress_one_build_one_mean_per_law(self, monkeypatch):
         import sys
@@ -152,11 +152,12 @@ class TestThreadSafety:
             for _ in range(3):
                 calls.clear()
                 law = LimitLaw(c=0.5, H=SpectralMeasure([1.0, 3.0], [0.5, 0.5]))
-                work = lambda _: (law.cdf_grid[1], mean_functional(law, g))
+                xs = np.linspace(0.0, 6.0, 13)
+                work = lambda _: (cdf_limit(xs, law), mean_functional(law, g))
                 with ThreadPoolExecutor(max_workers=8) as pool:
                     seen = list(pool.map(work, range(16), timeout=60))
                 assert len(calls) == 1
-                assert all(F is seen[0][0] for F, _ in seen)
+                assert all(np.array_equal(F, seen[0][0]) for F, _ in seen)
                 assert len({val for _, val in seen}) == 1
                 assert list(law._mean_cache.values()) == [seen[0][1]]
         finally:
@@ -178,7 +179,7 @@ class TestCdf:
     def test_monotone_on_grid(self):
         for h, c in [(MP1, 0.5), (SpectralMeasure([1.0, 3.0], [0.5, 0.5]), 0.5)]:
             law = LimitLaw(c=c, H=h)
-            _, F = law.cdf_grid
+            F = cdf_limit(law.quadrature[0], law)
             assert np.all(np.diff(F) >= -1e-12)
 
     def test_total_mass(self):

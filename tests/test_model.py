@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from covspec import (ENTRY_DISTS, DirectionSpec, ModelConfig, PopulationSpec,
+from covspec import (ENTRY_DISTS, ConfigError, DirectionSpec, ModelConfig, PopulationSpec,
                      SpectralMeasure, Workspace, build_sample_cov, companion_sample_cov,
                      draw_entries, eig_decompose, realize_direction, realize_population,
                      replicate_rng)
@@ -11,6 +11,16 @@ def _cfg(n=20, N=40, dist="real-gaussian", pop=None, seed=0, direction=None):
     return ModelConfig(n=n, N=N, entry_dist=dist,
                        population=pop or PopulationSpec.identity(),
                        direction=direction or DirectionSpec.basis(0), seed=seed)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n", 0, "n must be >= 1"), ("n", True, "n must be >= 1"), ("N", 2.0, "N must be >= 1"),
+    ("dist", "cauchy", "entries must be one of"), ("seed", 1.5, "seed must be a 64-bit"),
+    ("seed", True, "seed must be a 64-bit"), ("seed", 2 ** 64, "seed must be a 64-bit")])
+def test_model_config_rejects(field, value, message):
+    # int(1.5) once let a fractional seed through
+    with pytest.raises(ConfigError, match=message):
+        _cfg(**{field: value})
 
 
 class TestRealizePopulation:
