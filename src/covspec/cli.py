@@ -195,6 +195,15 @@ def _write_csv(path, header, columns):
             fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
 
 
+def _write_json(path, payload) -> None:
+    """Write payload as strict JSON; a non-finite value writes nothing and raises."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ArithmeticError(f"non-finite value for {path.name}: {exc}") from exc
+    path.write_text(text + "\n")
+
+
 def _cmd_simulate(rc: RunConfig, outdir) -> None:
     cfg = rc.model
     x = realize_direction(cfg.direction, cfg.n)
@@ -218,7 +227,7 @@ def _cmd_simulate(rc: RunConfig, outdir) -> None:
         "moments_weighted": moments_weighted,
         "moments_power": moments_power,
     }
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    _write_json(outdir / "summary.json", summary)
 
 
 def _cmd_density(rc: RunConfig, outdir) -> None:
@@ -260,7 +269,7 @@ def _cmd_clt(rc: RunConfig, outdir) -> None:
     _check_direction(rc.model)
     gs = rc.functionals or (FunctionalSpec.monomial(1),)
     report = run_clt(rc.model, gs, rc.reps or 100)
-    (outdir / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    _write_json(outdir / "report.json", report.to_dict())
 
 
 def _cmd_bridge(rc: RunConfig, outdir) -> None:
@@ -273,7 +282,7 @@ def _cmd_bridge(rc: RunConfig, outdir) -> None:
         "empirical_cov": cov.tolist(),
         "target_cov": bb_target(grid).tolist(),
     }
-    (outdir / "bb.json").write_text(json.dumps(payload, indent=2) + "\n")
+    _write_json(outdir / "bb.json", payload)
 
 
 def _figure_samples(base: ModelConfig, n: int, N: int, reps: int, scaled: bool) -> np.ndarray:

@@ -28,17 +28,17 @@ class EigenSystem:
         return self.lambdas.size
 
 
-def _hermitian_defect(a: np.ndarray) -> float:
-    return float(np.abs(a - a.conj().T).max())
-
-
-def _require_hermitian(a) -> np.ndarray:
+def _require_hermitian(a, stack: bool = False) -> np.ndarray:
+    """a as an array if it is a Hermitian matrix, or with ``stack`` a
+    (..., n, n) stack of them; each matrix is checked on its own scale."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
-    scale = max(1.0, float(np.abs(a).max()) if a.size else 1.0)
-    if _hermitian_defect(a) > 1e-10 * scale:
-        raise ValueError("matrix is not Hermitian")
+    if a.size:
+        scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+        defect = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        if np.any(defect > 1e-10 * scale):
+            raise ValueError("matrix is not Hermitian")
     return a
 
 
@@ -157,18 +157,21 @@ def gauss_rule(a: np.ndarray, x: np.ndarray, fn: Callable) -> Optional[tuple]:
     return nodes, weights, out
 
 
-def cholesky_logdet(a: np.ndarray) -> float:
+def cholesky_logdet(a: np.ndarray):
     """log det of a Hermitian positive definite matrix from its Cholesky factor.
 
-    Equals the sum of log eigenvalues without computing them; a failed
-    factorization raises ValueError("singular sample covariance").
+    Equals the sum of log eigenvalues without computing them.  A (..., n, n)
+    stack gives one log det per matrix, by one batched factorization whose
+    values are bitwise those of factoring each matrix alone.  A failed
+    factorization of any matrix raises ValueError("singular sample
+    covariance").
     """
-    a = _require_hermitian(a)
+    a = _require_hermitian(a, stack=True)
     try:
-        pivots = np.linalg.cholesky(a).diagonal().real
+        pivots = np.linalg.cholesky(a).diagonal(axis1=-2, axis2=-1).real
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular sample covariance") from exc
-    return float(2.0 * np.log(pivots).sum())
+    return 2.0 * np.log(pivots).sum(axis=-1)
 
 
 def quad_form_power(a: np.ndarray, x: np.ndarray, m: int):

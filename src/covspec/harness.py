@@ -1,19 +1,25 @@
 """Monte Carlo replication harness and theoretical covariance evaluation.
 
 Every replicate loop runs through ``map_replicates(cfg, fn, R)``, which
-calls ``fn(A)`` on each replicate's sample covariance A and stacks the
-results.  Replicates are mutually independent, seeded by (seed,
-replicate), and may run on any number of worker threads, each drawing into
-and multiplying in buffers it reuses from one replicate to the next
-(``model.Workspace``); A is that worker's Gram buffer, valid only during
-the call.  While they run, numpy's OpenBLAS is pinned to one thread, so
-each worker does its linear algebra serially and the results depend
-neither on scheduling nor on the BLAS thread setting.  Each caller does
-the decomposition its statistic needs: ``run_replications`` evaluates
-x* g(A) x by a Lanczos Gauss rule (``eigen.gauss_rule``) where it settles
-within n/4 steps and from the full eigendecomposition otherwise,
-``bb_samples`` takes the eigenvector weights in eigenvalue order
-(``eig_decompose``), and the figures take a Cholesky log-determinant.
+splits replicates 0..R-1 into fixed blocks, calls ``fn`` once on each
+block's stacked sample covariances and stacks the rows it returns.  The
+block size B = max(1, floor(BLOCK_BYTES / bytes of one replicate's
+Workspace buffers)) depends only on n, N and the entry distribution: a
+block of small matrices shares one batched Gram product and one call of
+the statistic, while at n = 200, N = 400 every block is one replicate.
+Replicates are mutually independent, seeded by (seed, replicate), and
+blocks may run on any number of worker threads, each drawing into and
+multiplying in buffers it reuses from one block to the next
+(``model.Workspace``); the stack is that worker's Gram buffer, valid only
+during the call.  While they run, numpy's OpenBLAS is pinned to one
+thread, so each worker does its linear algebra serially and the results
+depend neither on scheduling nor on the BLAS thread setting.  Each caller
+does the decomposition its statistic needs: ``run_replications``
+evaluates x* g(A) x matrix by matrix by a Lanczos Gauss rule
+(``eigen.gauss_rule``) where it settles within n/4 steps and from the full
+eigendecomposition otherwise, ``bb_samples`` takes the eigenvector
+weights in eigenvalue order (``eig_decompose``), and the figures take one
+batched Cholesky log-determinant per block.
 Theory comes in two independently computed flavors: a double contour
 integral of the covariance kernel on two ellipses around the exact
 support, with an error estimate from halving the node count, and the
@@ -40,13 +46,15 @@ from .eigen import eig_decompose, gauss_rule
 from .functionals import FunctionalSpec, poly_product
 from .kernels import contour_nodes, kernel_from_mbar
 from .law import LimitLaw, mean_functional
-from .model import (ConfigError, ModelConfig, Workspace, build_sample_cov,
-                    realize_direction, realize_population)
+from .model import (ConfigError, ModelConfig, Workspace, realize_direction,
+                    realize_population, sample_cov_block)
 from .mp import _lower_end, solve_mbar_grid
 from .spectrum import SpectralMeasure
 from .weighted import weighted_spectrum, y_process
 
 WORKERS_ENV = "COVSPEC_WORKERS"
+
+BLOCK_BYTES = 1 << 20  # budget for the Workspace buffers of one block of replicates
 
 # (get, set) thread-count entry points: numpy's bundled scipy-openblas with
 # its symbol suffix first, then a plain OpenBLAS build
@@ -126,44 +134,64 @@ class _BlasPin:
 _BLAS = _BlasPin()
 
 
+def _block_size(cfg: ModelConfig) -> int:
+    """Replicates per block: as many as fit their Workspace buffers in
+    BLOCK_BYTES, and at least one.  It depends only on n, N and the entry
+    distribution, never on R or the worker count."""
+    return max(1, BLOCK_BYTES // Workspace.replicate_bytes(cfg))
+
+
 def map_replicates(cfg: ModelConfig, fn: Callable, R: int,
                    workers: Optional[int] = None) -> np.ndarray:
-    """``fn(A)`` on replicates 0..R-1, stacked in replicate order (R or R x k).
+    """``fn`` on the stacked sample covariances of each block of replicates
+    0..R-1, its rows stacked in replicate order (R or R x k).
 
-    A is replicate r's sample covariance, drawn from the stream keyed on
-    (cfg.seed, r) into the running thread's Workspace: ``fn`` may read or
-    decompose it but must not keep it, and returns a number or a
-    fixed-length sequence of numbers.  The loop runs on ``workers`` threads
-    (default: COVSPEC_WORKERS, else the CPU count) with numpy's OpenBLAS
-    pinned to one thread throughout, so the result is bitwise independent
-    of the worker count and, where numpy bundles OpenBLAS, of
-    OPENBLAS_NUM_THREADS.
-    A failure raises RuntimeError("replicate r failed: ..."), except a
-    ConfigError, which passes unchanged.
+    Block b holds replicates [bB, min(R, (b+1)B)), with B = ``_block_size``:
+    max(1, floor(BLOCK_BYTES / bytes of one replicate's Workspace
+    buffers)).  A block draws each replicate r from the stream keyed on
+    (cfg.seed, r) into the running thread's Workspace, forms its Grams in one
+    batched product (``model.sample_cov_block``), and calls ``fn`` once on
+    the b x n x n stack.  ``fn`` may read or decompose the stack but must
+    not keep it, and returns b rows, each a number or a fixed-length
+    sequence of numbers.  The blocks run on ``workers`` threads (default:
+    COVSPEC_WORKERS, else the CPU count) with numpy's OpenBLAS pinned to one
+    thread throughout, so the result is bitwise independent of the worker
+    count and, where numpy bundles OpenBLAS, of OPENBLAS_NUM_THREADS.
+    A failure raises RuntimeError("replicate r failed: ..."): a block that
+    fails is rerun one matrix at a time, so r names the replicate.  A
+    ConfigError passes unchanged.
     """
-    local = threading.local()  # one Workspace per thread running replicates
+    B = _block_size(cfg)
+    local = threading.local()  # one Workspace per thread running blocks
 
-    def one(r: int):
+    def run(block: range) -> np.ndarray:
         try:
             if not hasattr(local, "workspace"):
-                local.workspace = Workspace(cfg)
-            return fn(build_sample_cov(cfg, replicate=r, workspace=local.workspace))
+                local.workspace = Workspace(cfg, size=min(B, R))
+            rows = np.asarray(fn(sample_cov_block(cfg, block, local.workspace)), dtype=float)
+            if rows.shape[:1] != (len(block),):
+                raise ValueError(f"fn gave shape {rows.shape} for {len(block)} matrices, "
+                                 f"not one row each")
         except ConfigError:
             raise
         except Exception as exc:
-            raise RuntimeError(f"replicate {r} failed: {exc}") from exc
+            if len(block) == 1:
+                raise RuntimeError(f"replicate {block.start} failed: {exc}") from exc
+            return np.concatenate([run(range(r, r + 1)) for r in block])
+        return rows
 
-    nworkers = _worker_count(workers)
+    blocks = [range(start, min(R, start + B)) for start in range(0, R, B)]
+    nworkers = min(_worker_count(workers), len(blocks))
     with _BLAS.pinned():
-        if nworkers == 1:
-            rows = [one(r) for r in range(R)]
+        if nworkers <= 1:
+            rows = [run(block) for block in blocks]
         else:
             pool = ThreadPoolExecutor(max_workers=nworkers)
             try:
-                rows = list(pool.map(one, range(R)))
+                rows = list(pool.map(run, blocks))
             finally:
                 pool.shutdown(cancel_futures=True)
-    return np.asarray(rows, dtype=float)
+    return np.concatenate(rows) if rows else np.empty(0)
 
 
 def realized_law(cfg: ModelConfig) -> LimitLaw:
@@ -195,14 +223,14 @@ def run_replications(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
         return [rootN * (np.dot(weights, np.asarray(g(lambdas), dtype=float)) - m)
                 for g, m in zip(gs, means)]
 
-    def fn(a):
+    def one(a):
         rule = gauss_rule(a, x, lss)
         if rule is not None:
             return rule[2]
         ws = weighted_spectrum(eig_decompose(a), x)
         return lss(ws.lambdas, ws.weights)
 
-    return map_replicates(cfg, fn, R, workers=workers)
+    return map_replicates(cfg, lambda stack: [one(a) for a in stack], R, workers=workers)
 
 
 def estimate_mean_cov(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,11 +308,11 @@ def bb_samples(cfg: ModelConfig, grid: Sequence[float], R: int,
     grid = np.asarray(grid, dtype=float)
     x = realize_direction(cfg.direction, cfg.n)
 
-    def fn(a):
+    def one(a):
         ws = weighted_spectrum(eig_decompose(a), x)
         return [y_process(ws, t) for t in grid]
 
-    return map_replicates(cfg, fn, R, workers=workers)
+    return map_replicates(cfg, lambda stack: [one(a) for a in stack], R, workers=workers)
 
 
 def bb_covariance(cfg: ModelConfig, grid: Sequence[float], R: int,

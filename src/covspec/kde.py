@@ -16,14 +16,23 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
     return float(1.06 * sigma * samples.size ** (-0.2))
 
 
+_KDE_ROWS = 64  # grid points per chunk: keeps the temporaries near 64 x R
+
+
 def kde(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Gaussian KDE of the samples evaluated on the grid."""
+    """Gaussian KDE of the samples evaluated on the (1-d) grid.
+
+    The grid goes in chunks of rows, each summed as in the one-pass
+    formula, so the values are bitwise those of evaluating it whole.
+    """
     samples = np.asarray(samples, dtype=float).ravel()
     grid = np.asarray(grid, dtype=float)
     h = silverman_bandwidth(samples)
-    u = (grid[:, None] - samples[None, :]) / h
-    vals = np.exp(-0.5 * u * u).sum(axis=1) / (samples.size * h * np.sqrt(2 * np.pi))
-    return vals
+    sums = np.empty(grid.shape)
+    for start in range(0, grid.size, _KDE_ROWS):
+        u = (grid[start:start + _KDE_ROWS, None] - samples[None, :]) / h
+        sums[start:start + _KDE_ROWS] = np.exp(-0.5 * u * u).sum(axis=1)
+    return sums / (samples.size * h * np.sqrt(2 * np.pi))
 
 
 def default_grid(samples: np.ndarray, points: int = 512) -> np.ndarray:

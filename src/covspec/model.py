@@ -5,8 +5,9 @@ the sample covariance A = (1/N) T^(1/2) X X* T^(1/2) for a diagonal
 nonnegative population matrix T realized from a discrete spectral measure.
 Replicates are seeded through a counter-based generator keyed on
 (seed, replicate) so results never depend on execution order.  A
-``Workspace`` holds one worker's draw and product buffers, reused from one
-replicate to the next without changing any value.
+``Workspace`` holds one worker's draw and product buffers for a block of
+replicates, reused from one block to the next without changing any value;
+``sample_cov_block`` forms a block's matrices with one batched product.
 """
 
 from __future__ import annotations
@@ -183,56 +184,93 @@ def draw_entries(entry_dist: str, n: int, N: int, rng: np.random.Generator,
 class Workspace:
     """Buffers one worker reuses for the sample covariances of one config.
 
-    Holds the population root (None when T = I), the n x N entry buffer,
-    for complex entries a float draw buffer and a conjugate buffer, and two
-    n x n product buffers.  One thread at a time may use it.
+    Holds the population root (None when T = I) and, for a block of up to
+    ``size`` replicates, the stacked size x n x N entry buffer, for complex
+    entries an n x N float draw buffer and a stacked conjugate buffer, and
+    two stacked size x n x n product buffers.  One thread at a time may use
+    it.
     """
 
-    def __init__(self, cfg: ModelConfig, dtype=None):
+    def __init__(self, cfg: ModelConfig, dtype=None, size: int = 1):
         complex_draw = cfg.entry_dist == "complex-gaussian"
         dtype = np.dtype(complex if complex_draw else float) if dtype is None else np.dtype(dtype)
         n, N = cfg.n, cfg.N
         tdiag = realize_population(cfg.population, n)
         self.root = None if np.all(tdiag == 1.0) else np.sqrt(tdiag)[:, None]
-        self.entries = np.empty((n, N), dtype)
+        self.entries = np.empty((size, n, N), dtype)
         self.scratch = np.empty((n, N)) if complex_draw else None
-        self.conj = np.empty((n, N), dtype) if dtype.kind == "c" else None
-        self.gram = np.empty((n, n), dtype)
-        self.gram_h = np.empty((n, n), dtype)
+        self.conj = np.empty((size, n, N), dtype) if dtype.kind == "c" else None
+        self.gram = np.empty((size, n, n), dtype)
+        self.gram_h = np.empty((size, n, n), dtype)
+
+    @staticmethod
+    def replicate_bytes(cfg: ModelConfig) -> int:
+        """Bytes of the buffers above for one replicate of the config's entries."""
+        n, N = cfg.n, cfg.N
+        if cfg.entry_dist == "complex-gaussian":  # entries, conjugate and float draw
+            return 16 * (2 * n * N + 2 * n * n) + 8 * n * N
+        return 8 * (n * N + 2 * n * n)
+
+
+def _gram_block(cfg: ModelConfig, ws: Workspace, b: int) -> np.ndarray:
+    """The first b sample covariances from the first b entry buffers, in place."""
+    y = ws.entries[:b]
+    if ws.root is not None:
+        y *= ws.root
+    y_conj = y if ws.conj is None else np.conjugate(y, out=ws.conj[:b])
+    # one batched product; BLAS runs the same call per matrix as for a single one
+    a = np.matmul(y, np.swapaxes(y_conj, 1, 2), out=ws.gram[:b])
+    a /= cfg.N
+    # force exact Hermitian symmetry against roundoff; the real product
+    # (a symmetric rank-k update) already has it
+    a_h = np.conjugate(np.swapaxes(a, 1, 2), out=ws.gram_h[:b])
+    for i in np.flatnonzero((a != a_h).any(axis=(1, 2))):
+        a[i] += a_h[i]
+        a[i] /= 2.0
+    return a
+
+
+def sample_cov_block(cfg: ModelConfig, replicates: range,
+                     workspace: Optional[Workspace] = None) -> np.ndarray:
+    """Stacked sample covariances of ``replicates``, b x n x n for b of them.
+
+    Replicate r draws from the stream keyed on (cfg.seed, r), so each
+    matrix is bitwise the one ``build_sample_cov`` gives it, whatever block
+    it comes in.  With a ``workspace`` (of size b or more) the stack is its
+    buffer, overwritten by its next use.
+    """
+    b = len(replicates)
+    ws = Workspace(cfg, size=b) if workspace is None else workspace
+    if ws.entries.shape[0] < b:
+        raise ValueError(f"workspace holds {ws.entries.shape[0]} replicates, "
+                         f"fewer than the block's {b}")
+    for y, r in zip(ws.entries, replicates):
+        draw_entries(cfg.entry_dist, cfg.n, cfg.N, replicate_rng(cfg.seed, r),
+                     out=y, scratch=ws.scratch)
+    return _gram_block(cfg, ws, b)
 
 
 def build_sample_cov(cfg: ModelConfig, replicate: int = 0, entries: Optional[np.ndarray] = None,
                      workspace: Optional[Workspace] = None) -> np.ndarray:
     """Sample covariance A = (1/N) T^(1/2) X X* T^(1/2), Hermitian nonnegative.
 
-    With a ``workspace`` the draw and the product reuse its buffers, and the
-    returned matrix is its buffer, overwritten by its next use; the values
-    are bitwise the same as without one.  ``entries`` overrides the random
-    draw with a fixed n x N matrix (test hook), on fresh buffers.
+    The block of one replicate of ``sample_cov_block``.  With a
+    ``workspace`` the draw and the product reuse its first buffers, and the
+    returned matrix is its first Gram buffer, overwritten by its next use;
+    the values are bitwise the same as without one.  ``entries`` overrides
+    the random draw with a fixed n x N matrix (test hook), on fresh buffers.
     """
     if entries is None:
         ws = Workspace(cfg) if workspace is None else workspace
-        y = draw_entries(cfg.entry_dist, cfg.n, cfg.N, replicate_rng(cfg.seed, replicate),
-                         out=ws.entries, scratch=ws.scratch)
+        draw_entries(cfg.entry_dist, cfg.n, cfg.N, replicate_rng(cfg.seed, replicate),
+                     out=ws.entries[0], scratch=ws.scratch)
     else:
         entries = np.asarray(entries)
         if entries.shape != (cfg.n, cfg.N):
             raise ValueError(f"entries must have shape {(cfg.n, cfg.N)}")
         ws = Workspace(cfg, dtype=np.result_type(entries, float))
-        y = ws.entries
-        y[...] = entries
-    if ws.root is not None:
-        y *= ws.root
-    y_h = y.T if ws.conj is None else np.conjugate(y, out=ws.conj).T
-    a = np.matmul(y, y_h, out=ws.gram)
-    a /= cfg.N
-    # force exact Hermitian symmetry against roundoff; the real product
-    # (a symmetric rank-k update) already has it
-    a_h = np.conjugate(a.T, out=ws.gram_h)
-    if not np.array_equal(a, a_h):
-        a += a_h
-        a /= 2.0
-    return a
+        ws.entries[0] = entries
+    return _gram_block(cfg, ws, 1)[0]
 
 
 def companion_sample_cov(cfg: ModelConfig, replicate: int = 0) -> np.ndarray:

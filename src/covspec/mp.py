@@ -235,7 +235,13 @@ def support(H: SpectralMeasure, c: float) -> tuple[tuple[float, float], ...]:
     d, eye = np.diag(t), np.eye(t.size)
     y = np.linalg.eigvals(np.block([[d, -eye], [-np.outer(u, u), d]]))
     y = y[np.abs(y.imag) < 1e-9 * (1 + np.abs(y.real))].real
-    edges = np.unique(y + shift + np.sum(u ** 2 / (y[:, None] - t), axis=1))
+    gap = y[:, None] - t
+    if np.any(gap == 0):
+        # u_k^2 underflowed (u_k below about 1e-162) or is below the rounding of
+        # t_k: the edges t_k +- about u_k are lost, and so is every interval
+        raise ArithmeticError(f"support: no bulk interval, its edges are lost to rounding "
+                              f"at the population atoms {t.tolist()}")
+    edges = np.unique(y + shift + np.sum(u ** 2 / gap, axis=1))
     if abs(c * H.weights[H.atoms > 0].sum() - 1.0) <= 1e-12:  # up to rounding of n/N
         edges[0] = 0.0
     mbar, _, _ = _upper_root((edges[:-1] + edges[1:]) / 2.0, H, c)

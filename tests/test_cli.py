@@ -183,6 +183,32 @@ class TestDispatch:
         header, rows = _read_csv(tmp_path / "density.csv")
         assert header == ["x", "f", "F"] and rows.shape == (2, 3)
 
+    def test_density_tiny_atom_exit_3(self, tmp_path, capsys):
+        # u = t sqrt(c w) squares to 0: the support has no edges; this runs
+        # under error::RuntimeWarning, so the path must not divide by zero
+        cfgfile = _config(tmp_path, population={"atoms": [{"t": 1e-200, "w": 1.0}]})
+        assert main(["density", "--config", str(cfgfile), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure in density: support: no bulk interval")
+        assert not (tmp_path / "density.csv").exists()
+
+    @pytest.mark.parametrize("command, t, output", [("density", 1e200, "density.csv"),
+                                                     ("simulate", 1e150, "summary.json")])
+    def test_overflowing_atom_exit_3(self, tmp_path, command, t, output):
+        # run as a user would: numpy's overflow warnings print, they do not raise
+        src = str(Path(covspec.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        cfgfile = _config(tmp_path, n=20, N=40, population={"atoms": [{"t": t, "w": 1.0}]})
+        proc = subprocess.run([sys.executable, "-m", "covspec.cli", command, "--config",
+                               str(cfgfile), "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert f"numerical failure in {command}: " in proc.stderr
+        assert not (tmp_path / output).exists()
+        if command == "simulate":
+            assert f"non-finite value for {output}" in proc.stderr
+
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -269,7 +295,7 @@ class TestDispatch:
     def test_failed_replicate_exit_3(self, tmp_path, capsys, monkeypatch):
         # an indefinite matrix in place of the sample covariance fails the Gauss rule's check
         g = np.random.default_rng(1).standard_normal((200, 200))
-        monkeypatch.setattr(covspec.harness, "build_sample_cov", lambda *a, **k: g + g.T)
+        monkeypatch.setattr(covspec.harness, "sample_cov_block", lambda *a, **k: (g + g.T)[None])
         cfgfile = _config(tmp_path, n=200, N=400)
         code = main(["clt", "--config", str(cfgfile), "--out", str(tmp_path), "--reps", "4"])
         assert code == 3

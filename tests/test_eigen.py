@@ -69,6 +69,22 @@ class TestCholeskyLogdet:
             cholesky_logdet(np.diag([1.0, 0.0, 2.0]))
 
 
+    def test_stack_checks_each_matrix(self):
+        rng = np.random.default_rng(3)
+        y = rng.standard_normal((5, 4, 9))
+        stack = y @ y.transpose(0, 2, 1)
+        got = cholesky_logdet(stack)
+        assert got.shape == (5,)
+        for a, value in zip(stack, got):
+            assert value == cholesky_logdet(a)
+        # a defect small against the stack's largest entry but not against its own matrix
+        skew = np.stack([1e6 * np.eye(2), np.array([[1.0, 1e-8], [0.0, 1.0]])])
+        with pytest.raises(ValueError, match="Hermitian"):
+            cholesky_logdet(skew)
+        with pytest.raises(ValueError, match="singular sample covariance"):
+            cholesky_logdet(np.stack([np.eye(3), np.diag([1.0, 0.0, 2.0])]))
+
+
 class TestQuadFormPower:
     def test_power_zero(self):
         rng = np.random.default_rng(0)

@@ -15,6 +15,8 @@ from covspec import (ConfigError, DirectionSpec, FunctionalSpec, LimitLaw, Model
                      mean_functional, quad_form_power, realize_direction, realized_law, run_clt,
                      run_replications, theoretical_cov_contour, theoretical_cov_simplified,
                      w_statistic, weighted_spectrum)
+from covspec.harness import _block_size
+from covspec.model import sample_cov_block
 from covspec.cli import FIGURE_ONE_SIZES, FIGURE_SMALL, _figure_samples
 
 MP1 = SpectralMeasure.point(1.0)
@@ -161,13 +163,14 @@ class TestMapReplicates:
 
         seen, workspaces = {}, set()
 
-        def recording_build(cfg, replicate=0, workspace=None):
-            a = build_sample_cov(cfg, replicate=replicate, workspace=workspace)
-            seen[replicate] = a.copy()
+        def recording_block(cfg, replicates, workspace=None):
+            stack = sample_cov_block(cfg, replicates, workspace)
+            for r, a in zip(replicates, stack):
+                seen[r] = a.copy()
             workspaces.add(id(workspace))
-            return a
+            return stack
 
-        monkeypatch.setattr(harness, "build_sample_cov", recording_build)
+        monkeypatch.setattr(harness, "sample_cov_block", recording_block)
         pop = PopulationSpec(SpectralMeasure([1.0, 3.0], [0.5, 0.5]))
         for dist in covspec.ENTRY_DISTS:
             seen.clear()
@@ -193,8 +196,8 @@ class TestMapReplicates:
             set_(2)
             seen = []
             for workers in (1, 2):
-                map_replicates(_cfg(n=10, N=20), lambda a: seen.append(get()) or 0.0, 4,
-                               workers=workers)
+                map_replicates(_cfg(n=10, N=20), lambda s: [seen.append(get()) or 0.0 for a in s],
+                               4, workers=workers)
                 assert get() == 2
             assert seen == [1] * 8
         finally:
@@ -228,8 +231,8 @@ class TestMapReplicates:
             ws = weighted_spectrum(eig_decompose(a), x)
             return sums(ws.lambdas, ws.weights)
 
-        got = map_replicates(cfg, lambda a: gauss_rule(a, x, sums)[2], 5, workers=2)
-        want = map_replicates(cfg, eig_sums, 5, workers=2)
+        got = map_replicates(cfg, lambda s: [gauss_rule(a, x, sums)[2] for a in s], 5, workers=2)
+        want = map_replicates(cfg, lambda s: [eig_sums(a) for a in s], 5, workers=2)
         assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
     def test_gauss_falls_back_to_weights(self):
@@ -246,7 +249,7 @@ class TestMapReplicates:
                                       - m) for g, m in zip((G1, GLOG), means)]
 
         got = run_replications(cfg, [G1, GLOG], 3, workers=2)
-        want = map_replicates(cfg, eig_lss, 3, workers=2)
+        want = map_replicates(cfg, lambda s: [eig_lss(a) for a in s], 3, workers=2)
         assert got.tobytes() == want.tobytes()
 
     def test_replications_need_no_eigendecomposition(self, monkeypatch):
@@ -267,11 +270,60 @@ class TestMapReplicates:
     def test_failed_gauss_rule_names_replicate(self, monkeypatch):
         # a symmetric indefinite matrix in place of the sample covariance
         g = np.random.default_rng(1).standard_normal((200, 200))
-        monkeypatch.setattr(covspec.harness, "build_sample_cov", lambda *a, **k: g + g.T)
+        monkeypatch.setattr(covspec.harness, "sample_cov_block", lambda *a, **k: (g + g.T)[None])
         monkeypatch.setattr(covspec.harness, "eig_decompose", None)  # the rule fails first
         with pytest.raises(RuntimeError, match="replicate 0 failed: matrix is not nonnegative "
                                                "definite \\(min Ritz value"):
             run_replications(_cfg(n=200, N=400), [G1], 3, workers=2)
+
+
+class TestBlocks:
+    """Blocks of replicates: one batched Gram and one call of fn per block."""
+
+    @staticmethod
+    def _rows(stack):
+        # each matrix's log det and its every entry, so a row shows its matrix's bytes
+        flat = stack.reshape(len(stack), -1)
+        return np.column_stack([cholesky_logdet(stack), flat.real, flat.imag])
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_rows_match_fresh_builds(self, workers):
+        pop = PopulationSpec(SpectralMeasure([1.0, 3.0], [0.5, 0.5]))
+        for dist in covspec.ENTRY_DISTS:
+            cfg = ModelConfig(n=12, N=30, entry_dist=dist, population=pop,
+                              direction=DirectionSpec.basis(0), seed=3)
+            B = _block_size(cfg)
+            # a partial last block of 5 after three full blocks, and R < B
+            for R in (3 * B + 5, B - 2):
+                got = map_replicates(cfg, self._rows, R, workers=workers)
+                assert got.shape == (R, 1 + 2 * 12 * 12)
+                for r in range(R):
+                    want = self._rows(build_sample_cov(cfg, replicate=r)[None])[0]
+                    assert got[r].tobytes() == want.tobytes(), (dist, R, r)
+
+    def test_failure_mid_block_names_replicate(self):
+        cfg = _cfg(n=10, N=20, seed=9)
+        assert _block_size(cfg) > 8
+        bad = build_sample_cov(cfg, replicate=5)
+        calls = []
+
+        def fn(stack):
+            calls.append(len(stack))
+            if any(np.array_equal(a, bad) for a in stack):
+                raise ValueError("boom")
+            return np.zeros(len(stack))
+
+        with pytest.raises(RuntimeError, match="^replicate 5 failed: boom$"):
+            map_replicates(cfg, fn, 8, workers=1)
+        assert calls == [8, 1, 1, 1, 1, 1, 1]  # the block, then replicates 0..5 alone
+
+    def test_block_size(self):
+        assert _block_size(_cfg(n=200, N=400)) == 1  # the clt config
+        assert _block_size(_cfg(n=300, N=600)) == 1  # the benchmark's BLAS probe
+        sizes = [_block_size(_cfg(n=round(0.2 * N), N=N)) for N in FIGURE_ONE_SIZES]
+        assert sizes == [1170, 46, 11, 1]
+        complex_cfg = _cfg(n=20, N=100, dist="complex-gaussian")
+        assert 1 < _block_size(complex_cfg) < sizes[1]
 
 
 class TestEstimateMeanCov:

@@ -39,3 +39,13 @@ def test_bandwidth_formula():
     rng = np.random.default_rng(1)
     s = rng.standard_normal(400)
     assert silverman_bandwidth(s) == pytest.approx(1.06 * s.std(ddof=1) * 400 ** -0.2)
+
+
+@pytest.mark.parametrize("R", [777, 1000, 5000])
+def test_chunked_grid_matches_one_pass_formula(R):
+    samples = np.random.default_rng(R).standard_normal(R)
+    xs = default_grid(samples)
+    h = silverman_bandwidth(samples)
+    u = (xs[:, None] - samples[None, :]) / h
+    want = np.exp(-0.5 * u * u).sum(axis=1) / (R * h * np.sqrt(2 * np.pi))
+    assert kde(samples, xs).tobytes() == want.tobytes()

@@ -162,7 +162,7 @@ class TestWorkspace:
         assert (ws.root is None) == (len(atoms[0]) == 1)
         for r in range(4):
             a = build_sample_cov(cfg, replicate=r, workspace=ws)
-            assert a is ws.gram
+            assert a.base is ws.gram and a.ctypes.data == ws.gram.ctypes.data  # its first buffer
             fresh = build_sample_cov(cfg, replicate=r)
             assert a.tobytes() == fresh.tobytes()
             assert np.array_equal(a, a.conj().T)
