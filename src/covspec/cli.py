@@ -213,9 +213,6 @@ def _cmd_simulate(rc: RunConfig, outdir) -> None:
         ws = weighted_spectrum(es, x)
         moments_power = [float(np.real(quad_form_power(a, x, m))) for m in range(1, 5)]
     uni = WeightedSpectrum.uniform(es.lambdas)
-    _write_csv(outdir / "spectrum.csv",
-               ["lambda", "weight", "uniform_weight"],
-               [ws.lambdas, ws.weights, uni.weights])
     try:
         wn = w_statistic(es)
     except ValueError:
@@ -227,7 +224,11 @@ def _cmd_simulate(rc: RunConfig, outdir) -> None:
         "moments_weighted": moments_weighted,
         "moments_power": moments_power,
     }
+    # the summary first: a non-finite value there must leave no spectrum.csv behind
     _write_json(outdir / "summary.json", summary)
+    _write_csv(outdir / "spectrum.csv",
+               ["lambda", "weight", "uniform_weight"],
+               [ws.lambdas, ws.weights, uni.weights])
 
 
 def _cmd_density(rc: RunConfig, outdir) -> None:

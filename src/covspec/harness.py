@@ -20,11 +20,11 @@ evaluates x* g(A) x matrix by matrix by a Lanczos Gauss rule
 eigendecomposition otherwise, ``bb_samples`` takes the eigenvector
 weights in eigenvalue order (``eig_decompose``), and the figures take one
 batched Cholesky log-determinant per block.
-Theory comes in two independently computed flavors: a double contour
-integral of the covariance kernel on two ellipses around the exact
-support, with an error estimate from halving the node count, and the
-simplified variance formula available when the population spectrum is a
-single point mass.
+Theory comes in two independently computed flavors, each returning the
+whole k x k matrix for k functionals: a double contour integral of the
+covariance kernel on two ellipses around the exact support, with an error
+estimate from halving the node count, and the simplified variance formula
+available when the population spectrum is a single point mass.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -213,8 +213,6 @@ def run_replications(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
         raise ConfigError("need at least 2 replications")
     gs = list(gs)
     law = realized_law(cfg)
-    if any(g.needs_positive_support for g in gs) and not (0 < cfg.ratio < 1):
-        raise ConfigError("log functionals need 0 < n/N < 1")
     means = np.array([mean_functional(law, g) for g in gs])
     rootN = np.sqrt(cfg.N)
     x = realize_direction(cfg.direction, cfg.n)
@@ -278,28 +276,29 @@ def theoretical_cov_contour(gs: Sequence[FunctionalSpec], H: SpectralMeasure, c:
     return (full.real + full.real.T) / 2.0, err
 
 
-def theoretical_cov_simplified(g1: FunctionalSpec, g2: FunctionalSpec,
-                               law: LimitLaw) -> float:
-    """Simplified covariance (2/c) * (E[g1 g2] - E[g1] E[g2]) under the law.
+def theoretical_cov_simplified(gs: Sequence[FunctionalSpec], law: LimitLaw) -> np.ndarray:
+    """Simplified covariance matrix, entry (i, j) = (2/c) * (E[g_i g_j] - E[g_i] E[g_j]).
 
     Valid only for a degenerate population spectrum; exact through moments
-    for polynomials, density quadrature when logs are involved.  A log
-    needs the law bounded away from zero: a point mass there raises.
+    for a pair of polynomials, density quadrature (means included) for a
+    pair with a log.  A log needs the law bounded away from zero: a point
+    mass there raises, from ``mean_functional``.
     """
     if not law.H.is_degenerate:
         raise ValueError("simplified covariance requires a degenerate population spectrum")
-    if (g1.needs_positive_support or g2.needs_positive_support) and _lower_end(law.H, law.c) <= 0:
-        raise ConfigError("log functional needs the spectrum bounded away from zero")
-    if g1.kind == "poly" and g2.kind == "poly":
-        cross = mean_functional(law, poly_product(g1, g2))
-        m1 = mean_functional(law, g1)
-        m2 = mean_functional(law, g2)
-    else:
+    gs = list(gs)
+    means = [mean_functional(law, g) for g in gs]
+    if any(g.kind != "poly" for g in gs):
         x, q = law.quadrature
-        g1v = np.asarray(g1(x), dtype=float)
-        g2v = np.asarray(g2(x), dtype=float)
-        cross, m1, m2 = q @ (g1v * g2v), q @ g1v, q @ g2v
-    return float(2.0 / law.c * (cross - m1 * m2))
+        gv = [np.asarray(g(x), dtype=float) for g in gs]
+    cov = np.empty((len(gs), len(gs)))
+    for i, j in zip(*np.triu_indices(len(gs))):
+        if gs[i].kind == "poly" and gs[j].kind == "poly":
+            cross, m1, m2 = mean_functional(law, poly_product(gs[i], gs[j])), means[i], means[j]
+        else:
+            cross, m1, m2 = q @ (gv[i] * gv[j]), q @ gv[i], q @ gv[j]
+        cov[i, j] = cov[j, i] = 2.0 / law.c * (cross - m1 * m2)
+    return cov
 
 
 def bb_samples(cfg: ModelConfig, grid: Sequence[float], R: int,
@@ -358,22 +357,8 @@ class MCReport:
     theory_err: Optional[float] = None  # error estimate of theory_cov_contour
 
     def to_dict(self) -> dict:
-        return {
-            "R": self.R,
-            "functionals": list(self.functionals),
-            "sample_mean": self.sample_mean.tolist(),
-            "sample_cov": self.sample_cov.tolist(),
-            "theory_cov_contour": self.theory_cov_contour.tolist(),
-            "theory_cov_simplified": (None if self.theory_cov_simplified is None
-                                      else self.theory_cov_simplified.tolist()),
-            "standard_errors": self.standard_errors.tolist(),
-            "n": self.n,
-            "N": self.N,
-            "seed": self.seed,
-            "entry_dist": self.entry_dist,
-            "wall_time": self.wall_time,
-            "theory_err": self.theory_err,
-        }
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
 
 def run_clt(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
@@ -386,16 +371,11 @@ def run_clt(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
     law = realized_law(cfg)
     case = "complex" if cfg.entry_dist == "complex-gaussian" else "real"
     theory, theory_err = theoretical_cov_contour(gs, law.H, law.c, case)
-    k = len(gs)
     simplified = None
     if law.H.is_degenerate:
-        simplified = np.empty((k, k))
-        for i in range(k):
-            for j in range(i, k):
-                val = theoretical_cov_simplified(gs[i], gs[j], law)
-                if case == "complex":
-                    val /= 2.0
-                simplified[i, j] = simplified[j, i] = val
+        simplified = theoretical_cov_simplified(gs, law)
+        if case == "complex":
+            simplified /= 2.0
     return MCReport(
         R=R,
         functionals=[g.label for g in gs],

@@ -14,8 +14,9 @@ of the contour ellipses (``mp._node_count``), therefore converges
 geometrically, and the distribution function is the cosine interpolant of
 the same samples of h, integrated term by term.  It adds the point mass at
 zero, max(w_0, 1 - 1/c) for a zero atom of weight w_0.  A LimitLaw builds
-its rule once, under a lock, so one instance can serve every replicate
-worker, each drawing into its own ``model.Workspace``.
+its rule and its distribution function once each, under a lock, so one
+instance can serve every replicate worker.  Means are not kept: each
+costs at most one dot product with the rule's masses.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ class LimitLaw:
 
     The quadrature nodes, their masses and the density there are built on
     first use, under a lock, and published together; the distribution
-    function and the means are built on first use and cached under the same
-    lock.  Instances are safe to share across threads.
+    function is built on first use under the same lock.  Instances are safe
+    to share across threads.
     """
 
     c: float
@@ -54,7 +55,6 @@ class LimitLaw:
     _grids: Optional[tuple] = field(default=None, repr=False, compare=False)
     # per interval (a, b, c0, coef), set once by _cdf_series
     _cdf: Optional[tuple] = field(default=None, repr=False, compare=False)
-    _mean_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def __post_init__(self):
@@ -88,14 +88,6 @@ class LimitLaw:
                 if self._cdf is None:
                     self._cdf = _cosine_cdf(pieces)
         return self._cdf
-
-    def _cached_mean(self, key, compute) -> float:
-        """Value cached under key, computed outside the lock on a miss."""
-        if key not in self._mean_cache:
-            val = compute()
-            with self._lock:
-                self._mean_cache.setdefault(key, val)
-        return self._mean_cache[key]
 
     @property
     def density_grid(self) -> tuple[np.ndarray, np.ndarray]:
@@ -239,9 +231,6 @@ def mean_functional_density(law: LimitLaw, g: FunctionalSpec) -> float:
 def mean_functional(law: LimitLaw, g: FunctionalSpec) -> float:
     """Integral of g against the limiting law: exact moments for a polynomial
     under a point-mass population, density quadrature otherwise."""
-    def compute():
-        if g.kind == "poly" and law.H.is_degenerate:
-            return float(sum(coef * limit_moments(law, d) for d, coef in enumerate(g.coeffs)))
-        return mean_functional_density(law, g)
-
-    return law._cached_mean((g.kind, g.coeffs), compute)
+    if g.kind == "poly" and law.H.is_degenerate:
+        return float(sum(coef * limit_moments(law, d) for d, coef in enumerate(g.coeffs)))
+    return mean_functional_density(law, g)

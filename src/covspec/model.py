@@ -250,18 +250,16 @@ def sample_cov_block(cfg: ModelConfig, replicates: range,
     return _gram_block(cfg, ws, b)
 
 
-def build_sample_cov(cfg: ModelConfig, replicate: int = 0, entries: Optional[np.ndarray] = None,
-                     workspace: Optional[Workspace] = None) -> np.ndarray:
+def build_sample_cov(cfg: ModelConfig, replicate: int = 0,
+                     entries: Optional[np.ndarray] = None) -> np.ndarray:
     """Sample covariance A = (1/N) T^(1/2) X X* T^(1/2), Hermitian nonnegative.
 
-    The block of one replicate of ``sample_cov_block``.  With a
-    ``workspace`` the draw and the product reuse its first buffers, and the
-    returned matrix is its first Gram buffer, overwritten by its next use;
-    the values are bitwise the same as without one.  ``entries`` overrides
-    the random draw with a fixed n x N matrix (test hook), on fresh buffers.
+    The block of one replicate of ``sample_cov_block``, on fresh buffers.
+    ``entries`` overrides the random draw with a fixed n x N matrix (test
+    hook).
     """
     if entries is None:
-        ws = Workspace(cfg) if workspace is None else workspace
+        ws = Workspace(cfg)
         draw_entries(cfg.entry_dist, cfg.n, cfg.N, replicate_rng(cfg.seed, replicate),
                      out=ws.entries[0], scratch=ws.scratch)
     else:

@@ -165,8 +165,7 @@ def test_a8_contour_equals_simplified(monkeypatch):
     gs = [X1, X2, X3]
     for c in (0.25, 0.5):
         law = LimitLaw(c=c, H=MP1)
-        via_moments = np.array([[theoretical_cov_simplified(g1, g2, law) for g2 in gs]
-                                for g1 in gs])
+        via_moments = theoretical_cov_simplified(gs, law)
         via_contour, _ = theoretical_cov_contour(gs, MP1, c)
         assert np.abs(via_contour - via_moments).max() <= 1e-12
     # contour independence: double the node count, then narrow the ellipses

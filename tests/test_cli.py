@@ -208,6 +208,7 @@ class TestDispatch:
         assert not (tmp_path / output).exists()
         if command == "simulate":
             assert f"non-finite value for {output}" in proc.stderr
+            assert not (tmp_path / "spectrum.csv").exists()
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
@@ -309,7 +310,8 @@ class TestDispatch:
         code = main(["clt", "--config", str(cfgfile), "--out", str(tmp_path),
                      "--reps", "4", "--g", "log"])
         assert code == 2
-        assert capsys.readouterr().err == "config error: log functionals need 0 < n/N < 1\n"
+        assert capsys.readouterr().err == ("config error: log functional needs the spectrum "
+                                           "bounded away from zero\n")
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("argv, overrides", [

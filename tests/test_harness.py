@@ -378,8 +378,7 @@ class TestTheoreticalCovContour:
         gs = [G1, G2, G3]
         law = LimitLaw(c=c, H=MP1)
         scale = 1.0 if case == "real" else 0.5
-        want = np.array([[scale * theoretical_cov_simplified(g1, g2, law) for g2 in gs]
-                         for g1 in gs])
+        want = scale * theoretical_cov_simplified(gs, law)
         got, err = theoretical_cov_contour(gs, MP1, c, case)
         assert np.abs(got - want).max() <= 1e-12
         assert err <= 1e-9
@@ -393,9 +392,8 @@ class TestTheoreticalCovContour:
         for c in (0.2, 0.5):
             law = LimitLaw(c=c, H=MP1)
             via_contour, _ = theoretical_cov_contour([GLOG, G1], MP1, c)
-            via_grid = [[theoretical_cov_simplified(g1, g2, law) for g2 in (GLOG, G1)]
-                        for g1 in (GLOG, G1)]
-            assert np.abs(via_contour - np.array(via_grid)).max() <= 1e-12
+            via_grid = theoretical_cov_simplified([GLOG, G1], law)
+            assert np.abs(via_contour - via_grid).max() <= 1e-12
 
     def test_log_pair_against_quadrature(self):
         # (2/c) Var_F(log) under the closed-form Marchenko-Pastur density at
@@ -434,29 +432,31 @@ class TestTheoreticalCovContour:
 class TestTheoreticalCovSimplified:
     def test_linear(self):
         law = LimitLaw(c=0.5, H=MP1)
-        assert theoretical_cov_simplified(G1, G1, law) == pytest.approx(2.0)
+        assert theoretical_cov_simplified([G1], law)[0, 0] == pytest.approx(2.0)
 
     def test_constant(self):
         law = LimitLaw(c=0.5, H=MP1)
-        assert theoretical_cov_simplified(FunctionalSpec.poly([1.0]),
-                                          FunctionalSpec.poly([1.0]), law) == 0.0
+        assert theoretical_cov_simplified([FunctionalSpec.poly([1.0])], law)[0, 0] == 0.0
 
     def test_mixed(self):
         law = LimitLaw(c=0.5, H=MP1)
-        assert theoretical_cov_simplified(G1, G2, law) == pytest.approx(5.0)
+        got = theoretical_cov_simplified([G1, G2], law)
+        assert got[0, 1] == pytest.approx(5.0)
+        assert got[1, 0] == got[0, 1]
 
     def test_rejects_non_degenerate(self):
         law = LimitLaw(c=0.5, H=SpectralMeasure([1.0, 2.0], [0.5, 0.5]))
         with pytest.raises(ValueError, match="degenerate"):
-            theoretical_cov_simplified(G1, G1, law)
+            theoretical_cov_simplified([G1], law)
 
     def test_log_rejects_mass_at_zero(self):
         # at c = 2 the law has an atom of mass 1/2 at zero, where log is undefined
         law = LimitLaw(c=2.0, H=MP1)
-        for g1, g2 in ((GLOG, GLOG), (GLOG, G1), (G1, GLOG)):
+        for gs in ([GLOG, GLOG], [GLOG, G1], [G1, GLOG]):
             with pytest.raises(ValueError, match="log functional needs the spectrum bounded"):
-                theoretical_cov_simplified(g1, g2, law)
-        assert theoretical_cov_simplified(G1, G2, law) == pytest.approx(4.0 + 2.0 * 2.0)  # 4 + 2c
+                theoretical_cov_simplified(gs, law)
+        got = theoretical_cov_simplified([G1, G2], law)
+        assert got[0, 1] == pytest.approx(4.0 + 2.0 * 2.0)  # 4 + 2c
 
 
 class TestBrownianBridge:
@@ -516,7 +516,10 @@ def test_run_clt_report_fields():
     assert report.wall_time > 0
     d = report.to_dict()
     assert d["n"] == 30 and len(d["sample_mean"]) == 2
-    assert list(d)[-1] == "theory_err" and d["theory_err"] == report.theory_err
+    assert list(d) == ["R", "functionals", "sample_mean", "sample_cov", "theory_cov_contour",
+                       "theory_cov_simplified", "standard_errors", "n", "N", "seed",
+                       "entry_dist", "wall_time", "theory_err"]
+    assert d["theory_err"] == report.theory_err
 
 
 def test_seed_band_consistency():

@@ -5,6 +5,7 @@ from covspec import (ENTRY_DISTS, ConfigError, DirectionSpec, ModelConfig, Popul
                      SpectralMeasure, Workspace, build_sample_cov, companion_sample_cov,
                      draw_entries, eig_decompose, realize_direction, realize_population,
                      replicate_rng)
+from covspec.model import sample_cov_block
 
 
 def _cfg(n=20, N=40, dist="real-gaussian", pop=None, seed=0, direction=None):
@@ -161,7 +162,7 @@ class TestWorkspace:
         ws = Workspace(cfg)
         assert (ws.root is None) == (len(atoms[0]) == 1)
         for r in range(4):
-            a = build_sample_cov(cfg, replicate=r, workspace=ws)
+            a = sample_cov_block(cfg, range(r, r + 1), ws)[0]
             assert a.base is ws.gram and a.ctypes.data == ws.gram.ctypes.data  # its first buffer
             fresh = build_sample_cov(cfg, replicate=r)
             assert a.tobytes() == fresh.tobytes()
