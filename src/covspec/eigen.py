@@ -11,7 +11,7 @@ products, and the resolvent quadratic form against a direct shifted solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -34,9 +34,11 @@ def _require_hermitian(a, stack: bool = False) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
-    if a.size:
+    a_h = a.conj().swapaxes(-1, -2)
+    # an exactly Hermitian stack, as the sample covariances are, needs no scale
+    if a.size and not (a == a_h).all():
         scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
-        defect = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        defect = np.abs(a - a_h).max(axis=(-2, -1))
         if np.any(defect > 1e-10 * scale):
             raise ValueError("matrix is not Hermitian")
     return a
@@ -67,7 +69,14 @@ def eig_decompose(a: np.ndarray, check: bool = True) -> EigenSystem:
     return es
 
 
-def gauss_rule(a: np.ndarray, x: np.ndarray, fn: Callable) -> Optional[tuple]:
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of the m x L array v, bitwise np.linalg.norm of the row."""
+    if np.iscomplexobj(v):
+        return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+    return np.sqrt(np.vecdot(v, v))
+
+
+def gauss_rule(a: np.ndarray, x: np.ndarray, fn: Callable):
     """Gauss rule for x* g(A) x by Lanczos from x: (nodes, weights, fn value), or None.
 
     k Lanczos steps on the Hermitian nonnegative definite A from the unit
@@ -96,65 +105,115 @@ def gauss_rule(a: np.ndarray, x: np.ndarray, fn: Callable) -> Optional[tuple]:
     Krylov relation |AQ - QT - beta q e_k^T|_F <= 1e-8 max(1, |A|_F) at the
     end.  The weights sum to |x|^2 = 1, as the rows of T_k's orthogonal
     eigenvector matrix have unit norm.
+
+    A (b, n, n) stack gives a list of b results, one per matrix.  Lanczos
+    runs on the stack's still-running matrices together: one batched
+    product for each matrix-vector product, Gram-Schmidt pass and norm, and
+    one stacked ``eigh`` per decomposition, each bitwise the operation on
+    that matrix alone.  Every matrix keeps its own stop, give-up, breakdown
+    and checks, so its result does not depend on the stack it comes in.
     """
-    a = _require_hermitian(a)
+    a = _require_hermitian(a, stack=True)
+    if a.ndim > 3:
+        raise ValueError("expected a matrix or a stack of matrices")
+    single = a.ndim == 2
+    a = a[None] if single else a
+    b, n = a.shape[0], a.shape[-1]
     x = np.asarray(x)
-    n = a.shape[0]
     if x.shape != (n,):
         raise ValueError(f"direction has shape {x.shape}, expected ({n},)")
     if not abs(np.vdot(x, x).real - 1.0) <= 1e-10:
         raise ValueError("direction not unit")
     last = n // 32 * 8  # the last checkpoint within n/4 steps
-    if last < 32:
-        return None
-    norm_a = np.linalg.norm(a)
-    q = np.empty((last + 1, n), dtype=np.result_type(a, x, float))  # Lanczos vectors as rows
-    q[0] = x
-    alpha, beta = np.empty(last), np.empty(last)
-    previous = change = None
+    rules = [None] * b if last < 32 else _lanczos_rules(a, x, fn, last)
+    return rules[0] if single else rules
+
+
+def _lanczos_rules(a: np.ndarray, x: np.ndarray, fn: Callable, last: int) -> list:
+    """``gauss_rule`` on each matrix of the stack a, within ``last`` steps."""
+    b, n = a.shape[0], a.shape[-1]
+    norm_a = _norms(a.reshape(b, -1))
+    tol = 1e-12 * norm_a  # breakdown below
+    q = np.empty((b, last + 1, n), dtype=np.result_type(a, x, float))  # Lanczos vectors as rows
+    q[:, 0] = x
+    alpha, beta = np.empty((b, last)), np.empty((b, last))
+    rules, previous, change = [None] * b, [None] * b, [None] * b
+    run = np.arange(b)  # the stack index of each still-running matrix
     for k in range(1, last + 1):  # k steps done once this one ends
-        w = a @ q[k - 1]
-        basis = q[:k]
+        w = np.matvec(a, q[:, k - 1])
+        basis = q[:, :k]
         # h = basis^* w, conjugating the vector rather than the basis
-        h1 = (basis @ w.conj()).conj()
-        w -= h1 @ basis
-        h2 = (basis @ w.conj()).conj()
-        w -= h2 @ basis
-        alpha[k - 1] = (h1[-1] + h2[-1]).real
-        beta[k - 1] = np.linalg.norm(w)
-        breakdown = beta[k - 1] <= 1e-12 * norm_a
-        if breakdown or (k >= 24 and k % 8 == 0):
-            t = np.diag(alpha[:k]) + np.diag(beta[:k - 1], 1) + np.diag(beta[:k - 1], -1)
+        h1 = np.matvec(basis, w.conj()).conj()
+        w -= np.matmul(h1[:, None], basis)[:, 0]
+        h2 = np.matvec(basis, w.conj()).conj()
+        w -= np.matmul(h2[:, None], basis)[:, 0]
+        alpha[:, k - 1] = (h1[:, -1] + h2[:, -1]).real
+        beta[:, k - 1] = _norms(w)
+        breakdown = beta[:, k - 1] <= tol
+        if k >= 24 and k % 8 == 0:
+            ruled = np.arange(run.size)
+        elif breakdown.any():
+            ruled = np.flatnonzero(breakdown)
+        else:
+            ruled = None
+        if ruled is not None:
+            t = np.zeros((ruled.size, k, k))
+            i = np.arange(k)
+            t[:, i, i] = alpha[ruled, :k]
+            t[:, i[:-1], i[1:]] = t[:, i[1:], i[:-1]] = beta[ruled, :k - 1]
             nodes, s = np.linalg.eigh(t)
-            if nodes[0] < -1e-10:
-                raise RuntimeError(f"matrix is not nonnegative definite (min Ritz value {nodes[0]:g})")
-            weights = s[0] ** 2
-            out = fn(nodes, weights)
-            value = np.asarray(out, dtype=float)
-            if breakdown:
-                break
-            if previous is not None:
-                moved = float(np.max(np.abs(value - previous) / np.maximum(1.0, np.abs(value))))
-                if moved <= 1e-12:
+            done, gone = [], []  # rows of ``ruled`` that stop; rows of ``run`` that leave
+            for j, row in enumerate(ruled):
+                if nodes[j, 0] < -1e-10:
+                    raise RuntimeError("matrix is not nonnegative definite "
+                                       f"(min Ritz value {nodes[j, 0]:g})")
+                r = run[row]
+                weights = s[j, 0] ** 2
+                out = fn(nodes[j], weights)
+                value = np.asarray(out, dtype=float)
+                stop = breakdown[row]
+                if not stop and previous[r] is not None:
+                    moved = float(np.max(np.abs(value - previous[r]) / np.maximum(1.0, np.abs(value))))
+                    stop = moved <= 1e-12
+                    # the last two moves, extrapolated geometrically, miss 1e-12 by the last checkpoint
+                    if not stop and change[r] is not None and (
+                            moved >= change[r] or
+                            moved * (moved / change[r]) ** ((last - k) // 8) > 1e-12):
+                        gone.append(row)
+                        continue
+                    change[r] = moved
+                previous[r] = value
+                if stop:
+                    rules[r] = nodes[j], weights, out
+                    done.append(j)
+                    gone.append(row)
+            if done:
+                # all stopping at once is the common case: check them without copying the stack
+                pick = slice(None) if len(done) == run.size else ruled[done]
+                _check_lanczos(a[pick], q[pick, :k], t[done], w[pick], norm_a[pick])
+            if gone:
+                if len(gone) == run.size:
                     break
-                # the last two moves, extrapolated geometrically, miss 1e-12 by the last checkpoint
-                if change is not None and (moved >= change or
-                                           moved * (moved / change) ** ((last - k) // 8) > 1e-12):
-                    return None
-                change = moved
-            previous = value
-        q[k] = w / beta[k - 1]
-    else:
-        return None
-    basis = q[:k]
-    defect = np.linalg.norm(basis.conj() @ basis.T - np.eye(k))
-    if defect > 1e-8 * np.sqrt(k):
+                keep = np.ones(run.size, dtype=bool)
+                keep[gone] = False
+                a, q, w, run = a[keep], q[keep], w[keep], run[keep]
+                alpha, beta, norm_a, tol = alpha[keep], beta[keep], norm_a[keep], tol[keep]
+        np.divide(w, beta[:, k - 1, None], out=q[:, k])
+    return rules
+
+
+def _check_lanczos(a, basis, t, w, norm_a) -> None:
+    """Raise unless each stopped run's Lanczos vectors (the rows of its
+    basis) are orthonormal and satisfy the Krylov relation with its T_k."""
+    m, k = basis.shape[:2]
+    basis_t = basis.swapaxes(1, 2)
+    defect = _norms((np.matmul(basis.conj(), basis_t) - np.eye(k)).reshape(m, -1))
+    if np.any(defect > 1e-8 * np.sqrt(k)):
         raise RuntimeError("Lanczos vectors lost orthonormality")
-    residual = a @ basis.T - basis.T @ t
-    residual[:, -1] -= w  # beta_k q_{k+1}, left unnormalised
-    if np.linalg.norm(residual) > 1e-8 * max(1.0, norm_a):
+    residual = np.matmul(a, basis_t) - np.matmul(basis_t, t)
+    residual[:, :, -1] -= w  # beta_k q_{k+1}, left unnormalised
+    if np.any(_norms(residual.reshape(m, -1)) > 1e-8 * np.maximum(1.0, norm_a)):
         raise RuntimeError("Lanczos Krylov relation failed")
-    return nodes, weights, out
 
 
 def cholesky_logdet(a: np.ndarray):

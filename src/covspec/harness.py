@@ -3,23 +3,23 @@
 Every replicate loop runs through ``map_replicates(cfg, fn, R)``, which
 splits replicates 0..R-1 into fixed blocks, calls ``fn`` once on each
 block's stacked sample covariances and stacks the rows it returns.  The
-block size B = max(1, floor(BLOCK_BYTES / bytes of one replicate's
-Workspace buffers)) depends only on n, N and the entry distribution: a
-block of small matrices shares one batched Gram product and one call of
-the statistic, while at n = 200, N = 400 every block is one replicate.
-Replicates are mutually independent, seeded by (seed, replicate), and
-blocks may run on any number of worker threads, each drawing into and
-multiplying in buffers it reuses from one block to the next
-(``model.Workspace``); the stack is that worker's Gram buffer, valid only
-during the call.  While they run, numpy's OpenBLAS is pinned to one
-thread, so each worker does its linear algebra serially and the results
-depend neither on scheduling nor on the BLAS thread setting.  Each caller
-does the decomposition its statistic needs: ``run_replications``
-evaluates x* g(A) x matrix by matrix by a Lanczos Gauss rule
-(``eigen.gauss_rule``) where it settles within n/4 steps and from the full
-eigendecomposition otherwise, ``bb_samples`` takes the eigenvector
-weights in eigenvalue order (``eig_decompose``), and the figures take one
-batched Cholesky log-determinant per block.
+block size B = max(1, floor(BLOCK_BYTES / bytes of one replicate's Gram))
+depends only on n, N and the entry distribution: 3 at n = 200, N = 400,
+13 at n = 100, N = 500.  Replicates are mutually independent, seeded by
+(seed, replicate), and blocks may run on any number of worker threads,
+each drawing every replicate of its block into one draw buffer and
+writing the replicate's Gram into the block's stack, in buffers it reuses
+from one block to the next (``model.Workspace``); the stack is that
+worker's Gram buffer, valid only during the call.  While they run,
+numpy's OpenBLAS is pinned to one thread, so each worker does its linear
+algebra serially and the results depend neither on scheduling nor on the
+BLAS thread setting.  Each caller does the decomposition its statistic
+needs: ``run_replications`` evaluates x* g(A) x by one Lanczos Gauss rule
+over the block (``eigen.gauss_rule``) for the matrices where it settles
+within n/4 steps and from the full eigendecomposition for the others,
+``bb_samples`` takes the eigenvector weights in eigenvalue order
+(``eig_decompose``), and the figures take one batched Cholesky
+log-determinant per block.
 Theory comes in two independently computed flavors, each returning the
 whole k x k matrix for k functionals: a double contour integral of the
 covariance kernel on two ellipses around the exact support, with an error
@@ -54,7 +54,7 @@ from .weighted import weighted_spectrum, y_process
 
 WORKERS_ENV = "COVSPEC_WORKERS"
 
-BLOCK_BYTES = 1 << 20  # budget for the Workspace buffers of one block of replicates
+BLOCK_BYTES = 1 << 20  # budget for the stacked Grams of one block of replicates
 
 # (get, set) thread-count entry points: numpy's bundled scipy-openblas with
 # its symbol suffix first, then a plain OpenBLAS build
@@ -135,9 +135,9 @@ _BLAS = _BlasPin()
 
 
 def _block_size(cfg: ModelConfig) -> int:
-    """Replicates per block: as many as fit their Workspace buffers in
-    BLOCK_BYTES, and at least one.  It depends only on n, N and the entry
-    distribution, never on R or the worker count."""
+    """Replicates per block: as many as fit their Grams in BLOCK_BYTES, and
+    at least one.  It depends only on n, N and the entry distribution,
+    never on R or the worker count."""
     return max(1, BLOCK_BYTES // Workspace.replicate_bytes(cfg))
 
 
@@ -147,13 +147,13 @@ def map_replicates(cfg: ModelConfig, fn: Callable, R: int,
     0..R-1, its rows stacked in replicate order (R or R x k).
 
     Block b holds replicates [bB, min(R, (b+1)B)), with B = ``_block_size``:
-    max(1, floor(BLOCK_BYTES / bytes of one replicate's Workspace
-    buffers)).  A block draws each replicate r from the stream keyed on
-    (cfg.seed, r) into the running thread's Workspace, forms its Grams in one
-    batched product (``model.sample_cov_block``), and calls ``fn`` once on
-    the b x n x n stack.  ``fn`` may read or decompose the stack but must
-    not keep it, and returns b rows, each a number or a fixed-length
-    sequence of numbers.  The blocks run on ``workers`` threads (default:
+    max(1, floor(BLOCK_BYTES / bytes of one replicate's Gram)).  A block
+    draws each replicate r from the stream keyed on (cfg.seed, r) into the
+    running thread's Workspace and writes its Gram into the block's stack
+    (``model.sample_cov_block``), and calls ``fn`` once on the b x n x n
+    stack.  ``fn`` may read or decompose the stack but must not keep it,
+    and returns b rows, each a number or a fixed-length sequence of
+    numbers.  The blocks run on ``workers`` threads (default:
     COVSPEC_WORKERS, else the CPU count) with numpy's OpenBLAS pinned to one
     thread throughout, so the result is bitwise independent of the worker
     count and, where numpy bundles OpenBLAS, of OPENBLAS_NUM_THREADS.
@@ -201,18 +201,20 @@ def realized_law(cfg: ModelConfig) -> LimitLaw:
 
 
 def run_replications(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
-                     workers: Optional[int] = None) -> np.ndarray:
+                     workers: Optional[int] = None, *,
+                     law: Optional[LimitLaw] = None) -> np.ndarray:
     """R x k matrix of linear spectral statistics, one replicate per row.
 
     Entry (r, j) is sqrt(N) * (x* g_j(A) x - integral g_j dF) on replicate
-    r, centered at the finite-n limit law, with x* g_j(A) x =
-    sum_i w_i g_j(lambda_i) evaluated by the Lanczos Gauss rule, or from
-    the full eigendecomposition where the rule does not settle.
+    r, centered at the finite-n limit law (``law``, by default
+    ``realized_law(cfg)``), with x* g_j(A) x = sum_i w_i g_j(lambda_i)
+    evaluated by the Lanczos Gauss rule, one call per block of replicates,
+    or from the full eigendecomposition where the rule does not settle.
     """
     if R < 2:
         raise ConfigError("need at least 2 replications")
     gs = list(gs)
-    law = realized_law(cfg)
+    law = realized_law(cfg) if law is None else law
     means = np.array([mean_functional(law, g) for g in gs])
     rootN = np.sqrt(cfg.N)
     x = realize_direction(cfg.direction, cfg.n)
@@ -221,14 +223,14 @@ def run_replications(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
         return [rootN * (np.dot(weights, np.asarray(g(lambdas), dtype=float)) - m)
                 for g, m in zip(gs, means)]
 
-    def one(a):
-        rule = gauss_rule(a, x, lss)
+    def one(a, rule):
         if rule is not None:
             return rule[2]
         ws = weighted_spectrum(eig_decompose(a), x)
         return lss(ws.lambdas, ws.weights)
 
-    return map_replicates(cfg, lambda stack: [one(a) for a in stack], R, workers=workers)
+    return map_replicates(cfg, lambda stack: list(map(one, stack, gauss_rule(stack, x, lss))),
+                          R, workers=workers)
 
 
 def estimate_mean_cov(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -366,9 +368,9 @@ def run_clt(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
     """Full verification run: replicate, estimate, and evaluate both theory paths."""
     t0 = time.perf_counter()
     gs = list(gs)
-    values = run_replications(cfg, gs, R, workers=workers)
+    law = realized_law(cfg)  # built once: it centres the replicates and gives both theories
+    values = run_replications(cfg, gs, R, workers=workers, law=law)
     mean, cov = estimate_mean_cov(values)
-    law = realized_law(cfg)
     case = "complex" if cfg.entry_dist == "complex-gaussian" else "real"
     theory, theory_err = theoretical_cov_contour(gs, law.H, law.c, case)
     simplified = None

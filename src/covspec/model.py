@@ -5,9 +5,10 @@ the sample covariance A = (1/N) T^(1/2) X X* T^(1/2) for a diagonal
 nonnegative population matrix T realized from a discrete spectral measure.
 Replicates are seeded through a counter-based generator keyed on
 (seed, replicate) so results never depend on execution order.  A
-``Workspace`` holds one worker's draw and product buffers for a block of
-replicates, reused from one block to the next without changing any value;
-``sample_cov_block`` forms a block's matrices with one batched product.
+``Workspace`` holds one worker's buffers for a block of replicates: one draw
+buffer that every replicate of the block is drawn into, and the block's
+stacked Grams.  It is reused from one block to the next without changing
+any value; ``sample_cov_block`` fills it.
 """
 
 from __future__ import annotations
@@ -184,11 +185,13 @@ def draw_entries(entry_dist: str, n: int, N: int, rng: np.random.Generator,
 class Workspace:
     """Buffers one worker reuses for the sample covariances of one config.
 
-    Holds the population root (None when T = I) and, for a block of up to
-    ``size`` replicates, the stacked size x n x N entry buffer, for complex
-    entries an n x N float draw buffer and a stacked conjugate buffer, and
-    two stacked size x n x n product buffers.  One thread at a time may use
-    it.
+    Holds the population root (None when T = I), one n x N entry buffer
+    (for complex entries also an n x N float draw buffer and an n x N
+    conjugate buffer) and one n x n Hermitian scratch, all shared by the
+    replicates of a block, and the stacked size x n x n Grams of a block
+    of up to ``size`` replicates: each replicate is drawn into the one
+    entry buffer, and only its Gram is kept.  One thread at a time may
+    use it.
     """
 
     def __init__(self, cfg: ModelConfig, dtype=None, size: int = 1):
@@ -197,36 +200,33 @@ class Workspace:
         n, N = cfg.n, cfg.N
         tdiag = realize_population(cfg.population, n)
         self.root = None if np.all(tdiag == 1.0) else np.sqrt(tdiag)[:, None]
-        self.entries = np.empty((size, n, N), dtype)
+        self.entries = np.empty((n, N), dtype)
         self.scratch = np.empty((n, N)) if complex_draw else None
-        self.conj = np.empty((size, n, N), dtype) if dtype.kind == "c" else None
+        self.conj = np.empty((n, N), dtype) if dtype.kind == "c" else None
         self.gram = np.empty((size, n, n), dtype)
-        self.gram_h = np.empty((size, n, n), dtype)
+        self.gram_h = np.empty((n, n), dtype)
 
     @staticmethod
     def replicate_bytes(cfg: ModelConfig) -> int:
-        """Bytes of the buffers above for one replicate of the config's entries."""
-        n, N = cfg.n, cfg.N
-        if cfg.entry_dist == "complex-gaussian":  # entries, conjugate and float draw
-            return 16 * (2 * n * N + 2 * n * n) + 8 * n * N
-        return 8 * (n * N + 2 * n * n)
+        """Bytes the buffers above grow by per replicate of a block: one Gram
+        of the config's entries."""
+        return (16 if cfg.entry_dist == "complex-gaussian" else 8) * cfg.n * cfg.n
 
 
-def _gram_block(cfg: ModelConfig, ws: Workspace, b: int) -> np.ndarray:
-    """The first b sample covariances from the first b entry buffers, in place."""
-    y = ws.entries[:b]
+def _gram(cfg: ModelConfig, ws: Workspace, out: np.ndarray) -> np.ndarray:
+    """The sample covariance of the draw in ``ws.entries``, written to ``out``."""
+    y = ws.entries
     if ws.root is not None:
         y *= ws.root
-    y_conj = y if ws.conj is None else np.conjugate(y, out=ws.conj[:b])
-    # one batched product; BLAS runs the same call per matrix as for a single one
-    a = np.matmul(y, np.swapaxes(y_conj, 1, 2), out=ws.gram[:b])
+    y_conj = y if ws.conj is None else np.conjugate(y, out=ws.conj)
+    a = np.matmul(y, y_conj.T, out=out)
     a /= cfg.N
     # force exact Hermitian symmetry against roundoff; the real product
     # (a symmetric rank-k update) already has it
-    a_h = np.conjugate(np.swapaxes(a, 1, 2), out=ws.gram_h[:b])
-    for i in np.flatnonzero((a != a_h).any(axis=(1, 2))):
-        a[i] += a_h[i]
-        a[i] /= 2.0
+    a_h = np.conjugate(a.T, out=ws.gram_h)
+    if (a != a_h).any():
+        a += a_h
+        a /= 2.0
     return a
 
 
@@ -237,38 +237,39 @@ def sample_cov_block(cfg: ModelConfig, replicates: range,
     Replicate r draws from the stream keyed on (cfg.seed, r), so each
     matrix is bitwise the one ``build_sample_cov`` gives it, whatever block
     it comes in.  With a ``workspace`` (of size b or more) the stack is its
-    buffer, overwritten by its next use.
+    Gram buffer, overwritten by its next use.
     """
     b = len(replicates)
     ws = Workspace(cfg, size=b) if workspace is None else workspace
-    if ws.entries.shape[0] < b:
-        raise ValueError(f"workspace holds {ws.entries.shape[0]} replicates, "
+    if ws.gram.shape[0] < b:
+        raise ValueError(f"workspace holds {ws.gram.shape[0]} replicates, "
                          f"fewer than the block's {b}")
-    for y, r in zip(ws.entries, replicates):
+    for a, r in zip(ws.gram, replicates):
         draw_entries(cfg.entry_dist, cfg.n, cfg.N, replicate_rng(cfg.seed, r),
-                     out=y, scratch=ws.scratch)
-    return _gram_block(cfg, ws, b)
+                     out=ws.entries, scratch=ws.scratch)
+        _gram(cfg, ws, a)
+    return ws.gram[:b]
 
 
 def build_sample_cov(cfg: ModelConfig, replicate: int = 0,
                      entries: Optional[np.ndarray] = None) -> np.ndarray:
     """Sample covariance A = (1/N) T^(1/2) X X* T^(1/2), Hermitian nonnegative.
 
-    The block of one replicate of ``sample_cov_block``, on fresh buffers.
+    The Gram step of ``sample_cov_block`` for one replicate, on fresh buffers.
     ``entries`` overrides the random draw with a fixed n x N matrix (test
     hook).
     """
     if entries is None:
         ws = Workspace(cfg)
         draw_entries(cfg.entry_dist, cfg.n, cfg.N, replicate_rng(cfg.seed, replicate),
-                     out=ws.entries[0], scratch=ws.scratch)
+                     out=ws.entries, scratch=ws.scratch)
     else:
         entries = np.asarray(entries)
         if entries.shape != (cfg.n, cfg.N):
             raise ValueError(f"entries must have shape {(cfg.n, cfg.N)}")
         ws = Workspace(cfg, dtype=np.result_type(entries, float))
-        ws.entries[0] = entries
-    return _gram_block(cfg, ws, 1)[0]
+        ws.entries[...] = entries
+    return _gram(cfg, ws, ws.gram[0])
 
 
 def companion_sample_cov(cfg: ModelConfig, replicate: int = 0) -> np.ndarray:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,31 @@ class TestGaussRule:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
             gauss_rule(np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([1.0, 0.0]), _sums(POLYS))
+
+    def test_stack_results_match_each_matrix_alone(self):
+        # one matrix stops at k = 40, one at k = 48, one gives up (c = 0.9)
+        # and one breaks down at step 1; the rule on any stack of them gives
+        # each matrix bitwise its own result
+        stops_40, x = _sample_cov(200, 400, seed=0)
+        mats = [stops_40, _sample_cov(200, 400)[0], _sample_cov(200, 222)[0], 2.0 * np.eye(200)]
+        sums = _sums(WITH_LOG)
+
+        def as_bytes(rule):
+            return None if rule is None else [np.asarray(part).tobytes() for part in rule]
+
+        alone = [gauss_rule(a, x, sums) for a in mats]
+        assert [None if rule is None else rule[0].size for rule in alone] == [40, 48, None, 1]
+        want = [as_bytes(rule) for rule in alone]
+        stacks = [order for size in (2, 3, 4) for order in itertools.permutations(range(4), size)]
+        for order in stacks:
+            got = gauss_rule(np.stack([mats[i] for i in order]), x, sums)
+            assert [as_bytes(rule) for rule in got] == [want[i] for i in order], order
+
+    def test_stack_with_indefinite_matrix_rejected(self):
+        a, x = _sample_cov(200, 400)
+        g = np.random.default_rng(2).standard_normal((200, 200))
+        with pytest.raises(RuntimeError, match="min Ritz value"):
+            gauss_rule(np.stack([a, g + g.T, a]), x, _sums(POLYS))
 
     def test_direction_must_be_unit(self):
         with pytest.raises(ValueError, match="direction not unit"):

@@ -253,19 +253,19 @@ class TestMapReplicates:
         assert got.tobytes() == want.tobytes()
 
     def test_replications_need_no_eigendecomposition(self, monkeypatch):
-        calls = []
+        calls = []  # the matrices passed to each call of the rule
 
         def no_eig(a):
             raise AssertionError("eig_decompose called")
 
         def counted(*args):
-            calls.append(1)
+            calls.append(len(args[0]))
             return covspec.eigen.gauss_rule(*args)
 
         monkeypatch.setattr(covspec.harness, "eig_decompose", no_eig)
         monkeypatch.setattr(covspec.harness, "gauss_rule", counted)
         vals = run_replications(_cfg(n=200, N=400, seed=2), [G1, G2, GLOG], 7, workers=2)
-        assert vals.shape == (7, 3) and len(calls) == 7
+        assert vals.shape == (7, 3) and sorted(calls) == [1, 3, 3]  # one call per block of B = 3
 
     def test_failed_gauss_rule_names_replicate(self, monkeypatch):
         # a symmetric indefinite matrix in place of the sample covariance
@@ -276,9 +276,27 @@ class TestMapReplicates:
                                                "definite \\(min Ritz value"):
             run_replications(_cfg(n=200, N=400), [G1], 3, workers=2)
 
+    def test_failed_matrix_mid_block_names_replicate(self, monkeypatch):
+        # replicate 4 is the middle of the block [3, 4, 5]: the rule runs on
+        # the whole block, fails, and the rerun one matrix at a time names it
+        g = np.random.default_rng(1).standard_normal((200, 200))
+
+        def bad_block(cfg, replicates, workspace=None):
+            stack = sample_cov_block(cfg, replicates, workspace)
+            for a, r in zip(stack, replicates):
+                if r == 4:
+                    a[...] = g + g.T
+            return stack
+
+        monkeypatch.setattr(covspec.harness, "sample_cov_block", bad_block)
+        monkeypatch.setattr(covspec.harness, "eig_decompose", None)  # the rule fails first
+        with pytest.raises(RuntimeError, match="^replicate 4 failed: matrix is not nonnegative "
+                                               "definite \\(min Ritz value"):
+            run_replications(_cfg(n=200, N=400), [G1], 6, workers=1)
+
 
 class TestBlocks:
-    """Blocks of replicates: one batched Gram and one call of fn per block."""
+    """Blocks of replicates: each Gram into the block's stack, one call of fn per block."""
 
     @staticmethod
     def _rows(stack):
@@ -318,10 +336,11 @@ class TestBlocks:
         assert calls == [8, 1, 1, 1, 1, 1, 1]  # the block, then replicates 0..5 alone
 
     def test_block_size(self):
-        assert _block_size(_cfg(n=200, N=400)) == 1  # the clt config
+        # one n x n Gram per replicate against the 1 MiB budget
+        assert _block_size(_cfg(n=200, N=400)) == 3  # the clt config
         assert _block_size(_cfg(n=300, N=600)) == 1  # the benchmark's BLAS probe
         sizes = [_block_size(_cfg(n=round(0.2 * N), N=N)) for N in FIGURE_ONE_SIZES]
-        assert sizes == [1170, 46, 11, 1]
+        assert sizes == [8192, 327, 81, 13]
         complex_cfg = _cfg(n=20, N=100, dist="complex-gaussian")
         assert 1 < _block_size(complex_cfg) < sizes[1]
 
@@ -520,6 +539,17 @@ def test_run_clt_report_fields():
                        "theory_cov_simplified", "standard_errors", "n", "N", "seed",
                        "entry_dist", "wall_time", "theory_err"]
     assert d["theory_err"] == report.theory_err
+
+
+def test_run_clt_builds_the_density_rule_once(monkeypatch):
+    # the law that centres the replicates also gives both theory paths
+    import covspec.law
+
+    builds = []
+    rule = covspec.law._midpoint_rule
+    monkeypatch.setattr(covspec.law, "_midpoint_rule", lambda law: builds.append(1) or rule(law))
+    run_clt(_cfg(n=100, N=200, seed=3), [G1, GLOG], 4, workers=1)
+    assert len(builds) == 1
 
 
 def test_seed_band_consistency():
