@@ -46,8 +46,8 @@ from .eigen import eig_decompose, gauss_rule
 from .functionals import FunctionalSpec, poly_product
 from .kernels import contour_nodes, kernel_from_mbar
 from .law import LimitLaw, mean_functional
-from .model import (ConfigError, ModelConfig, Workspace, realize_direction,
-                    realize_population, sample_cov_block)
+from .model import (ConfigError, ModelConfig, Workspace, _is_int, entry_dtype,
+                    realize_direction, realize_population, sample_cov_block)
 from .mp import _lower_end, solve_mbar_grid
 from .spectrum import SpectralMeasure
 from .weighted import weighted_spectrum, y_process
@@ -74,7 +74,9 @@ def _env_workers() -> Optional[int]:
 
 def _worker_count(workers: Optional[int]) -> int:
     if workers is not None:
-        return max(1, int(workers))
+        if not (_is_int(workers) and workers >= 1):
+            raise ConfigError(f"workers must be a positive integer (got {workers!r})")
+        return int(workers)
     return _env_workers() or os.cpu_count() or 1
 
 
@@ -243,17 +245,18 @@ def estimate_mean_cov(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
-def theoretical_cov_contour(gs: Sequence[FunctionalSpec], H: SpectralMeasure, c: float,
-                            case: str = "real") -> tuple[np.ndarray, float]:
-    """Theoretical covariance matrix by double contour integration of the kernel.
+def theoretical_cov_contour(gs: Sequence[FunctionalSpec], H: SpectralMeasure,
+                            c: float) -> tuple[np.ndarray, float]:
+    """Theoretical covariance matrix (real-entry scale) by double contour integration.
 
     Entry (i, j) integrates gs[i] on the outer and gs[j] on the inner ellipse
     of ``contour_nodes``, which enclose 0 unless a functional is a log; the
     returned real matrix is the symmetric average of the two orders.  The
-    transform is solved once on both node sets, and each 1024-row chunk of the node-by-node kernel is evaluated once and
-    contracted with every functional pair by matrix products.  Returns
-    (matrix, err), err the larger of the largest |Q_M - Q_M/2| and |Im Q_M|,
-    where Q_M/2 is the same sum over every other node of both ellipses.
+    transform is solved once on both node sets, and each 1024-row chunk of
+    the node-by-node kernel is evaluated once and contracted with every
+    functional pair by matrix products.  Returns (matrix, err), err the
+    larger of the largest |Q_M - Q_M/2| and |Im Q_M|, where Q_M/2 is the
+    same sum over every other node of both ellipses.
     """
     gs = list(gs)
     log = any(g.needs_positive_support for g in gs)
@@ -268,8 +271,7 @@ def theoretical_cov_contour(gs: Sequence[FunctionalSpec], H: SpectralMeasure, c:
     chunk = 1024
     for start in range(0, z1.size, chunk):
         sl = slice(start, start + chunk)
-        k = kernel_from_mbar(z1[sl, None], m1[sl, None], z2[None, :], m2[None, :],
-                             c, case=case)
+        k = kernel_from_mbar(z1[sl, None], m1[sl, None], z2[None, :], m2[None, :], c)
         full += gw1[:, sl] @ (k @ gw2.T)
         # chunks start at even rows, so the chunk's even rows are the global ones
         half += 4.0 * gw1[:, sl][:, ::2] @ (k[::2, ::2] @ gw2[:, ::2].T)
@@ -281,9 +283,9 @@ def theoretical_cov_contour(gs: Sequence[FunctionalSpec], H: SpectralMeasure, c:
 def theoretical_cov_simplified(gs: Sequence[FunctionalSpec], law: LimitLaw) -> np.ndarray:
     """Simplified covariance matrix, entry (i, j) = (2/c) * (E[g_i g_j] - E[g_i] E[g_j]).
 
-    Valid only for a degenerate population spectrum; exact through moments
-    for a pair of polynomials, density quadrature (means included) for a
-    pair with a log.  A log needs the law bounded away from zero: a point
+    Real-entry scale, valid only for a degenerate population spectrum; exact
+    through moments for a pair of polynomials, density quadrature (means
+    included) for a pair with a log.  A log needs the law bounded away from zero: a point
     mass there raises, from ``mean_functional``.
     """
     if not law.H.is_degenerate:
@@ -365,25 +367,23 @@ class MCReport:
 
 def run_clt(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
             workers: Optional[int] = None) -> MCReport:
-    """Full verification run: replicate, estimate, and evaluate both theory paths."""
+    """Full verification run: replicate, estimate, and evaluate both theory
+    paths, which are on the real-entry scale; for complex entries (beta = 2)
+    the report holds them and ``theory_err`` halved, exactly."""
     t0 = time.perf_counter()
     gs = list(gs)
     law = realized_law(cfg)  # built once: it centres the replicates and gives both theories
     values = run_replications(cfg, gs, R, workers=workers, law=law)
     mean, cov = estimate_mean_cov(values)
-    case = "complex" if cfg.entry_dist == "complex-gaussian" else "real"
-    theory, theory_err = theoretical_cov_contour(gs, law.H, law.c, case)
-    simplified = None
-    if law.H.is_degenerate:
-        simplified = theoretical_cov_simplified(gs, law)
-        if case == "complex":
-            simplified /= 2.0
+    beta = 2.0 if entry_dtype(cfg.entry_dist).kind == "c" else 1.0
+    theory, theory_err = theoretical_cov_contour(gs, law.H, law.c)
+    simplified = theoretical_cov_simplified(gs, law) / beta if law.H.is_degenerate else None
     return MCReport(
         R=R,
         functionals=[g.label for g in gs],
         sample_mean=mean,
         sample_cov=cov,
-        theory_cov_contour=theory,
+        theory_cov_contour=theory / beta,
         theory_cov_simplified=simplified,
         standard_errors=np.sqrt(np.diag(cov) / R),
         n=cfg.n,
@@ -391,7 +391,7 @@ def run_clt(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
         seed=cfg.seed,
         entry_dist=cfg.entry_dist,
         wall_time=time.perf_counter() - t0,
-        theory_err=theory_err,
+        theory_err=theory_err / beta,
     )
 
 

@@ -11,6 +11,8 @@ ellipse parameter (Trefethen & Weideman 2014), so the node count follows
 from H and c (``contour_nodes``).  This module also evaluates the kernel,
 the two auxiliary kernels of its derivation, and the homogeneity residual
 that decides whether the simplified (degenerate-population) formula applies.
+All are on the real-entry scale; ``harness.run_clt`` divides by beta = 2
+for complex entries (Bai & Silverstein 2004).
 """
 
 from __future__ import annotations
@@ -64,19 +66,11 @@ def _ellipses(a: float, b: float, rho: float, M: int):
     return tuple(ellipses)
 
 
-def kernel_from_mbar(z1, mbar1, z2, mbar2, c: float, case: str = "real"):
-    """Covariance kernel assembled from precomputed transform values.
-
-    Broadcasts over arrays; the 'complex' case is half the 'real' one.
-    """
+def kernel_from_mbar(z1, mbar1, z2, mbar2, c: float):
+    """Covariance kernel (real-entry scale) from precomputed transform values; broadcasts."""
     num = (z2 * mbar2 - z1 * mbar1) ** 2
     den = c ** 2 * z1 * z2 * (z2 - z1) * (mbar2 - mbar1)
-    k = 2.0 * num / den
-    if case == "real":
-        return k
-    if case == "complex":
-        return k / 2.0
-    raise ValueError("case must be 'real' or 'complex'")
+    return 2.0 * num / den
 
 
 def _mbar_pair(z1, z2, H: SpectralMeasure, c: float):
@@ -88,13 +82,12 @@ def _mbar_pair(z1, z2, H: SpectralMeasure, c: float):
     return z1, z2, complex(m1), complex(m2)
 
 
-def cov_kernel(z1: complex, z2: complex, H: SpectralMeasure, c: float,
-               case: str = "real") -> complex:
-    """Covariance kernel of the limiting Gaussian spectral process at (z1, z2)."""
+def cov_kernel(z1: complex, z2: complex, H: SpectralMeasure, c: float) -> complex:
+    """Covariance kernel (real-entry scale) of the limiting Gaussian process at (z1, z2)."""
     z1, z2, m1, m2 = _mbar_pair(z1, z2, H, c)
     if abs(m1 - m2) < 1e-14:
         raise ValueError("transform values coincide; use offset contours")
-    return complex(kernel_from_mbar(z1, m1, z2, m2, c, case))
+    return complex(kernel_from_mbar(z1, m1, z2, m2, c))
 
 
 @dataclass(frozen=True)

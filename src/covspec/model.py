@@ -151,12 +151,17 @@ def realize_direction(spec: DirectionSpec, n: int) -> np.ndarray:
     return v / norm
 
 
+def entry_dtype(entry_dist: str) -> np.dtype:
+    """The dtype an entry law draws: complex for complex-gaussian, else float."""
+    return np.dtype(complex if entry_dist == "complex-gaussian" else float)
+
+
 def draw_entries(entry_dist: str, n: int, N: int, rng: np.random.Generator,
                  out: Optional[np.ndarray] = None,
                  scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """n x N matrix of i.i.d. entries with mean 0 and unit second absolute moment.
 
-    ``out`` (C-ordered n x N, complex for complex-gaussian, else float)
+    ``out`` (C-ordered n x N, of dtype ``entry_dtype(entry_dist)``)
     receives the draw in place; complex-gaussian draws its real and
     imaginary parts through ``scratch`` (C-ordered n x N float).  Each is
     allocated when not given; the values do not depend on it.
@@ -164,7 +169,7 @@ def draw_entries(entry_dist: str, n: int, N: int, rng: np.random.Generator,
     if entry_dist not in ENTRY_DISTS:
         raise ValueError(f"unknown entry distribution {entry_dist!r}")
     if out is None:
-        out = np.empty((n, N), dtype=complex if entry_dist == "complex-gaussian" else float)
+        out = np.empty((n, N), dtype=entry_dtype(entry_dist))
     if entry_dist == "real-gaussian":
         rng.standard_normal(out=out)
     elif entry_dist == "complex-gaussian":
@@ -195,13 +200,13 @@ class Workspace:
     """
 
     def __init__(self, cfg: ModelConfig, dtype=None, size: int = 1):
-        complex_draw = cfg.entry_dist == "complex-gaussian"
-        dtype = np.dtype(complex if complex_draw else float) if dtype is None else np.dtype(dtype)
+        draw = entry_dtype(cfg.entry_dist)
+        dtype = draw if dtype is None else np.dtype(dtype)
         n, N = cfg.n, cfg.N
         tdiag = realize_population(cfg.population, n)
         self.root = None if np.all(tdiag == 1.0) else np.sqrt(tdiag)[:, None]
         self.entries = np.empty((n, N), dtype)
-        self.scratch = np.empty((n, N)) if complex_draw else None
+        self.scratch = np.empty((n, N)) if draw.kind == "c" else None
         self.conj = np.empty((n, N), dtype) if dtype.kind == "c" else None
         self.gram = np.empty((size, n, n), dtype)
         self.gram_h = np.empty((n, n), dtype)
@@ -210,7 +215,7 @@ class Workspace:
     def replicate_bytes(cfg: ModelConfig) -> int:
         """Bytes the buffers above grow by per replicate of a block: one Gram
         of the config's entries."""
-        return (16 if cfg.entry_dist == "complex-gaussian" else 8) * cfg.n * cfg.n
+        return entry_dtype(cfg.entry_dist).itemsize * cfg.n * cfg.n
 
 
 def _gram(cfg: ModelConfig, ws: Workspace, out: np.ndarray) -> np.ndarray:

@@ -379,26 +379,14 @@ class TestTheoreticalCovContour:
         assert abs(got[0, 1] - 5.0) <= 1e-12
         assert got[0, 1] == got[1, 0]
 
-    def test_complex_case_half(self):
-        got, _ = theoretical_cov_contour([G1], MP1, 0.5, case="complex")
-        assert abs(got[0, 0] - 1.0) <= 1e-12
-
-    def test_real_is_twice_complex(self):
-        full, full_err = theoretical_cov_contour([G1, G2], MP1, 0.25, case="real")
-        half, half_err = theoretical_cov_contour([G1, G2], MP1, 0.25, case="complex")
-        assert np.abs(full - 2 * half).max() <= 1e-12
-        assert full_err == 2 * half_err
-
-    @pytest.mark.parametrize("case", ["real", "complex"])
     @pytest.mark.parametrize("c", [0.25, 0.5, 0.999, 2.0])
-    def test_poly_pairs_match_exact_moments(self, c, case):
+    def test_poly_pairs_match_exact_moments(self, c):
         # at c = 0.999 the lower edge is 2.5e-7: ellipses kept right of 0
         # would need far more than the 2048-node cap
         gs = [G1, G2, G3]
         law = LimitLaw(c=c, H=MP1)
-        scale = 1.0 if case == "real" else 0.5
-        want = scale * theoretical_cov_simplified(gs, law)
-        got, err = theoretical_cov_contour(gs, MP1, c, case)
+        want = theoretical_cov_simplified(gs, law)
+        got, err = theoretical_cov_contour(gs, MP1, c)
         assert np.abs(got - want).max() <= 1e-12
         assert err <= 1e-9
 
@@ -541,6 +529,19 @@ def test_run_clt_report_fields():
     assert d["theory_err"] == report.theory_err
 
 
+def test_run_clt_complex_entries_halve_the_real_scale_theory():
+    # complex entries (E|X|^4 = 2): the limiting covariance is the real-entry one over beta = 2
+    cfg = _cfg(n=40, N=80, dist="complex-gaussian", seed=4)
+    report = run_clt(cfg, [G1, G2], 6, workers=1)
+    law = realized_law(cfg)
+    contour, err = theoretical_cov_contour([G1, G2], law.H, law.c)
+    simplified = theoretical_cov_simplified([G1, G2], law)
+    assert report.theory_cov_contour.tobytes() == (contour / 2.0).tobytes()
+    assert report.theory_err == err / 2.0
+    assert report.theory_cov_simplified.tobytes() == (simplified / 2.0).tobytes()
+    assert abs(report.theory_cov_contour[0, 0] - 1.0) <= 1e-12  # (2/c) Var(x) / 2 = 1 at c = 0.5
+
+
 def test_run_clt_builds_the_density_rule_once(monkeypatch):
     # the law that centres the replicates also gives both theory paths
     import covspec.law
@@ -571,6 +572,22 @@ def test_worker_env_variable(monkeypatch):
     assert _worker_count(2) == 2  # explicit argument wins
     monkeypatch.delenv(WORKERS_ENV)
     assert _worker_count(None) >= 1
+
+
+@pytest.mark.parametrize("workers", [0, -2, 1.5, True])
+def test_bad_workers_argument_draws_no_replicate(monkeypatch, workers):
+    # the argument is checked like COVSPEC_WORKERS: a config error before any draw
+    drawn = []
+    block = covspec.harness.sample_cov_block
+    monkeypatch.setattr(covspec.harness, "sample_cov_block",
+                        lambda cfg, reps, ws: drawn.append(reps) or block(cfg, reps, ws))
+    with pytest.raises(ConfigError, match="^workers must be a positive integer"):
+        map_replicates(_cfg(), lambda stack: np.zeros(len(stack)), 4, workers=workers)
+    with pytest.raises(ConfigError, match="^workers must be a positive integer"):
+        run_clt(_cfg(), [G1], 4, workers=workers)
+    assert drawn == []
+    map_replicates(_cfg(), lambda stack: np.zeros(len(stack)), 4, workers=np.int64(2))
+    assert drawn  # the hook sees the draws of a valid run
 
 
 def test_thread_scaling_informational():

@@ -30,11 +30,6 @@ class TestCovKernel:
         expected = 2 * (z2 * m2 - z1 * m1) ** 2 / (c ** 2 * z1 * z2 * (z2 - z1) * (m2 - m1))
         assert abs(cov_kernel(z1, z2, MP1, c) - expected) <= 1e-10
 
-    def test_complex_case_is_half(self):
-        full = cov_kernel(1 + 1j, 2 + 0.5j, MP1, 0.5, case="real")
-        half = cov_kernel(1 + 1j, 2 + 0.5j, MP1, 0.5, case="complex")
-        assert half == full / 2
-
     def test_coincident_arguments_rejected(self):
         with pytest.raises(ValueError, match="offset"):
             cov_kernel(1 + 1j, 1 + 1j + 1e-10, MP1, 0.5)
