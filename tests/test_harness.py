@@ -379,14 +379,31 @@ class TestTheoreticalCovContour:
         assert abs(got[0, 1] - 5.0) <= 1e-12
         assert got[0, 1] == got[1, 0]
 
+    def test_complex_case_half(self):
+        # complex entries: run_clt halves the real-scale theory, (2/c) Var(x) / 2 = 1 at c = 0.5
+        report = run_clt(_cfg(dist="complex-gaussian"), [G1], 2, workers=1)
+        assert abs(report.theory_cov_contour[0, 0] - 1.0) <= 1e-12
+
+    def test_real_is_twice_complex(self):
+        full = run_clt(_cfg(n=20, N=80), [G1, G2], 2, workers=1)
+        half = run_clt(_cfg(n=20, N=80, dist="complex-gaussian"), [G1, G2], 2, workers=1)
+        assert np.abs(full.theory_cov_contour - 2 * half.theory_cov_contour).max() <= 1e-12
+        assert full.theory_err == 2 * half.theory_err
+
+    @pytest.mark.parametrize("case", ["real", "complex"])
     @pytest.mark.parametrize("c", [0.25, 0.5, 0.999, 2.0])
-    def test_poly_pairs_match_exact_moments(self, c):
+    def test_poly_pairs_match_exact_moments(self, c, case):
         # at c = 0.999 the lower edge is 2.5e-7: ellipses kept right of 0
         # would need far more than the 2048-node cap
         gs = [G1, G2, G3]
         law = LimitLaw(c=c, H=MP1)
         want = theoretical_cov_simplified(gs, law)
-        got, err = theoretical_cov_contour(gs, MP1, c)
+        if case == "real":
+            got, err = theoretical_cov_contour(gs, MP1, c)
+        else:  # the theory run_clt reports for complex entries at n / N = c
+            n, N = {0.25: (20, 80), 0.5: (40, 80), 0.999: (999, 1000), 2.0: (80, 40)}[c]
+            report = run_clt(_cfg(n=n, N=N, dist="complex-gaussian"), gs, 2, workers=1)
+            got, err, want = report.theory_cov_contour, report.theory_err, 0.5 * want
         assert np.abs(got - want).max() <= 1e-12
         assert err <= 1e-9
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from covspec import (SpectralMeasure, closed_form_mp, contour_nodes, cov_kernel,
-                     homogeneity_residual, proof_kernels, solve_mbar_grid, support)
+from covspec import (DirectionSpec, FunctionalSpec, ModelConfig, PopulationSpec, SpectralMeasure,
+                     closed_form_mp, contour_nodes, cov_kernel, homogeneity_residual,
+                     proof_kernels, run_clt, solve_mbar_grid, support)
 from covspec.kernels import kernel_from_mbar
 
 MP1 = SpectralMeasure.point(1.0)
+G1 = FunctionalSpec.monomial(1)
 H12 = SpectralMeasure([1.0, 2.0], [0.5, 0.5])
 H13 = SpectralMeasure([1.0, 3.0], [0.5, 0.5])
 H5 = SpectralMeasure([0.5, 1.0, 2.0, 4.0, 8.0], [0.2] * 5)
@@ -29,6 +31,19 @@ class TestCovKernel:
         m1, m2 = closed_form_mp(z1, c), np.conj(closed_form_mp(np.conj(z2), c))
         expected = 2 * (z2 * m2 - z1 * m1) ** 2 / (c ** 2 * z1 * z2 * (z2 - z1) * (m2 - m1))
         assert abs(cov_kernel(z1, z2, MP1, c) - expected) <= 1e-10
+
+    def test_complex_case_is_half(self):
+        # run_clt puts complex entries at beta = 2 over the real-scale kernel: the
+        # quadratic oracle then loses its factor 2
+        reports = [run_clt(ModelConfig(n=40, N=80, entry_dist=dist, population=PopulationSpec.identity(),
+                                       direction=DirectionSpec.basis(0), seed=0), [G1], 2, workers=1)
+                   for dist in ("real-gaussian", "complex-gaussian")]
+        beta = reports[0].theory_cov_contour[0, 0] / reports[1].theory_cov_contour[0, 0]
+        assert beta == 2.0
+        z1, z2, c = 1 + 1j, 1 - 2j, 0.5
+        m1, m2 = closed_form_mp(z1, c), np.conj(closed_form_mp(np.conj(z2), c))
+        expected = (z2 * m2 - z1 * m1) ** 2 / (c ** 2 * z1 * z2 * (z2 - z1) * (m2 - m1))
+        assert abs(cov_kernel(z1, z2, MP1, c) / beta - expected) <= 1e-10
 
     def test_coincident_arguments_rejected(self):
         with pytest.raises(ValueError, match="offset"):
