@@ -359,7 +359,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--reps", type=int, default=None, help="replication count")
         p.add_argument("--g", action="append", default=None,
                        help="functional spec 'poly:c0,c1,...' or 'log' (repeatable)")
-        p.add_argument("--grid", default=None, help="comma-separated list of numbers")
+        p.add_argument("--grid", default=None,
+                       help="comma-separated list of numbers; write --grid=-1,0,1 when "
+                            "the first is negative, which would otherwise read as a flag")
         if name == "figures":
             p.add_argument("--which", type=int, choices=(1, 2, 3), default=None)
     return parser

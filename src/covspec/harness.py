@@ -56,6 +56,9 @@ WORKERS_ENV = "COVSPEC_WORKERS"
 
 BLOCK_BYTES = 1 << 20  # budget for the stacked Grams of one block of replicates
 
+# contour-kernel rows per block (even): keeps the kernel's temporaries near 64 x M
+_KERNEL_ROWS = 64
+
 # (get, set) thread-count entry points: numpy's bundled scipy-openblas with
 # its symbol suffix first, then a plain OpenBLAS build
 _OPENBLAS_SYMBOLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
@@ -252,9 +255,11 @@ def theoretical_cov_contour(gs: Sequence[FunctionalSpec], H: SpectralMeasure,
     Entry (i, j) integrates gs[i] on the outer and gs[j] on the inner ellipse
     of ``contour_nodes``, which enclose 0 unless a functional is a log; the
     returned real matrix is the symmetric average of the two orders.  The
-    transform is solved once on both node sets, and each 1024-row chunk of
-    the node-by-node kernel is evaluated once and contracted with every
-    functional pair by matrix products.  Returns (matrix, err), err the
+    transform is solved once on both node sets.  The node-by-node kernel is
+    evaluated in blocks of 64 rows, so memory stays near 64 x M entries at
+    any node count M; each block is contracted with the inner functionals
+    at once, and the outer functionals contract the M x k result by one
+    matrix product at the end.  Returns (matrix, err), err the
     larger of the largest |Q_M - Q_M/2| and |Im Q_M|, where Q_M/2 is the
     same sum over every other node of both ellipses.
     """
@@ -266,16 +271,18 @@ def theoretical_cov_contour(gs: Sequence[FunctionalSpec], H: SpectralMeasure,
     m1, m2 = np.split(solve_mbar_grid(np.concatenate([z1, z2]), H, c)[0], [z1.size])
     gw1 = np.array([g(z1) * w1 for g in gs])
     gw2 = np.array([g(z2) * w2 for g in gs])
-    full = np.zeros((len(gs), len(gs)), dtype=complex)
-    half = np.zeros_like(full)
-    chunk = 1024
-    for start in range(0, z1.size, chunk):
-        sl = slice(start, start + chunk)
+    # kernel rows contracted with the inner functionals: every node, and
+    # every other node of both ellipses for the half rule
+    kg = np.empty((z1.size, len(gs)), dtype=complex)
+    kg_half = np.empty(((z1.size + 1) // 2, len(gs)), dtype=complex)
+    for start in range(0, z1.size, _KERNEL_ROWS):
+        sl = slice(start, start + _KERNEL_ROWS)
         k = kernel_from_mbar(z1[sl, None], m1[sl, None], z2[None, :], m2[None, :], c)
-        full += gw1[:, sl] @ (k @ gw2.T)
-        # chunks start at even rows, so the chunk's even rows are the global ones
-        half += 4.0 * gw1[:, sl][:, ::2] @ (k[::2, ::2] @ gw2[:, ::2].T)
-    full, half = -full / (4.0 * np.pi ** 2), -half / (4.0 * np.pi ** 2)
+        kg[sl] = k @ gw2.T
+        # blocks start at even rows, so the block's even rows are the global ones
+        kg_half[start // 2:(start + _KERNEL_ROWS) // 2] = k[::2, ::2] @ gw2[:, ::2].T
+    full = -(gw1 @ kg) / (4.0 * np.pi ** 2)
+    half = -(4.0 * gw1[:, ::2] @ kg_half) / (4.0 * np.pi ** 2)
     err = max(float(np.max(np.abs(full - half))), float(np.max(np.abs(full.imag))))
     return (full.real + full.real.T) / 2.0, err
 

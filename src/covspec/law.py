@@ -43,15 +43,15 @@ _SERIES_ENTRIES = 1 << 16
 class LimitLaw:
     """Limiting sample-spectrum distribution for ratio c and population H.
 
-    The quadrature nodes, their masses and the density there are built on
-    first use, under a lock, and published together; the distribution
-    function is built on first use under the same lock.  Instances are safe
-    to share across threads.
+    The quadrature nodes and their masses are built on first use, under a
+    lock, and published together; the distribution function is built on
+    first use under the same lock.  Instances are safe to share across
+    threads.
     """
 
     c: float
     H: SpectralMeasure
-    # (x, f, q, pieces), set once by ensure_grids
+    # (x, q, pieces), set once by ensure_grids
     _grids: Optional[tuple] = field(default=None, repr=False, compare=False)
     # per interval (a, b, c0, coef), set once by _cdf_series
     _cdf: Optional[tuple] = field(default=None, repr=False, compare=False)
@@ -83,21 +83,16 @@ class LimitLaw:
         # the means need only q: building the series apart, on first use, keeps
         # numpy.fft (and its memory) out of runs that never ask for F
         if self._cdf is None:
-            pieces = self.ensure_grids()[3]
+            pieces = self.ensure_grids()[2]
             with self._lock:
                 if self._cdf is None:
                     self._cdf = _cosine_cdf(pieces)
         return self._cdf
 
     @property
-    def density_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        x, f, _, _ = self.ensure_grids()
-        return x, f
-
-    @property
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes x and masses q: the integral of v against the density is q @ v(x)."""
-        x, _, q, _ = self.ensure_grids()
+        x, q, _ = self.ensure_grids()
         return x, q
 
     def total_mass(self) -> float:
@@ -116,7 +111,7 @@ class LimitLaw:
 
 
 def _midpoint_rule(law: LimitLaw) -> tuple:
-    """(x, f, q, pieces): on each support interval (a, b), M nodes
+    """(x, q, pieces): on each support interval (a, b), M nodes
     x_j = a + (b-a) sin^2(theta_j/2) at theta_j = pi (j+1/2)/M with masses
     q_j = (pi/M) h_j, h_j = (b-a)/2 sin(theta_j) f(x_j); pieces holds
     (a, b, h) per interval.  All densities come from one call."""
@@ -129,7 +124,7 @@ def _midpoint_rule(law: LimitLaw) -> tuple:
     pieces = tuple((a, b, (b - a) / 2.0 * np.sin(theta) * fi)
                    for (a, b), theta, fi in zip(bulk, thetas, fs))
     q = np.concatenate([np.pi / h.size * h for _, _, h in pieces])
-    return np.concatenate(xs), f, q, pieces
+    return np.concatenate(xs), q, pieces
 
 
 def _cosine_cdf(pieces) -> tuple:

@@ -192,11 +192,10 @@ class Workspace:
 
     Holds the population root (None when T = I), one n x N entry buffer
     (for complex entries also an n x N float draw buffer and an n x N
-    conjugate buffer) and one n x n Hermitian scratch, all shared by the
-    replicates of a block, and the stacked size x n x n Grams of a block
-    of up to ``size`` replicates: each replicate is drawn into the one
-    entry buffer, and only its Gram is kept.  One thread at a time may
-    use it.
+    conjugate buffer), shared by the replicates of a block, and the
+    stacked size x n x n Grams of a block of up to ``size`` replicates:
+    each replicate is drawn into the one entry buffer, and only its Gram
+    is kept.  One thread at a time may use it.
     """
 
     def __init__(self, cfg: ModelConfig, dtype=None, size: int = 1):
@@ -209,7 +208,6 @@ class Workspace:
         self.scratch = np.empty((n, N)) if draw.kind == "c" else None
         self.conj = np.empty((n, N), dtype) if dtype.kind == "c" else None
         self.gram = np.empty((size, n, n), dtype)
-        self.gram_h = np.empty((n, n), dtype)
 
     @staticmethod
     def replicate_bytes(cfg: ModelConfig) -> int:
@@ -227,8 +225,9 @@ def _gram(cfg: ModelConfig, ws: Workspace, out: np.ndarray) -> np.ndarray:
     a = np.matmul(y, y_conj.T, out=out)
     a /= cfg.N
     # force exact Hermitian symmetry against roundoff; the real product
-    # (a symmetric rank-k update) already has it
-    a_h = np.conjugate(a.T, out=ws.gram_h)
+    # (a symmetric rank-k update) already has it, and for real a the
+    # conjugate transpose is a view of a, so nothing is copied
+    a_h = a.conj().T
     if (a != a_h).any():
         a += a_h
         a /= 2.0

@@ -231,6 +231,11 @@ def support(H: SpectralMeasure, c: float) -> tuple[tuple[float, float], ...]:
     """
     if c <= 0:
         raise ValueError("ratio c must be positive")
+    # u_k^2 overflows exactly when u_k = t_k sqrt(c w_k) >= 2^512; scaling t_k
+    # by 2^-512 first is exact, so this decides it without forming u_k
+    if np.any(H.atoms * 2.0 ** -512 * np.sqrt(c * H.weights) >= 1.0):
+        raise ArithmeticError(f"support: c w_k t_k^2 overflows, so no edge can be computed, "
+                              f"at the population atoms {H.atoms.tolist()}")
     t, u, shift = _arrowhead_parts(H, c)
     d, eye = np.diag(t), np.eye(t.size)
     y = np.linalg.eigvals(np.block([[d, -eye], [-np.outer(u, u), d]]))

@@ -192,6 +192,15 @@ class TestDispatch:
         assert err.startswith("numerical failure in density: support: no bulk interval")
         assert not (tmp_path / "density.csv").exists()
 
+    def test_density_huge_atom_exit_3(self, tmp_path, capsys):
+        # u = t sqrt(c w) squares past the largest float: support refuses it
+        # before any product, so no overflow warning raises here
+        cfgfile = _config(tmp_path, population={"atoms": [{"t": 1e160, "w": 1.0}]})
+        assert main(["density", "--config", str(cfgfile), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure in density: support: c w_k t_k^2 overflows")
+        assert not (tmp_path / "density.csv").exists()
+
     @pytest.mark.parametrize("command, t, output", [("density", 1e200, "density.csv"),
                                                      ("simulate", 1e150, "summary.json")])
     def test_overflowing_atom_exit_3(self, tmp_path, command, t, output):
@@ -261,6 +270,17 @@ class TestDispatch:
                      "--reps", "4", "--grid", grid]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("bb.json"))
+
+    def test_negative_grid_flag_needs_equals(self, tmp_path, capsys):
+        # argparse reads a value that starts with "-" and is no plain number as a flag
+        cfgfile = _config(tmp_path, n=20, N=40)
+        argv = ["density", "--config", str(cfgfile), "--out", str(tmp_path)]
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--grid", "-1,0.5"])
+        assert info.value.code == 2 and "expected one argument" in capsys.readouterr().err
+        assert main(argv + ["--grid=-1,0.5"]) == 0
+        _, rows = _read_csv(tmp_path / "density.csv")
+        assert rows[:, 0].tolist() == [-1.0, 0.5] and rows[0, 1:].tolist() == [0.0, 0.0]
 
     def test_direction_unlike_population_exit_2(self, tmp_path, capsys):
         # with T = diag(1, 3) the direction e0 sees only the atom 1: W = (1, 0), not (1/2, 1/2)

@@ -16,6 +16,8 @@ from covspec import (ConfigError, DirectionSpec, FunctionalSpec, LimitLaw, Model
                      run_replications, theoretical_cov_contour, theoretical_cov_simplified,
                      w_statistic, weighted_spectrum)
 from covspec.harness import _block_size
+from covspec.kernels import contour_nodes, kernel_from_mbar
+from covspec.mp import solve_mbar_grid
 from covspec.model import sample_cov_block
 from covspec.cli import FIGURE_ONE_SIZES, FIGURE_SMALL, _figure_samples
 
@@ -433,6 +435,31 @@ class TestTheoreticalCovContour:
         got, err = theoretical_cov_contour([GLOG], MP1, c)
         assert abs(got[0, 0] - want) <= 1e-10
         assert err <= 1e-8
+
+    @pytest.mark.parametrize("h,c,M", [
+        (SpectralMeasure([1.0, 3.0], [0.5, 0.5]), 0.3, 254),
+        (MP1, 0.5, 312),
+        (SpectralMeasure([0.5, 1.0, 2.0, 4.0, 8.0], [0.2] * 5), 0.5, 710),
+        (MP1, 0.9, 2048),
+    ], ids=["atoms1-3_c0.3", "delta1_c0.5", "atoms5_c0.5", "delta1_c0.9"])
+    def test_blocks_match_one_shot_kernel(self, h, c, M):
+        # oracle: the whole M x M kernel at once, then the same two contractions
+        gs = [G1, G2, GLOG]
+        (z1, w1), (z2, w2) = contour_nodes(h, c)
+        assert z1.size == M
+        m1, m2 = np.split(solve_mbar_grid(np.concatenate([z1, z2]), h, c)[0], [M])
+        gw1 = np.array([g(z1) * w1 for g in gs])
+        gw2 = np.array([g(z2) * w2 for g in gs])
+        k = kernel_from_mbar(z1[:, None], m1[:, None], z2[None, :], m2[None, :], c)
+        full = -(gw1 @ (k @ gw2.T)) / (4.0 * np.pi ** 2)
+        half = -(4.0 * gw1[:, ::2] @ (k[::2, ::2] @ gw2[:, ::2].T)) / (4.0 * np.pi ** 2)
+        want = (full.real + full.real.T) / 2.0
+        want_err = max(float(np.max(np.abs(full - half))), float(np.max(np.abs(full.imag))))
+        got, err = theoretical_cov_contour(gs, h, c)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        assert abs(err - want_err) <= 1e-14
+        if M == 312:  # the benchmark's clt config gives bitwise the one-shot result
+            assert got.tobytes() == want.tobytes() and err == want_err
 
     @pytest.mark.parametrize("h,c,gs", [
         (SpectralMeasure([1.0, 2.0], [0.5, 0.5]), 0.5, [G1, G2, GLOG]),

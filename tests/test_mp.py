@@ -195,3 +195,12 @@ class TestSupportInterval:
         for c in (0.0, -1.0):
             with pytest.raises(ValueError):
                 support(MP1, c)
+
+    @pytest.mark.parametrize("h", [SpectralMeasure.point(1e160),
+                                   SpectralMeasure([1.0, 1e160], [0.5, 0.5])])
+    def test_overflowing_atom(self, h):
+        # u_k^2 = c w_k t_k^2 overflows: refused before any product, so
+        # (under error::RuntimeWarning) no overflow warning either
+        with pytest.raises(ArithmeticError, match="^support: c w_k t_k") as info:
+            support(h, 0.5)
+        assert str(h.atoms.tolist()) in str(info.value)
