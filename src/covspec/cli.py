@@ -79,46 +79,48 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
-def _parse_population(obj, path="population.") -> PopulationSpec:
+def _parse_population(obj) -> PopulationSpec:
     _require(isinstance(obj, dict), "population must be an object")
-    _reject_unknown(obj, {"atoms"}, path)
-    _require("atoms" in obj, f"missing required field {path}atoms")
+    _reject_unknown(obj, {"atoms"}, "population.")
+    _require("atoms" in obj, "missing required field population.atoms")
     atoms_spec = obj["atoms"]
-    _require(isinstance(atoms_spec, list) and atoms_spec, f"{path}atoms must be a nonempty list")
+    _require(isinstance(atoms_spec, list) and atoms_spec,
+             "population.atoms must be a nonempty list")
     ts, ws = [], []
     for i, entry in enumerate(atoms_spec):
-        _require(isinstance(entry, dict), f"{path}atoms[{i}] must be an object")
-        _reject_unknown(entry, {"t", "w"}, f"{path}atoms[{i}].")
-        _require("t" in entry and "w" in entry, f"{path}atoms[{i}] needs fields t and w")
-        ts.append(_number(entry["t"], f"{path}atoms[{i}].t"))
-        ws.append(_number(entry["w"], f"{path}atoms[{i}].w"))
+        _require(isinstance(entry, dict), f"population.atoms[{i}] must be an object")
+        _reject_unknown(entry, {"t", "w"}, f"population.atoms[{i}].")
+        _require("t" in entry and "w" in entry, f"population.atoms[{i}] needs fields t and w")
+        ts.append(_number(entry["t"], f"population.atoms[{i}].t"))
+        ws.append(_number(entry["w"], f"population.atoms[{i}].w"))
     try:
         spectrum = SpectralMeasure(ts, ws)
     except ValueError as exc:
         raise ConfigError(f"population: {exc}") from exc
     # zero-weight atoms are dropped, so this asks for an atom t > 0 of weight w > 0
-    _require(spectrum.t_max > 0, f"{path}atoms needs an atom t > 0 of positive weight")
+    _require(spectrum.t_max > 0, "population.atoms needs an atom t > 0 of positive weight")
     return PopulationSpec(spectrum)
 
 
-def _parse_direction(obj, path="direction.") -> DirectionSpec:
+def _parse_direction(obj) -> DirectionSpec:
     _require(isinstance(obj, dict), "direction must be an object")
-    _reject_unknown(obj, {"kind", "index", "vector"}, path)
-    _require("kind" in obj, f"missing required field {path}kind")
+    _reject_unknown(obj, {"kind", "index", "vector"}, "direction.")
+    _require("kind" in obj, "missing required field direction.kind")
     kind = obj["kind"]
     if kind in ("e", "basis"):
         index = obj.get("index", 0)
-        _require(type(index) is int, f"{path}index must be an integer (got {index!r})")
+        _require(type(index) is int, f"direction.index must be an integer (got {index!r})")
         return DirectionSpec.basis(index)
     if kind == "uniform":
         _require("index" not in obj and "vector" not in obj,
                  "uniform direction takes no index or vector")
         return DirectionSpec.uniform()
     if kind == "custom":
-        _require("vector" in obj, f"missing required field {path}vector")
+        _require("vector" in obj, "missing required field direction.vector")
         vec = obj["vector"]
-        _require(isinstance(vec, list) and vec, f"{path}vector must be a nonempty list")
-        return DirectionSpec.custom([_number(v, f"{path}vector[{i}]") for i, v in enumerate(vec)])
+        _require(isinstance(vec, list) and vec, "direction.vector must be a nonempty list")
+        return DirectionSpec.custom([_number(v, f"direction.vector[{i}]")
+                                     for i, v in enumerate(vec)])
     raise ConfigError(f"direction.kind must be one of 'e', 'uniform', 'custom' (got {kind!r})")
 
 
@@ -239,8 +241,8 @@ def _cmd_density(rc: RunConfig, outdir) -> None:
     else:
         lo, hi = law.bulk_window()
         xs = np.linspace(lo, hi, 400)
+    Fs = cdf_limit(xs, law)  # first: its rule checks the support before any density
     fs = density(xs, law)
-    Fs = cdf_limit(xs, law)
     _write_csv(outdir / "density.csv", ["x", "f", "F"], [xs, fs, Fs])
 
 

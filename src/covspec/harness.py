@@ -312,8 +312,7 @@ def theoretical_cov_simplified(gs: Sequence[FunctionalSpec], law: LimitLaw) -> n
     return cov
 
 
-def bb_samples(cfg: ModelConfig, grid: Sequence[float], R: int,
-               workers: Optional[int] = None) -> np.ndarray:
+def bb_samples(cfg: ModelConfig, grid: Sequence[float], R: int) -> np.ndarray:
     """R x len(grid) matrix of partial-sum process values across replicates."""
     grid = np.asarray(grid, dtype=float)
     x = realize_direction(cfg.direction, cfg.n)
@@ -322,11 +321,10 @@ def bb_samples(cfg: ModelConfig, grid: Sequence[float], R: int,
         ws = weighted_spectrum(eig_decompose(a), x)
         return [y_process(ws, t) for t in grid]
 
-    return map_replicates(cfg, lambda stack: [one(a) for a in stack], R, workers=workers)
+    return map_replicates(cfg, lambda stack: [one(a) for a in stack], R)
 
 
-def bb_covariance(cfg: ModelConfig, grid: Sequence[float], R: int,
-                  workers: Optional[int] = None) -> np.ndarray:
+def bb_covariance(cfg: ModelConfig, grid: Sequence[float], R: int) -> np.ndarray:
     """Empirical covariance of the partial-sum process on a time grid.
 
     Only meaningful in the exactly-rotation-invariant case: real Gaussian
@@ -339,7 +337,7 @@ def bb_covariance(cfg: ModelConfig, grid: Sequence[float], R: int,
         raise ConfigError("bridge check needs real-gaussian entries and a scalar population")
     if R < 2:
         raise ConfigError("need at least 2 replications")
-    samples = bb_samples(cfg, grid, R, workers=workers)
+    samples = bb_samples(cfg, grid, R)
     return np.atleast_2d(np.cov(samples, rowvar=False, ddof=1))
 
 
@@ -372,19 +370,19 @@ class MCReport:
         return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
 
-def run_clt(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
-            workers: Optional[int] = None) -> MCReport:
-    """Full verification run: replicate, estimate, and evaluate both theory
-    paths, which are on the real-entry scale; for complex entries (beta = 2)
-    the report holds them and ``theory_err`` halved, exactly."""
+def run_clt(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int) -> MCReport:
+    """Full verification run: evaluate both theory paths, then replicate and
+    estimate.  The theory is on the real-entry scale; for complex entries
+    (beta = 2) the report holds it and ``theory_err`` halved, exactly.  The
+    theory comes first, so a law it cannot solve fails before any replicate."""
     t0 = time.perf_counter()
     gs = list(gs)
-    law = realized_law(cfg)  # built once: it centres the replicates and gives both theories
-    values = run_replications(cfg, gs, R, workers=workers, law=law)
-    mean, cov = estimate_mean_cov(values)
+    law = realized_law(cfg)  # built once: it gives both theories and centres the replicates
     beta = 2.0 if entry_dtype(cfg.entry_dist).kind == "c" else 1.0
     theory, theory_err = theoretical_cov_contour(gs, law.H, law.c)
     simplified = theoretical_cov_simplified(gs, law) / beta if law.H.is_degenerate else None
+    values = run_replications(cfg, gs, R, law=law)
+    mean, cov = estimate_mean_cov(values)
     return MCReport(
         R=R,
         functionals=[g.label for g in gs],

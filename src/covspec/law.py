@@ -15,15 +15,16 @@ geometrically, and the distribution function is the cosine interpolant of
 the same samples of h, integrated term by term.  It adds the point mass at
 zero, max(w_0, 1 - 1/c) for a zero atom of weight w_0.  A LimitLaw builds
 its rule and its distribution function once each, under a lock, so one
-instance can serve every replicate worker.  Means are not kept: each
-costs at most one dot product with the rule's masses.
+instance can serve every replicate worker.  Means are not kept: the mean of
+a polynomial is a sum of exact moments, from the power series of mbar in
+1/z (``limit_moments``), and never builds the rule; the mean of the log is
+one dot product with the rule's masses.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from math import comb
 from typing import Optional
 
 import numpy as np
@@ -52,10 +53,11 @@ class LimitLaw:
     c: float
     H: SpectralMeasure
     # (x, q, pieces), set once by ensure_grids
-    _grids: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _grids: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     # per interval (a, b, c0, coef), set once by _cdf_series
-    _cdf: Optional[tuple] = field(default=None, repr=False, compare=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+    _cdf: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         if self.c <= 0:
@@ -189,27 +191,24 @@ def cdf_limit(x, law: LimitLaw):
     return float(out[0]) if scalar else out
 
 
-def _degenerate_moment(k: int, c: float, t: float) -> float:
-    # classic Marchenko-Pastur moments, scaled by the atom
-    if k == 0:
-        return 1.0
-    s = sum(comb(k, r) * comb(k - 1, r) / (r + 1) * c ** r for r in range(k))
-    return t ** k * s
-
-
 def limit_moments(law: LimitLaw, k: int) -> float:
-    """k-th moment of the limiting law.
+    """k-th moment of the limiting law, exact for every discrete H.
 
-    Closed form for a degenerate population, the midpoint rule otherwise.
+    With u = -mbar the equation z = -1/mbar + c int t dH(t)/(1 + t mbar)
+    reads u = psi(u)/z, psi(u) = 1 + c sum_j H.moment(j) u^j.  Lagrange
+    inversion gives the coefficient of z^-(k+1) in u, the k-th moment of the
+    companion law (1-c) delta_0 + c F, as [u^k] psi^(k+1)/(k+1); the law's
+    moment is that divided by c (Yin 1986; Bai & Silverstein 2010, ch. 3).
     """
     if k < 0:
         raise ValueError("moment order must be nonnegative")
     if k == 0:
         return 1.0
-    if law.H.is_degenerate:
-        return _degenerate_moment(k, law.c, law.H.t_min)
-    x, q = law.quadrature
-    return float(q @ x ** k)
+    psi = np.array([1.0] + [law.c * law.H.moment(j) for j in range(1, k + 1)])
+    power = np.ones(1)
+    for _ in range(k + 1):
+        power = np.convolve(power, psi)[:k + 1]
+    return float(power[k] / (k + 1) / law.c)
 
 
 def mean_functional_density(law: LimitLaw, g: FunctionalSpec) -> float:
@@ -224,8 +223,8 @@ def mean_functional_density(law: LimitLaw, g: FunctionalSpec) -> float:
 
 
 def mean_functional(law: LimitLaw, g: FunctionalSpec) -> float:
-    """Integral of g against the limiting law: exact moments for a polynomial
-    under a point-mass population, density quadrature otherwise."""
-    if g.kind == "poly" and law.H.is_degenerate:
+    """Integral of g against the limiting law: exact moments for a
+    polynomial, the midpoint rule for the log."""
+    if g.kind == "poly":
         return float(sum(coef * limit_moments(law, d) for d, coef in enumerate(g.coeffs)))
     return mean_functional_density(law, g)

@@ -234,17 +234,15 @@ def _gram(cfg: ModelConfig, ws: Workspace, out: np.ndarray) -> np.ndarray:
     return a
 
 
-def sample_cov_block(cfg: ModelConfig, replicates: range,
-                     workspace: Optional[Workspace] = None) -> np.ndarray:
+def sample_cov_block(cfg: ModelConfig, replicates: range, ws: Workspace) -> np.ndarray:
     """Stacked sample covariances of ``replicates``, b x n x n for b of them.
 
     Replicate r draws from the stream keyed on (cfg.seed, r), so each
     matrix is bitwise the one ``build_sample_cov`` gives it, whatever block
-    it comes in.  With a ``workspace`` (of size b or more) the stack is its
-    Gram buffer, overwritten by its next use.
+    it comes in.  The stack is the Gram buffer of ``ws`` (of size b or
+    more), overwritten by its next use.
     """
     b = len(replicates)
-    ws = Workspace(cfg, size=b) if workspace is None else workspace
     if ws.gram.shape[0] < b:
         raise ValueError(f"workspace holds {ws.gram.shape[0]} replicates, "
                          f"fewer than the block's {b}")

@@ -66,10 +66,10 @@ def test_serial_replay_matches_run_replications():
     np.testing.assert_allclose(got, replayed, rtol=1e-9, atol=1e-9)
 
 
-def test_report_gate_without_theory_err():
+def test_report_gate_without_theory_err(monkeypatch):
     # the clt gate rebuilds the report from report.json without theory_err
-    doc = json.loads(json.dumps(run_clt(_cfg(), [FunctionalSpec.monomial(1)], 20,
-                                        workers=1).to_dict()))
+    monkeypatch.setenv("COVSPEC_WORKERS", "1")
+    doc = json.loads(json.dumps(run_clt(_cfg(), [FunctionalSpec.monomial(1)], 20).to_dict()))
     report = MCReport(
         R=doc["R"], functionals=doc["functionals"],
         sample_mean=np.array(doc["sample_mean"]), sample_cov=np.array(doc["sample_cov"]),

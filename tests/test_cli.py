@@ -219,6 +219,25 @@ class TestDispatch:
             assert f"non-finite value for {output}" in proc.stderr
             assert not (tmp_path / "spectrum.csv").exists()
 
+    @pytest.mark.parametrize("command, flag, output", [("clt", "--reps=4", "report.json"),
+                                                       ("density", "--grid=1,2", "density.csv")])
+    def test_huge_atom_exit_3_without_warnings(self, tmp_path, command, flag, output):
+        # run as a user would, where an overflow warning prints: the support
+        # refuses the atom before any replicate or density squares it
+        src = str(Path(covspec.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONWARNINGS", None)
+        cfgfile = _config(tmp_path, n=20, N=40, population={"atoms": [{"t": 1e160, "w": 1.0}]})
+        proc = subprocess.run([sys.executable, "-m", "covspec.cli", command, "--config",
+                               str(cfgfile), "--out", str(tmp_path), flag],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith(f"numerical failure in {command}: support: c w_k t_k^2 "
+                                      "overflows")
+        assert "RuntimeWarning" not in proc.stderr
+        assert not (tmp_path / output).exists()
+
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 

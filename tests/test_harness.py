@@ -381,20 +381,22 @@ class TestTheoreticalCovContour:
         assert abs(got[0, 1] - 5.0) <= 1e-12
         assert got[0, 1] == got[1, 0]
 
-    def test_complex_case_half(self):
+    def test_complex_case_half(self, monkeypatch):
         # complex entries: run_clt halves the real-scale theory, (2/c) Var(x) / 2 = 1 at c = 0.5
-        report = run_clt(_cfg(dist="complex-gaussian"), [G1], 2, workers=1)
+        monkeypatch.setenv("COVSPEC_WORKERS", "1")
+        report = run_clt(_cfg(dist="complex-gaussian"), [G1], 2)
         assert abs(report.theory_cov_contour[0, 0] - 1.0) <= 1e-12
 
-    def test_real_is_twice_complex(self):
-        full = run_clt(_cfg(n=20, N=80), [G1, G2], 2, workers=1)
-        half = run_clt(_cfg(n=20, N=80, dist="complex-gaussian"), [G1, G2], 2, workers=1)
+    def test_real_is_twice_complex(self, monkeypatch):
+        monkeypatch.setenv("COVSPEC_WORKERS", "1")
+        full = run_clt(_cfg(n=20, N=80), [G1, G2], 2)
+        half = run_clt(_cfg(n=20, N=80, dist="complex-gaussian"), [G1, G2], 2)
         assert np.abs(full.theory_cov_contour - 2 * half.theory_cov_contour).max() <= 1e-12
         assert full.theory_err == 2 * half.theory_err
 
     @pytest.mark.parametrize("case", ["real", "complex"])
     @pytest.mark.parametrize("c", [0.25, 0.5, 0.999, 2.0])
-    def test_poly_pairs_match_exact_moments(self, c, case):
+    def test_poly_pairs_match_exact_moments(self, c, case, monkeypatch):
         # at c = 0.999 the lower edge is 2.5e-7: ellipses kept right of 0
         # would need far more than the 2048-node cap
         gs = [G1, G2, G3]
@@ -404,7 +406,8 @@ class TestTheoreticalCovContour:
             got, err = theoretical_cov_contour(gs, MP1, c)
         else:  # the theory run_clt reports for complex entries at n / N = c
             n, N = {0.25: (20, 80), 0.5: (40, 80), 0.999: (999, 1000), 2.0: (80, 40)}[c]
-            report = run_clt(_cfg(n=n, N=N, dist="complex-gaussian"), gs, 2, workers=1)
+            monkeypatch.setenv("COVSPEC_WORKERS", "1")
+            report = run_clt(_cfg(n=n, N=N, dist="complex-gaussian"), gs, 2)
             got, err, want = report.theory_cov_contour, report.theory_err, 0.5 * want
         assert np.abs(got - want).max() <= 1e-12
         assert err <= 1e-9
@@ -532,30 +535,34 @@ class TestBrownianBridge:
         assert abs(cov[0, 1] - 0.125) <= 0.05
         assert abs(cov[1, 1] - 0.25) <= 0.06
 
-    def test_samples_shape(self):
-        vals = bb_samples(_cfg(n=20, N=40), [0.3, 0.6, 0.9], 5, workers=1)
+    def test_samples_shape(self, monkeypatch):
+        monkeypatch.setenv("COVSPEC_WORKERS", "1")
+        vals = bb_samples(_cfg(n=20, N=40), [0.3, 0.6, 0.9], 5)
         assert vals.shape == (5, 3)
 
 
 class TestCompareReport:
-    def test_exact_pass_and_fail(self):
-        report = run_clt(_cfg(n=30, N=60, seed=1), [G1], 50, workers=2)
+    def test_exact_pass_and_fail(self, monkeypatch):
+        monkeypatch.setenv("COVSPEC_WORKERS", "2")
+        report = run_clt(_cfg(n=30, N=60, seed=1), [G1], 50)
         verdict = compare_report(report, Tolerances(abs_tol=100.0))
         assert verdict.passed
         strict = compare_report(report, Tolerances(abs_tol=0.0, rel_tol=0.0))
         assert not strict.passed
         assert strict.failures[0]["entry"] == (0, 0)
 
-    def test_shape_mismatch(self):
-        report = run_clt(_cfg(n=30, N=60, seed=1), [G1], 10, workers=2)
+    def test_shape_mismatch(self, monkeypatch):
+        monkeypatch.setenv("COVSPEC_WORKERS", "2")
+        report = run_clt(_cfg(n=30, N=60, seed=1), [G1], 10)
         report.sample_cov = np.eye(2)
         with pytest.raises(ValueError):
             compare_report(report, Tolerances())
 
 
-def test_run_clt_report_fields():
+def test_run_clt_report_fields(monkeypatch):
+    monkeypatch.setenv("COVSPEC_WORKERS", "2")
     cfg = _cfg(n=30, N=60, seed=3)
-    report = run_clt(cfg, [G1, G2], 20, workers=2)
+    report = run_clt(cfg, [G1, G2], 20)
     assert report.R == 20
     assert report.functionals == ["poly:0,1", "poly:0,0,1"]
     assert report.sample_cov.shape == (2, 2)
@@ -573,10 +580,11 @@ def test_run_clt_report_fields():
     assert d["theory_err"] == report.theory_err
 
 
-def test_run_clt_complex_entries_halve_the_real_scale_theory():
+def test_run_clt_complex_entries_halve_the_real_scale_theory(monkeypatch):
     # complex entries (E|X|^4 = 2): the limiting covariance is the real-entry one over beta = 2
+    monkeypatch.setenv("COVSPEC_WORKERS", "1")
     cfg = _cfg(n=40, N=80, dist="complex-gaussian", seed=4)
-    report = run_clt(cfg, [G1, G2], 6, workers=1)
+    report = run_clt(cfg, [G1, G2], 6)
     law = realized_law(cfg)
     contour, err = theoretical_cov_contour([G1, G2], law.H, law.c)
     simplified = theoretical_cov_simplified([G1, G2], law)
@@ -593,8 +601,21 @@ def test_run_clt_builds_the_density_rule_once(monkeypatch):
     builds = []
     rule = covspec.law._midpoint_rule
     monkeypatch.setattr(covspec.law, "_midpoint_rule", lambda law: builds.append(1) or rule(law))
-    run_clt(_cfg(n=100, N=200, seed=3), [G1, GLOG], 4, workers=1)
+    monkeypatch.setenv("COVSPEC_WORKERS", "1")
+    run_clt(_cfg(n=100, N=200, seed=3), [G1, GLOG], 4)
     assert len(builds) == 1
+
+
+def test_run_clt_theory_failure_runs_no_replicate(monkeypatch):
+    # support refuses the atom, so the replicates never square it
+    calls = []
+    monkeypatch.setattr(covspec.harness, "map_replicates", lambda *a, **k: calls.append(a))
+    cfg = ModelConfig(n=40, N=80, entry_dist="real-gaussian",
+                      population=PopulationSpec(SpectralMeasure.point(1e160)),
+                      direction=DirectionSpec.basis(0), seed=0)
+    with pytest.raises(ArithmeticError, match="^support: c w_k t_k"):
+        run_clt(cfg, [G1], 4)
+    assert calls == []
 
 
 def test_seed_band_consistency():
@@ -627,8 +648,6 @@ def test_bad_workers_argument_draws_no_replicate(monkeypatch, workers):
                         lambda cfg, reps, ws: drawn.append(reps) or block(cfg, reps, ws))
     with pytest.raises(ConfigError, match="^workers must be a positive integer"):
         map_replicates(_cfg(), lambda stack: np.zeros(len(stack)), 4, workers=workers)
-    with pytest.raises(ConfigError, match="^workers must be a positive integer"):
-        run_clt(_cfg(), [G1], 4, workers=workers)
     assert drawn == []
     map_replicates(_cfg(), lambda stack: np.zeros(len(stack)), 4, workers=np.int64(2))
     assert drawn  # the hook sees the draws of a valid run

@@ -32,11 +32,12 @@ class TestCovKernel:
         expected = 2 * (z2 * m2 - z1 * m1) ** 2 / (c ** 2 * z1 * z2 * (z2 - z1) * (m2 - m1))
         assert abs(cov_kernel(z1, z2, MP1, c) - expected) <= 1e-10
 
-    def test_complex_case_is_half(self):
+    def test_complex_case_is_half(self, monkeypatch):
         # run_clt puts complex entries at beta = 2 over the real-scale kernel: the
         # quadratic oracle then loses its factor 2
+        monkeypatch.setenv("COVSPEC_WORKERS", "1")
         reports = [run_clt(ModelConfig(n=40, N=80, entry_dist=dist, population=PopulationSpec.identity(),
-                                       direction=DirectionSpec.basis(0), seed=0), [G1], 2, workers=1)
+                                       direction=DirectionSpec.basis(0), seed=0), [G1], 2)
                    for dist in ("real-gaussian", "complex-gaussian")]
         beta = reports[0].theory_cov_contour[0, 0] / reports[1].theory_cov_contour[0, 0]
         assert beta == 2.0

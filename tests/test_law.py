@@ -1,5 +1,6 @@
 import csv
 import json
+from math import comb
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from covspec.law import mean_functional_density
 MP1 = SpectralMeasure.point(1.0)
 H13 = SpectralMeasure([1.0, 3.0], [0.5, 0.5])
 H5 = SpectralMeasure([0.5, 1.0, 2.0, 4.0, 8.0], [0.2] * 5)
+H013 = SpectralMeasure([0.0, 1.0, 3.0], [1 / 3] * 3)
+H50 = SpectralMeasure(np.geomspace(0.1, 10.0, 50), np.full(50, 1 / 50))
 # (population atoms (t, w), n, N) of the benchmark's density calls
 BENCH_DENSITY = [
     ([(1.0, 1.0)], 100, 400),
@@ -22,6 +25,12 @@ BENCH_DENSITY = [
     ([(1.0, 0.5), (3.0, 0.5)], 200, 100),
     ([(0.5, 0.2), (1.0, 0.2), (2.0, 0.2), (4.0, 0.2), (8.0, 0.2)], 100, 200),
 ]
+
+
+def narayana_moment(k, c, t):
+    """k-th moment of the Marchenko-Pastur law of ratio c scaled by t: t^k
+    sum_r C(k, r) C(k-1, r) c^r / (r+1), the Narayana polynomial."""
+    return t ** k * sum(comb(k, r) * comb(k - 1, r) / (r + 1) * c ** r for r in range(k))
 
 
 def mp_closed_density(x, c):
@@ -278,6 +287,31 @@ class TestMoments:
             ref = np.trapezoid(f * x ** k, x)
             assert abs(limit_moments(law, k) - ref) <= 1e-3 * max(1.0, abs(ref))
 
+    @pytest.mark.parametrize("h,c", [
+        (H13, 0.5), (H13, 1.0), (H13, 2.0), (H5, 0.5), (H013, 1.0), (H013, 2.0), (H50, 0.5),
+    ], ids=["atoms1-3_c0.5", "atoms1-3_c1", "atoms1-3_c2", "atoms5_c0.5", "atoms0-1-3_c1",
+            "atoms0-1-3_c2", "atoms50_c0.5"])
+    def test_exact_moments_match_rule(self, h, c):
+        # the series in 1/z against the midpoint rule on the density
+        law = LimitLaw(c=c, H=h)
+        for k in range(1, 7):
+            exact = limit_moments(law, k)
+            rule = mean_functional_density(law, FunctionalSpec.monomial(k))
+            assert abs(exact - rule) <= 1e-13 * abs(exact)
+
+    @pytest.mark.parametrize("t", [0.3, 1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("c", [0.1, 0.25, 0.5, 0.9, 1.0, 2.0, 4.0])
+    def test_point_mass_matches_narayana_sum(self, t, c):
+        law = LimitLaw(c=c, H=SpectralMeasure.point(t))
+        for k in range(1, 9):
+            want = narayana_moment(k, c, t)
+            assert abs(limit_moments(law, k) - want) <= 1e-14 * want
+
+    def test_first_moment_is_the_population_mean(self):
+        # the trace identity, also where the rule misses the mass by 6e-8
+        law = LimitLaw(c=0.5, H=H013)
+        assert limit_moments(law, 1) == H013.moment(1)
+
 
 class TestMeanFunctional:
     def test_poly_uses_moments(self):
@@ -285,6 +319,15 @@ class TestMeanFunctional:
         g = FunctionalSpec.poly([1.0, 2.0, 3.0])
         expected = 1.0 + 2.0 * 1.0 + 3.0 * 1.5
         assert mean_functional(law, g) == pytest.approx(expected)
+
+    def test_poly_builds_no_rule(self):
+        # a polynomial takes exact moments under any population, so the
+        # density rule is never built
+        law = LimitLaw(c=0.5, H=H5)
+        got = mean_functional(law, FunctionalSpec.poly([1.0, 2.0, 3.0]))
+        assert law._grids is None
+        want = 1.0 + 2.0 * H5.moment(1) + 3.0 * (H5.moment(2) + 0.5 * H5.moment(1) ** 2)
+        assert abs(got - want) <= 1e-14 * want
 
     @pytest.mark.parametrize("h,c", [
         (H13, 0.5), (H13, 1.0), (H13, 2.0), (H5, 0.5),
@@ -296,8 +339,8 @@ class TestMeanFunctional:
         # the midpoint rule in the angle of each support interval integrates
         # 1, x and x^2 to rounding: mass 1 and the first two moments of the
         # limit law, H.m1 and H.m2 + c H.m1^2 (mean_functional_density runs
-        # the rule also where mean_functional takes exact moments, for
-        # delta_1; {1, 10} at c = 0.05 has two support intervals)
+        # the rule where mean_functional takes exact moments; {1, 10} at
+        # c = 0.05 has two support intervals)
         law = LimitLaw(c=c, H=h)
         assert abs(law.total_mass() - 1.0) <= 1e-13
         got1 = mean_functional_density(law, FunctionalSpec.monomial(1))
