@@ -77,7 +77,7 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 def gauss_rule(a: np.ndarray, x: np.ndarray, fn: Callable):
-    """Gauss rule for x* g(A) x by Lanczos from x: (nodes, weights, fn value), or None.
+    """Gauss rule for x* g(A) x by Lanczos from x: (nodes, weights, fn row), or None.
 
     k Lanczos steps on the Hermitian nonnegative definite A from the unit
     vector x give a real tridiagonal T_k.  Its eigenvalues (the Ritz
@@ -87,9 +87,10 @@ def gauss_rule(a: np.ndarray, x: np.ndarray, fn: Callable):
     degree up to 2k-1 (Golub & Welsch 1969).  Every step reorthogonalises
     against all earlier vectors by two classical Gram-Schmidt passes.  T_k
     is decomposed at k = 24, 32, 40, ..., and the rule stops at the first
-    of these where every output of ``fn(nodes, weights)`` moved by at most
-    1e-12 max(1, |value|) since the previous one (its move), or on breakdown
-    (beta <= 1e-12 |A|_F: the Krylov space is invariant and the rule exact).
+    of these where every entry of its row of ``fn(nodes, weights)`` moved
+    by at most 1e-12 max(1, |value|) since the previous one (its move), or
+    on breakdown (beta <= 1e-12 |A|_F: the Krylov space is invariant and
+    the rule exact).
 
     The steps needed grow with the condition number of A (a log functional
     at c = n/N = 0.5 settles at 40-48 steps, at c = 0.9 only after about
@@ -107,11 +108,14 @@ def gauss_rule(a: np.ndarray, x: np.ndarray, fn: Callable):
     eigenvector matrix have unit norm.
 
     A (b, n, n) stack gives a list of b results, one per matrix.  Lanczos
-    runs on the stack's still-running matrices together: one batched
+    runs on the stack's m still-running matrices together: one batched
     product for each matrix-vector product, Gram-Schmidt pass and norm, and
-    one stacked ``eigh`` per decomposition, each bitwise the operation on
-    that matrix alone.  Every matrix keeps its own stop, give-up, breakdown
-    and checks, so its result does not depend on the stack it comes in.
+    per decomposition one stacked ``eigh`` and one call of ``fn`` on the
+    (m, k) Ritz values and weights, which returns an (m, p) array whose
+    row i depends on row i alone (else ValueError).  Each is bitwise the
+    operation on that matrix alone, and only a checkpoint moves a matrix's
+    record of its values (a breakdown decomposes every matrix), so its
+    result does not depend on the stack it comes in.
     """
     a = _require_hermitian(a, stack=True)
     if a.ndim > 3:
@@ -133,12 +137,13 @@ def _lanczos_rules(a: np.ndarray, x: np.ndarray, fn: Callable, last: int) -> lis
     """``gauss_rule`` on each matrix of the stack a, within ``last`` steps."""
     b, n = a.shape[0], a.shape[-1]
     norm_a = _norms(a.reshape(b, -1))
-    tol = 1e-12 * norm_a  # breakdown below
     q = np.empty((b, last + 1, n), dtype=np.result_type(a, x, float))  # Lanczos vectors as rows
     q[:, 0] = x
     alpha, beta = np.empty((b, last)), np.empty((b, last))
-    rules, previous, change = [None] * b, [None] * b, [None] * b
+    rules = [None] * b
     run = np.arange(b)  # the stack index of each still-running matrix
+    # value at the previous checkpoint and last move: NaN, false in every comparison, before one
+    previous, change = np.full((b, 1), np.nan), np.full(b, np.nan)
     for k in range(1, last + 1):  # k steps done once this one ends
         w = np.matvec(a, q[:, k - 1])
         basis = q[:, :k]
@@ -149,55 +154,42 @@ def _lanczos_rules(a: np.ndarray, x: np.ndarray, fn: Callable, last: int) -> lis
         w -= np.matmul(h2[:, None], basis)[:, 0]
         alpha[:, k - 1] = (h1[:, -1] + h2[:, -1]).real
         beta[:, k - 1] = _norms(w)
-        breakdown = beta[:, k - 1] <= tol
-        if k >= 24 and k % 8 == 0:
-            ruled = np.arange(run.size)
-        elif breakdown.any():
-            ruled = np.flatnonzero(breakdown)
-        else:
-            ruled = None
-        if ruled is not None:
-            t = np.zeros((ruled.size, k, k))
+        breakdown = beta[:, k - 1] <= 1e-12 * norm_a
+        checkpoint = k >= 24 and k % 8 == 0
+        if checkpoint or breakdown.any():
+            t = np.zeros((run.size, k, k))
             i = np.arange(k)
-            t[:, i, i] = alpha[ruled, :k]
-            t[:, i[:-1], i[1:]] = t[:, i[1:], i[:-1]] = beta[ruled, :k - 1]
+            t[:, i, i] = alpha[:, :k]
+            t[:, i[:-1], i[1:]] = t[:, i[1:], i[:-1]] = beta[:, :k - 1]
             nodes, s = np.linalg.eigh(t)
-            done, gone = [], []  # rows of ``ruled`` that stop; rows of ``run`` that leave
-            for j, row in enumerate(ruled):
-                if nodes[j, 0] < -1e-10:
-                    raise RuntimeError("matrix is not nonnegative definite "
-                                       f"(min Ritz value {nodes[j, 0]:g})")
-                r = run[row]
-                weights = s[j, 0] ** 2
-                out = fn(nodes[j], weights)
-                value = np.asarray(out, dtype=float)
-                stop = breakdown[row]
-                if not stop and previous[r] is not None:
-                    moved = float(np.max(np.abs(value - previous[r]) / np.maximum(1.0, np.abs(value))))
-                    stop = moved <= 1e-12
-                    # the last two moves, extrapolated geometrically, miss 1e-12 by the last checkpoint
-                    if not stop and change[r] is not None and (
-                            moved >= change[r] or
-                            moved * (moved / change[r]) ** ((last - k) // 8) > 1e-12):
-                        gone.append(row)
-                        continue
-                    change[r] = moved
-                previous[r] = value
-                if stop:
-                    rules[r] = nodes[j], weights, out
-                    done.append(j)
-                    gone.append(row)
-            if done:
+            if np.any(nodes[:, 0] < -1e-10):
+                raise RuntimeError("matrix is not nonnegative definite "
+                                   f"(min Ritz value {nodes[:, 0].min():g})")
+            weights = s[:, 0] ** 2
+            value = np.asarray(fn(nodes, weights), dtype=float)
+            if value.ndim != 2 or value.shape[0] != run.size:
+                raise ValueError(f"fn gave shape {value.shape} for {run.size} matrices, "
+                                 f"not one row each")
+            stop = leave = breakdown
+            if checkpoint:
+                moved = np.max(np.abs(value - previous) / np.maximum(1.0, np.abs(value)), axis=1)
+                stop = breakdown | (moved <= 1e-12)
+                # the last two moves, extrapolated geometrically, miss 1e-12 by the last
+                # checkpoint (a move that did not shrink always misses)
+                shrink = np.minimum(moved / change, 1.0)
+                leave = stop | (moved * shrink ** ((last - k) // 8) > 1e-12)
+                previous, change = value, moved
+            for j in np.flatnonzero(stop):
+                rules[run[j]] = nodes[j], weights[j], value[j]
+            if stop.any():
                 # all stopping at once is the common case: check them without copying the stack
-                pick = slice(None) if len(done) == run.size else ruled[done]
-                _check_lanczos(a[pick], q[pick, :k], t[done], w[pick], norm_a[pick])
-            if gone:
-                if len(gone) == run.size:
-                    break
-                keep = np.ones(run.size, dtype=bool)
-                keep[gone] = False
-                a, q, w, run = a[keep], q[keep], w[keep], run[keep]
-                alpha, beta, norm_a, tol = alpha[keep], beta[keep], norm_a[keep], tol[keep]
+                pick = slice(None) if stop.all() else stop
+                _check_lanczos(a[pick], q[pick, :k], t[pick], w[pick], norm_a[pick])
+            if leave.all():
+                break
+            if leave.any():
+                a, q, w, run, alpha, beta, norm_a, previous, change = (
+                    v[~leave] for v in (a, q, w, run, alpha, beta, norm_a, previous, change))
         np.divide(w, beta[:, k - 1, None], out=q[:, k])
     return rules
 

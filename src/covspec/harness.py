@@ -16,10 +16,13 @@ algebra serially and the results depend neither on scheduling nor on the
 BLAS thread setting.  Each caller does the decomposition its statistic
 needs: ``run_replications`` evaluates x* g(A) x by one Lanczos Gauss rule
 over the block (``eigen.gauss_rule``) for the matrices where it settles
-within n/4 steps and from the full eigendecomposition for the others,
-``bb_samples`` takes the eigenvector weights in eigenvalue order
-(``eig_decompose``), and the figures take one batched Cholesky
-log-determinant per block.
+within n/4 steps and from the full eigendecomposition for the others.
+Its statistic has the contract of ``fn``, a stack in and one row per
+matrix out: the rule calls it once per decomposition on the (m, k) Ritz
+values and weights of its m running matrices, the fall-back on one
+spectrum as a (1, n) stack.  ``bb_samples`` takes the eigenvector
+weights in eigenvalue order (``eig_decompose``), and the figures take one
+batched Cholesky log-determinant per block.
 Theory comes in two independently computed flavors, each returning the
 whole k x k matrix for k functionals: a double contour integral of the
 covariance kernel on two ellipses around the exact support, with an error
@@ -225,14 +228,14 @@ def run_replications(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
     x = realize_direction(cfg.direction, cfg.n)
 
     def lss(lambdas, weights):
-        return [rootN * (np.dot(weights, np.asarray(g(lambdas), dtype=float)) - m)
-                for g, m in zip(gs, means)]
+        sums = [np.vecdot(weights, np.asarray(g(lambdas), dtype=float)) for g in gs]
+        return rootN * (np.stack(sums, axis=-1) - means)
 
     def one(a, rule):
         if rule is not None:
             return rule[2]
         ws = weighted_spectrum(eig_decompose(a), x)
-        return lss(ws.lambdas, ws.weights)
+        return lss(ws.lambdas[None], ws.weights[None])[0]
 
     return map_replicates(cfg, lambda stack: list(map(one, stack, gauss_rule(stack, x, lss))),
                           R, workers=workers)

@@ -90,7 +90,9 @@ def _newton_terms(m, z, H: SpectralMeasure, c: float):
     f = 1.0 + t * m[None, :]
     denom = z - c * np.sum(w * t / f, axis=0)
     g = m + 1.0 / denom
-    gp = 1.0 - c * np.sum(w * t * t / f ** 2, axis=0) / denom ** 2
+    # t^2 / f^2 overflows at atoms near 1e154: safe, as _upper_root refuses a non-finite g'
+    with np.errstate(over="ignore", invalid="ignore"):
+        gp = 1.0 - c * np.sum(w * t * t / f ** 2, axis=0) / denom ** 2
     return g, gp
 
 
@@ -99,20 +101,21 @@ def _upper_root(z, H: SpectralMeasure, c: float):
 
     Takes the arrowhead root with the largest imaginary part (for Im z > 0
     the unique root with Im mbar > 0, Silverstein & Bai 1995), then polishes
-    it by Newton steps on g, keeping a step only if it lowers the residual
-    |g| and stays in the closed upper half-plane (next to a double root, at
-    a spectral edge, g' nearly vanishes and a step can overshoot).  Raises
-    ConvergenceError when a residual exceeds DEFAULT_TOL.  Returns (mbar,
-    residual, Newton steps taken).
+    it by Newton steps on g, keeping a step only if g' is finite, the step
+    lowers the residual |g| and it stays in the closed upper half-plane
+    (next to a double root, at a spectral edge, g' nearly vanishes and a
+    step can overshoot).  Raises ConvergenceError when a residual exceeds
+    DEFAULT_TOL.  Returns (mbar, residual, Newton steps taken).
     """
     y = _arrowhead_roots(z, H, c)
     m = -1.0 / y[np.arange(z.size), np.argmax(y.imag, axis=1)]
     g, gp = _newton_terms(m, z, H, c)
     steps = np.zeros(z.size, dtype=int)
     for _ in range(_NEWTON_STEPS):
-        cand = m - g / np.where(gp == 0, 1.0, gp)
+        finite = np.isfinite(gp)
+        cand = m - g / np.where(finite & (gp != 0), gp, 1.0)
         g_cand, gp_cand = _newton_terms(cand, z, H, c)
-        ok = (np.abs(g_cand) < np.abs(g)) & (cand.imag >= 0)
+        ok = finite & (np.abs(g_cand) < np.abs(g)) & (cand.imag >= 0)
         m, g, gp = np.where(ok, cand, m), np.where(ok, g_cand, g), np.where(ok, gp_cand, gp)
         steps += ok
     res = np.abs(g) / np.maximum(1.0, np.abs(m)) ** 2

@@ -238,6 +238,24 @@ class TestDispatch:
         assert "RuntimeWarning" not in proc.stderr
         assert not (tmp_path / output).exists()
 
+    @pytest.mark.parametrize("t", [1e154, 1.3e154])
+    def test_density_near_overflow_atom_without_warnings(self, tmp_path, t):
+        # t^2 / (1 + t m)^2 in the Newton derivative overflows here: the step
+        # is refused with no warning, and the density is the scaled closed form
+        src = str(Path(covspec.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        cfgfile = _config(tmp_path, n=100, N=200, population={"atoms": [{"t": t, "w": 1.0}]})
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "covspec.cli",
+                               "density", "--config", str(cfgfile), "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        _, rows = _read_csv(tmp_path / "density.csv")
+        c, u = 0.5, rows[:, 0] / t
+        a, b = (1 - np.sqrt(c)) ** 2, (1 + np.sqrt(c)) ** 2
+        closed = np.sqrt(np.maximum((b - u) * (u - a), 0.0)) / (2 * np.pi * c * u)
+        assert np.max(np.abs(rows[:, 1] * t - closed)) <= 1e-14
+
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -157,7 +158,7 @@ FIVE_ATOMS = SpectralMeasure([0.5, 1.0, 2.0, 4.0, 8.0], [0.2] * 5)
 
 
 def _sums(gs):
-    return lambda nodes, weights: [np.dot(weights, g(nodes)) for g in gs]
+    return lambda nodes, weights: np.stack([np.vecdot(weights, g(nodes)) for g in gs], axis=-1)
 
 
 def _gauss_against_eigh(a, x, gs):
@@ -166,7 +167,7 @@ def _gauss_against_eigh(a, x, gs):
     assert rule is not None, "the rule gave up"
     nodes, weights, got = rule
     ws = weighted_spectrum(eig_decompose(a), x)
-    return np.array(got), np.array(_sums(gs)(ws.lambdas, ws.weights)), nodes, weights
+    return got, _sums(gs)(ws.lambdas[None], ws.weights[None])[0], nodes, weights
 
 
 def _sample_cov(n, N, dist="real-gaussian", h=None, direction=None, seed=3):
@@ -262,6 +263,47 @@ class TestGaussRule:
         for order in stacks:
             got = gauss_rule(np.stack([mats[i] for i in order]), x, sums)
             assert [as_bytes(rule) for rule in got] == [want[i] for i in order], order
+
+    def test_fn_sees_running_matrices_once_per_decomposition(self):
+        # the seed-0 matrix stops at k = 40, the seed-3 matrix at k = 48
+        stops_40, x = _sample_cov(200, 400, seed=0)
+        sums, shapes = _sums(WITH_LOG), []
+
+        def fn(nodes, weights):
+            shapes.append((nodes.shape, weights.shape))
+            return sums(nodes, weights)
+
+        gauss_rule(np.stack([stops_40, _sample_cov(200, 400)[0]]), x, fn)
+        assert shapes == [((2, 24),) * 2, ((2, 32),) * 2, ((2, 40),) * 2, ((1, 48),) * 2]
+
+    def test_breakdown_between_checkpoints_moves_no_other_record(self):
+        # 36 distinct eigenvalues: the diagonal matrix breaks down at step 36,
+        # which decomposes the whole stack, but the sample covariance's
+        # record moves only at checkpoints, so it still stops at k = 48
+        a, x = _sample_cov(200, 400, direction=DirectionSpec.uniform(), seed=0)
+        exhausted = np.diag(np.resize(np.linspace(0.1, 10.0, 36), 200))
+        sums, shapes = _sums(WITH_LOG), []
+
+        def fn(nodes, weights):
+            shapes.append(nodes.shape)
+            return sums(nodes, weights)
+
+        alone = [gauss_rule(m, x, sums) for m in (a, exhausted)]
+        got = gauss_rule(np.stack([a, exhausted]), x, fn)
+        assert shapes == [(2, 24), (2, 32), (2, 36), (1, 40), (1, 48)]
+        for rule, want in zip(got, alone):
+            assert [part.tobytes() for part in rule] == [part.tobytes() for part in want]
+
+    @pytest.mark.parametrize("fn, shape", [
+        (lambda nodes, weights: np.vecdot(weights, nodes), "(2,)"),
+        (lambda nodes, weights: np.ones((1, 3)), "(1, 3)"),
+        (lambda nodes, weights: np.ones((3, 1)), "(3, 1)"),
+    ], ids=["number-per-matrix", "too-few-rows", "too-many-rows"])
+    def test_fn_must_give_one_row_per_matrix(self, fn, shape):
+        a, x = _sample_cov(200, 400)
+        with pytest.raises(ValueError, match=f"^fn gave shape {re.escape(shape)} for 2 matrices, "
+                                             "not one row each$"):
+            gauss_rule(np.stack([a, a]), x, fn)
 
     def test_stack_with_indefinite_matrix_rejected(self):
         a, x = _sample_cov(200, 400)

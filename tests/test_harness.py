@@ -227,11 +227,11 @@ class TestMapReplicates:
         x = realize_direction(cfg.direction, cfg.n)
 
         def sums(lambdas, weights):
-            return [np.dot(weights, g(lambdas)) for g in (G1, G2, G3, GLOG)]
+            return np.stack([np.vecdot(weights, g(lambdas)) for g in (G1, G2, G3, GLOG)], axis=-1)
 
         def eig_sums(a):
             ws = weighted_spectrum(eig_decompose(a), x)
-            return sums(ws.lambdas, ws.weights)
+            return sums(ws.lambdas[None], ws.weights[None])[0]
 
         got = map_replicates(cfg, lambda s: [gauss_rule(a, x, sums)[2] for a in s], 5, workers=2)
         want = map_replicates(cfg, lambda s: [eig_sums(a) for a in s], 5, workers=2)
@@ -243,7 +243,8 @@ class TestMapReplicates:
         x = realize_direction(cfg.direction, cfg.n)
         law = realized_law(cfg)
         means = np.array([mean_functional(law, g) for g in (G1, GLOG)])
-        assert gauss_rule(build_sample_cov(cfg), x, lambda nodes, w: [w @ np.log(nodes)]) is None
+        assert gauss_rule(build_sample_cov(cfg), x,
+                          lambda nodes, w: np.vecdot(w, np.log(nodes))[:, None]) is None
 
         def eig_lss(a):
             ws = weighted_spectrum(eig_decompose(a), x)
@@ -253,6 +254,38 @@ class TestMapReplicates:
         got = run_replications(cfg, [G1, GLOG], 3, workers=2)
         want = map_replicates(cfg, lambda s: [eig_lss(a) for a in s], 3, workers=2)
         assert got.tobytes() == want.tobytes()
+
+    def test_block_mixing_rule_and_fallback_rows_match_each_alone(self, monkeypatch):
+        # replicate 4, the middle of the block [3, 4, 5], is swapped for a
+        # c = 0.9 matrix, where the log takes the rule past n/4 steps
+        cfg = _cfg(n=200, N=400, seed=2)
+        slow = build_sample_cov(_cfg(n=200, N=222, seed=6))
+        x = realize_direction(cfg.direction, cfg.n)
+        means = np.array([mean_functional(realized_law(cfg), g) for g in (G1, GLOG)])
+
+        def mixed_block(cfg, replicates, workspace):
+            stack = sample_cov_block(cfg, replicates, workspace)
+            if 4 in replicates:
+                stack[replicates.index(4)] = slow
+            return stack
+
+        def lss(nodes, weights):
+            sums = [np.vecdot(weights, g(nodes)) for g in (G1, GLOG)]
+            return np.sqrt(cfg.N) * (np.stack(sums, axis=-1) - means)
+
+        def eig_lss(a):
+            ws = weighted_spectrum(eig_decompose(a), x)
+            return [np.sqrt(cfg.N) * (np.dot(ws.weights, g(ws.lambdas)) - m)
+                    for g, m in zip((G1, GLOG), means)]
+
+        monkeypatch.setattr(covspec.harness, "sample_cov_block", mixed_block)
+        got = run_replications(cfg, [G1, GLOG], 6, workers=1)
+        for r in range(6):
+            a = slow if r == 4 else build_sample_cov(cfg, replicate=r)
+            rule = gauss_rule(a, x, lss)
+            assert (rule is None) == (r == 4)
+            want = np.asarray(eig_lss(a) if rule is None else rule[2], dtype=float)
+            assert got[r].tobytes() == want.tobytes(), r
 
     def test_replications_need_no_eigendecomposition(self, monkeypatch):
         calls = []  # the matrices passed to each call of the rule
