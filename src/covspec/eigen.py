@@ -1,11 +1,12 @@
 """Hermitian eigendecomposition, a Lanczos Gauss rule, and quadratic-form oracles.
 
-``eig_decompose`` gives every eigenpair; ``gauss_rule`` gives the Gauss
-quadrature rule of the measure sum_i |u_i* x|^2 delta_{lambda_i} without
-eigenvectors, enough for any statistic linear in that measure.  The two
-oracles here deliberately avoid the eigendecomposition: weighted
-spectral moments can be cross-checked against repeated matrix-vector
-products, and the resolvent quadratic form against a direct shifted solve.
+``eig_decompose`` gives every eigenpair, ``gauss_rule`` the Gauss rule of
+the measure sum_i |u_i* x|^2 delta_{lambda_i} without eigenvectors (enough
+for a statistic linear in it) and ``cholesky_logdet`` the log determinant,
+of one matrix or of each matrix of a stack, bitwise as for it alone.  The
+two oracles here avoid the eigendecomposition: weighted spectral moments
+are checked by repeated matrix-vector products, the resolvent quadratic
+form by a direct shifted solve.
 """
 
 from __future__ import annotations
@@ -18,21 +19,18 @@ import numpy as np
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of a
+    Hermitian matrix, or of each matrix of a stack along the leading axes."""
 
     lambdas: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.lambdas.size
 
-
-def _require_hermitian(a, stack: bool = False) -> np.ndarray:
-    """a as an array if it is a Hermitian matrix, or with ``stack`` a
-    (..., n, n) stack of them; each matrix is checked on its own scale."""
+def _require_hermitian(a) -> np.ndarray:
+    """a as an array if it is a Hermitian matrix or a (..., n, n) stack of
+    them; each matrix is checked on its own scale."""
     a = np.asarray(a)
-    if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
     a_h = a.conj().swapaxes(-1, -2)
     # an exactly Hermitian stack, as the sample covariances are, needs no scale
@@ -45,28 +43,27 @@ def _require_hermitian(a, stack: bool = False) -> np.ndarray:
 
 
 def eig_decompose(a: np.ndarray, check: bool = True) -> EigenSystem:
-    """Spectral decomposition of a Hermitian nonnegative definite matrix.
-
-    Validates hermiticity of the input and, on the output, orthonormality,
-    reconstruction, and nonnegativity of the spectrum (up to roundoff).
+    """Spectral decomposition of a Hermitian nonnegative definite matrix, or
+    of each matrix of a (..., n, n) stack by one ``eigh`` call, bitwise the
+    eigenpairs of that matrix alone.  Checks the input's
+    hermiticity and, for each matrix, |U*U - I|_F <= 1e-8 sqrt(n),
+    |A - U diag(lambda) U*|_F <= 1e-8 max(1, |A|_F) and lambda_min >= -1e-10.
     """
     a = _require_hermitian(a)
     try:
         lams, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("eig did not converge") from exc
-    es = EigenSystem(lambdas=lams, vectors=u)
     if check:
-        n = es.n
-        eye_defect = np.linalg.norm(u.conj().T @ u - np.eye(n), "fro")
-        if eye_defect > 1e-8 * np.sqrt(n):
+        n, u_h = a.shape[-1], u.conj().swapaxes(-1, -2)
+        if np.any(np.linalg.matrix_norm(u_h @ u - np.eye(n)) > 1e-8 * np.sqrt(n)):
             raise RuntimeError("eigenvector matrix lost orthonormality")
-        recon = np.linalg.norm(a - (u * lams) @ u.conj().T, "fro")
-        if recon > 1e-8 * max(1.0, np.linalg.norm(a, "fro")):
+        recon = np.linalg.matrix_norm(a - (u * lams[..., None, :]) @ u_h)
+        if np.any(recon > 1e-8 * np.maximum(1.0, np.linalg.matrix_norm(a))):
             raise RuntimeError("eigendecomposition reconstruction failed")
-        if lams[0] < -1e-10:
-            raise RuntimeError(f"matrix is not nonnegative definite (min eig {lams[0]:g})")
-    return es
+        if np.any(lams[..., 0] < -1e-10):
+            raise RuntimeError(f"matrix is not nonnegative definite (min eig {lams.min():g})")
+    return EigenSystem(lambdas=lams, vectors=u)
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -117,7 +114,7 @@ def gauss_rule(a: np.ndarray, x: np.ndarray, fn: Callable):
     record of its values (a breakdown decomposes every matrix), so its
     result does not depend on the stack it comes in.
     """
-    a = _require_hermitian(a, stack=True)
+    a = _require_hermitian(a)
     if a.ndim > 3:
         raise ValueError("expected a matrix or a stack of matrices")
     single = a.ndim == 2
@@ -217,7 +214,7 @@ def cholesky_logdet(a: np.ndarray):
     factorization of any matrix raises ValueError("singular sample
     covariance").
     """
-    a = _require_hermitian(a, stack=True)
+    a = _require_hermitian(a)
     try:
         pivots = np.linalg.cholesky(a).diagonal(axis1=-2, axis2=-1).real
     except np.linalg.LinAlgError as exc:

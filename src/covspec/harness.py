@@ -14,15 +14,14 @@ worker's Gram buffer, valid only during the call.  While they run,
 numpy's OpenBLAS is pinned to one thread, so each worker does its linear
 algebra serially and the results depend neither on scheduling nor on the
 BLAS thread setting.  Each caller does the decomposition its statistic
-needs: ``run_replications`` evaluates x* g(A) x by one Lanczos Gauss rule
-over the block (``eigen.gauss_rule``) for the matrices where it settles
-within n/4 steps and from the full eigendecomposition for the others.
-Its statistic has the contract of ``fn``, a stack in and one row per
-matrix out: the rule calls it once per decomposition on the (m, k) Ritz
-values and weights of its m running matrices, the fall-back on one
-spectrum as a (1, n) stack.  ``bb_samples`` takes the eigenvector
-weights in eigenvalue order (``eig_decompose``), and the figures take one
-batched Cholesky log-determinant per block.
+needs once per block, on the stack: ``run_replications`` evaluates
+x* g(A) x by a Lanczos Gauss rule (``eigen.gauss_rule``) where it settles
+within n/4 steps and by ``eig_decompose`` of the matrices it leaves.  Its
+statistic has the contract of ``fn``, a stack in and one row per matrix
+out: the rule calls it once per decomposition on the (m, k) Ritz values
+and weights of its m running matrices, the fall-back once on its spectra.
+``bb_samples`` takes the eigenvector weights in eigenvalue order
+(``eig_decompose``), and the figures a Cholesky log-determinant.
 Theory comes in two independently computed flavors, each returning the
 whole k x k matrix for k functionals: a double contour integral of the
 covariance kernel on two ellipses around the exact support, with an error
@@ -217,7 +216,7 @@ def run_replications(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
     r, centered at the finite-n limit law (``law``, by default
     ``realized_law(cfg)``), with x* g_j(A) x = sum_i w_i g_j(lambda_i)
     evaluated by the Lanczos Gauss rule, one call per block of replicates,
-    or from the full eigendecomposition where the rule does not settle.
+    or by one eigendecomposition of the matrices where it does not settle.
     """
     if R < 2:
         raise ConfigError("need at least 2 replications")
@@ -231,14 +230,15 @@ def run_replications(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
         sums = [np.vecdot(weights, np.asarray(g(lambdas), dtype=float)) for g in gs]
         return rootN * (np.stack(sums, axis=-1) - means)
 
-    def one(a, rule):
-        if rule is not None:
-            return rule[2]
-        ws = weighted_spectrum(eig_decompose(a), x)
-        return lss(ws.lambdas[None], ws.weights[None])[0]
+    def rows(stack):
+        rules = gauss_rule(stack, x, lss)
+        left = [rule is None for rule in rules]
+        if any(left):  # one decomposition for the matrices the rule leaves
+            ws = weighted_spectrum(eig_decompose(stack[left]), x)
+            fallback = iter(lss(ws.lambdas, ws.weights))
+        return [next(fallback) if rule is None else rule[2] for rule in rules]
 
-    return map_replicates(cfg, lambda stack: list(map(one, stack, gauss_rule(stack, x, lss))),
-                          R, workers=workers)
+    return map_replicates(cfg, rows, R, workers=workers)
 
 
 def estimate_mean_cov(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -320,11 +320,11 @@ def bb_samples(cfg: ModelConfig, grid: Sequence[float], R: int) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     x = realize_direction(cfg.direction, cfg.n)
 
-    def one(a):
-        ws = weighted_spectrum(eig_decompose(a), x)
-        return [y_process(ws, t) for t in grid]
+    def rows(stack):
+        ws = weighted_spectrum(eig_decompose(stack), x)
+        return np.stack([y_process(ws, t) for t in grid], axis=-1)
 
-    return map_replicates(cfg, lambda stack: [one(a) for a in stack], R)
+    return map_replicates(cfg, rows, R)
 
 
 def bb_covariance(cfg: ModelConfig, grid: Sequence[float], R: int) -> np.ndarray:

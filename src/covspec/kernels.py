@@ -9,9 +9,10 @@ the upper end where no log is integrated, with the periodic trapezoid
 rule on each; that rule converges geometrically in the
 ellipse parameter (Trefethen & Weideman 2014), so the node count follows
 from H and c (``contour_nodes``).  This module also evaluates the kernel,
-the two auxiliary kernels of its derivation, and the homogeneity residual
-that decides whether the simplified (degenerate-population) formula applies.
-All are on the real-entry scale; ``harness.run_clt`` divides by beta = 2
+the two auxiliary kernels of its derivation, and the homogeneity residual,
+zero exactly where the simplified (degenerate-population) formula holds: a
+test oracle, as ``run_clt`` decides by ``law.H.is_degenerate``.  All are
+on the real-entry scale; ``harness.run_clt`` divides by beta = 2
 for complex entries (Bai & Silverstein 2004).
 """
 

@@ -145,6 +145,8 @@ def realize_direction(spec: DirectionSpec, n: int) -> np.ndarray:
     v = np.asarray(spec.vector, dtype=complex if np.iscomplexobj(spec.vector) else float)
     if v.size != n:
         raise ConfigError(f"custom vector has length {v.size}, expected {n}")
+    if not np.all(np.isfinite(v)):
+        raise ConfigError("custom direction vector must be finite")
     norm = np.linalg.norm(v)
     if norm == 0:
         raise ConfigError("custom direction vector is zero")
@@ -191,21 +193,20 @@ class Workspace:
     """Buffers one worker reuses for the sample covariances of one config.
 
     Holds the population root (None when T = I), one n x N entry buffer
-    (for complex entries also an n x N float draw buffer and an n x N
-    conjugate buffer), shared by the replicates of a block, and the
+    of the entry law's dtype (for complex entries also an n x N float draw
+    buffer and an n x N conjugate buffer), shared by a block, and the
     stacked size x n x n Grams of a block of up to ``size`` replicates:
     each replicate is drawn into the one entry buffer, and only its Gram
     is kept.  One thread at a time may use it.
     """
 
-    def __init__(self, cfg: ModelConfig, dtype=None, size: int = 1):
-        draw = entry_dtype(cfg.entry_dist)
-        dtype = draw if dtype is None else np.dtype(dtype)
+    def __init__(self, cfg: ModelConfig, size: int = 1):
+        dtype = entry_dtype(cfg.entry_dist)
         n, N = cfg.n, cfg.N
         tdiag = realize_population(cfg.population, n)
         self.root = None if np.all(tdiag == 1.0) else np.sqrt(tdiag)[:, None]
         self.entries = np.empty((n, N), dtype)
-        self.scratch = np.empty((n, N)) if draw.kind == "c" else None
+        self.scratch = np.empty((n, N)) if dtype.kind == "c" else None
         self.conj = np.empty((n, N), dtype) if dtype.kind == "c" else None
         self.gram = np.empty((size, n, n), dtype)
 
@@ -258,18 +259,17 @@ def build_sample_cov(cfg: ModelConfig, replicate: int = 0,
     """Sample covariance A = (1/N) T^(1/2) X X* T^(1/2), Hermitian nonnegative.
 
     The Gram step of ``sample_cov_block`` for one replicate, on fresh buffers.
-    ``entries`` overrides the random draw with a fixed n x N matrix (test
-    hook).
+    ``entries`` overrides the random draw with a fixed n x N matrix of the
+    entry law's dtype (``entry_dtype``); it is a test hook.
     """
+    ws = Workspace(cfg)
     if entries is None:
-        ws = Workspace(cfg)
         draw_entries(cfg.entry_dist, cfg.n, cfg.N, replicate_rng(cfg.seed, replicate),
                      out=ws.entries, scratch=ws.scratch)
     else:
         entries = np.asarray(entries)
-        if entries.shape != (cfg.n, cfg.N):
-            raise ValueError(f"entries must have shape {(cfg.n, cfg.N)}")
-        ws = Workspace(cfg, dtype=np.result_type(entries, float))
+        if entries.shape != ws.entries.shape or entries.dtype != ws.entries.dtype:
+            raise ValueError(f"entries must be a {(cfg.n, cfg.N)} array of {ws.entries.dtype}")
         ws.entries[...] = entries
     return _gram(cfg, ws, ws.gram[0])
 

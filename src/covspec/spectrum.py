@@ -30,8 +30,8 @@ class SpectralMeasure:
             raise ValueError("measure needs at least one atom")
         if atoms.shape != weights.shape:
             raise ValueError("atoms and weights must have equal length")
-        if not np.all(np.isfinite(atoms)):
-            raise ValueError("atoms must be finite")
+        if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(weights))):
+            raise ValueError("atoms and weights must be finite")
         if np.any(atoms < 0):
             raise ValueError("atoms must be nonnegative")
         if np.any(weights < 0):

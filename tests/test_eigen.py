@@ -4,10 +4,12 @@ import re
 import numpy as np
 import pytest
 
+import covspec
 from covspec import (DirectionSpec, FunctionalSpec, ModelConfig, PopulationSpec,
                      SpectralMeasure, build_sample_cov, cholesky_logdet, eig_decompose,
-                     gauss_rule, quad_form_power, realize_direction, resolvent_quad_form,
-                     weighted_spectrum)
+                     gauss_rule, map_replicates, quad_form_power, realize_direction,
+                     resolvent_quad_form, weighted_spectrum)
+from covspec.harness import _block_size
 from covspec.model import ENTRY_DISTS
 
 
@@ -53,6 +55,78 @@ def test_reconstruction_idempotent():
     recon = (es.vectors * es.lambdas) @ es.vectors.conj().T
     es2 = eig_decompose(recon)
     np.testing.assert_allclose(es.lambdas, es2.lambdas, atol=1e-10)
+
+
+class TestEigDecomposeStack:
+    @pytest.mark.parametrize("dist", ["real-gaussian", "complex-gaussian"])
+    def test_stack_matches_each_matrix_alone(self, dist):
+        cfg = ModelConfig(n=9, N=20, entry_dist=dist, population=PopulationSpec.identity(),
+                          direction=DirectionSpec.basis(0), seed=2)
+        stack = np.stack([build_sample_cov(cfg, replicate=r) for r in range(6)]).reshape(2, 3, 9, 9)
+        es = eig_decompose(stack)
+        assert es.lambdas.shape == (2, 3, 9) and es.vectors.shape == (2, 3, 9, 9)
+        for i, j in itertools.product(range(2), range(3)):
+            alone = eig_decompose(stack[i, j])
+            assert es.lambdas[i, j].tobytes() == alone.lambdas.tobytes()
+            assert es.vectors[i, j].tobytes() == alone.vectors.tobytes()
+
+    def test_stack_hermitian_check_on_each_matrix_scale(self):
+        skew = np.stack([1e6 * np.eye(2), np.array([[1.0, 1e-8], [0.0, 1.0]])])
+        with pytest.raises(ValueError, match="Hermitian"):
+            eig_decompose(skew)
+
+
+# each self-check of eig_decompose and how to trip it on the matrices whose
+# (0, 0) entry is the mark: a spoiled input, or eigenvectors spoiled by eigh
+_EIG_FAULTS = {
+    "eigenvector matrix lost orthonormality": (None, lambda u: u * (1.0 + 1e-6)),
+    # the columns reversed stay orthonormal but pair with the wrong eigenvalues
+    "eigendecomposition reconstruction failed": (None, lambda u: u[..., ::-1]),
+    "matrix is not nonnegative definite (min eig": (lambda a: -a, None),
+}
+
+
+class TestEigDecomposeChecks:
+    CFG = ModelConfig(n=6, N=12, entry_dist="real-gaussian", population=PopulationSpec.identity(),
+                      direction=DirectionSpec.basis(0), seed=4)
+
+    @staticmethod
+    def _spoil(monkeypatch, fault, mark):
+        """The input spoiler for ``fault``, with eigh patched where the fault is in its vectors."""
+        spoil_input, spoil_vectors = _EIG_FAULTS[fault]
+        if spoil_vectors is not None:
+            eigh = np.linalg.eigh
+
+            def spoiled(a):
+                lams, u = eigh(a)
+                bad = a[..., 0, 0] == mark
+                u[bad] = spoil_vectors(u[bad])
+                return lams, u
+
+            monkeypatch.setattr(covspec.eigen.np.linalg, "eigh", spoiled)
+
+        def spoil(stack):
+            if spoil_input is None:
+                return stack
+            bad = (stack[..., 0, 0] == mark)[..., None, None]
+            return np.where(bad, spoil_input(stack), stack)
+        return spoil
+
+    @pytest.mark.parametrize("fault", list(_EIG_FAULTS))
+    def test_check_fires_alone_and_mid_stack(self, monkeypatch, fault):
+        stack = np.stack([build_sample_cov(self.CFG, replicate=r) for r in range(3)])
+        spoil = self._spoil(monkeypatch, fault, stack[1, 0, 0])
+        eig_decompose(spoil(stack[[0, 2]]))  # the other two pass
+        for a in (stack[1], stack):
+            with pytest.raises(RuntimeError, match=re.escape(fault)):
+                eig_decompose(spoil(a))
+
+    @pytest.mark.parametrize("fault", list(_EIG_FAULTS))
+    def test_failure_names_the_replicate(self, monkeypatch, fault):
+        assert _block_size(self.CFG) > 5  # replicate 2 is the middle of one block
+        spoil = self._spoil(monkeypatch, fault, build_sample_cov(self.CFG, replicate=2)[0, 0])
+        with pytest.raises(RuntimeError, match="^replicate 2 failed: " + re.escape(fault)):
+            map_replicates(self.CFG, lambda s: eig_decompose(spoil(s)).lambdas, 5, workers=1)
 
 
 class TestCholeskyLogdet:

@@ -14,7 +14,7 @@ from covspec import (ConfigError, DirectionSpec, FunctionalSpec, LimitLaw, Model
                      eig_decompose, estimate_mean_cov, gauss_rule, map_replicates,
                      mean_functional, quad_form_power, realize_direction, realized_law, run_clt,
                      run_replications, theoretical_cov_contour, theoretical_cov_simplified,
-                     w_statistic, weighted_spectrum)
+                     w_statistic, weighted_spectrum, y_process)
 from covspec.harness import _block_size
 from covspec.kernels import contour_nodes, kernel_from_mbar
 from covspec.mp import solve_mbar_grid
@@ -573,6 +573,23 @@ class TestBrownianBridge:
         vals = bb_samples(_cfg(n=20, N=40), [0.3, 0.6, 0.9], 5)
         assert vals.shape == (5, 3)
 
+    @pytest.mark.parametrize("dist, n", [("real-gaussian", 181), ("complex-gaussian", 128)])
+    def test_samples_are_each_matrix_alone(self, monkeypatch, dist, n):
+        # one decomposition per block of B = 4: blocks 0-3, 4-7 and the partial 8-9
+        cfg = ModelConfig(n=n, N=2 * n, entry_dist=dist, population=PopulationSpec.identity(),
+                          direction=DirectionSpec.uniform(), seed=7)
+        assert _block_size(cfg) == 4
+        grid = [0.1, 0.5, 0.9]
+        x = realize_direction(cfg.direction, n)
+        want = np.empty((10, len(grid)))
+        with covspec.harness._BLAS.pinned():  # one BLAS thread, as in every replicate
+            for r in range(10):
+                ws = weighted_spectrum(eig_decompose(build_sample_cov(cfg, replicate=r)), x)
+                want[r] = [y_process(ws, t) for t in grid]
+        for workers in (1, 2, 3):
+            monkeypatch.setenv("COVSPEC_WORKERS", str(workers))
+            assert bb_samples(cfg, grid, 10).tobytes() == want.tobytes(), workers
+
 
 class TestCompareReport:
     def test_exact_pass_and_fail(self, monkeypatch):
@@ -670,6 +687,15 @@ def test_worker_env_variable(monkeypatch):
     assert _worker_count(2) == 2  # explicit argument wins
     monkeypatch.delenv(WORKERS_ENV)
     assert _worker_count(None) >= 1
+
+
+def test_run_clt_non_finite_direction_draws_no_replicate(monkeypatch):
+    # refused at once: no replicate may meet a NaN direction
+    monkeypatch.setattr(covspec.harness, "sample_cov_block", None)
+    cfg = ModelConfig(n=3, N=12, entry_dist="real-gaussian", population=PopulationSpec.identity(),
+                      direction=DirectionSpec.custom([np.inf, 1.0, 0.0]))
+    with pytest.raises(ConfigError, match="custom direction vector must be finite"):
+        run_clt(cfg, [G1], 4)
 
 
 @pytest.mark.parametrize("workers", [0, -2, 1.5, True])

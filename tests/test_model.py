@@ -94,6 +94,11 @@ class TestRealizeDirection:
         with pytest.raises(ValueError):
             DirectionSpec(kind="nope")
 
+    @pytest.mark.parametrize("v", [[np.inf, 1.0, 0.0], [1.0, np.nan, 0.0], [1j * np.inf, 1.0, 0.0]])
+    def test_non_finite_custom_vector_is_config_error(self, v):
+        with pytest.raises(ConfigError, match="custom direction vector must be finite"):
+            realize_direction(DirectionSpec.custom(v), 3)
+
 
 class TestBuildSampleCov:
     def test_fixed_entry_hook(self):
@@ -128,6 +133,14 @@ class TestBuildSampleCov:
     def test_entries_shape_checked(self):
         with pytest.raises(ValueError):
             build_sample_cov(_cfg(n=2, N=2), entries=np.ones((3, 2)))
+
+    @pytest.mark.parametrize("dist, dtype", [("real-gaussian", complex), ("real-gaussian", int),
+                                             ("rademacher", np.float32),
+                                             ("complex-gaussian", float)])
+    def test_entries_of_another_dtype_refused(self, dist, dtype):
+        # the Gram is formed in the entry law's dtype, never in the entries' own
+        with pytest.raises(ValueError, match="entries must be a \\(2, 3\\) array of"):
+            build_sample_cov(_cfg(n=2, N=3, dist=dist), entries=np.ones((2, 3), dtype))
 
 
 def _direct_draw(dist, n, N, rng):

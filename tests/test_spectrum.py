@@ -30,6 +30,14 @@ def test_weight_sum_validated():
         SpectralMeasure([1.0, 2.0], [0.7, 0.7])
 
 
+@pytest.mark.parametrize("atoms, weights", [([1.0], [np.nan]), ([1.0, 2.0], [1.0, np.nan]),
+                                            ([1.0, 2.0], [np.inf, 0.0])])
+def test_non_finite_weights_rejected(atoms, weights):
+    # NaN is false in every comparison, so the sign and sum checks let it through
+    with pytest.raises(ValueError, match="must be finite"):
+        SpectralMeasure(atoms, weights)
+
+
 def test_negative_atom_rejected():
     with pytest.raises(ValueError):
         SpectralMeasure([-1.0], [1.0])
