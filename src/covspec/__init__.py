@@ -8,17 +8,14 @@ theoretical covariances.
 
 from .spectrum import SpectralMeasure
 from .model import (ENTRY_DISTS, ConfigError, DirectionSpec, ModelConfig, PopulationSpec,
-                    Workspace, build_sample_cov, companion_sample_cov, draw_entries,
-                    realize_direction, realize_population, replicate_rng)
-from .eigen import (EigenSystem, cholesky_logdet, eig_decompose, gauss_rule, quad_form_power,
-                    resolvent_quad_form)
-from .mp import ConvergenceError, closed_form_mp, inverse_z, solve_mbar_grid, support
+                    Workspace, build_sample_cov, draw_entries, realize_direction,
+                    realize_population, replicate_rng)
+from .eigen import EigenSystem, cholesky_logdet, eig_decompose, gauss_rule, quad_form_power
+from .mp import ConvergenceError, solve_mbar_grid, support
 from .law import LimitLaw, cdf_limit, density, limit_moments, mean_functional
-from .kernels import (ProofKernels, contour_nodes, cov_kernel, homogeneity_residual,
-                      proof_kernels)
+from .kernels import contour_nodes
 from .functionals import FunctionalSpec, poly_product
-from .weighted import (WeightedSpectrum, eval_cdf, w_statistic, weighted_spectrum,
-                       y_process)
+from .weighted import WeightedSpectrum, w_statistic, weighted_spectrum, y_process
 from .kde import default_grid, kde, silverman_bandwidth
 from .harness import (CompareVerdict, MCReport, Tolerances, bb_covariance, bb_samples,
                       bb_target, compare_report, estimate_mean_cov, map_replicates,

@@ -1,12 +1,11 @@
-"""Hermitian eigendecomposition, a Lanczos Gauss rule, and quadratic-form oracles.
+"""Hermitian eigendecomposition, a Lanczos Gauss rule, and spectral moments by products.
 
 ``eig_decompose`` gives every eigenpair, ``gauss_rule`` the Gauss rule of
 the measure sum_i |u_i* x|^2 delta_{lambda_i} without eigenvectors (enough
 for a statistic linear in it) and ``cholesky_logdet`` the log determinant,
-of one matrix or of each matrix of a stack, bitwise as for it alone.  The
-two oracles here avoid the eigendecomposition: weighted spectral moments
-are checked by repeated matrix-vector products, the resolvent quadratic
-form by a direct shifted solve.
+of one matrix or of each matrix of a stack, bitwise as for it alone.
+``quad_form_power`` gives the weighted spectral moment x* A^m x by repeated
+matrix-vector products, without the eigendecomposition.
 """
 
 from __future__ import annotations
@@ -231,22 +230,3 @@ def quad_form_power(a: np.ndarray, x: np.ndarray, m: int):
         v = a @ v
     out = np.vdot(x, v)
     return out if np.iscomplexobj(out) and abs(out.imag) > 1e-12 * max(1.0, abs(out.real)) else out.real
-
-
-def resolvent_quad_form(a: np.ndarray, x: np.ndarray, z: complex) -> complex:
-    """x* (A - zI)^(-1) x via a direct shifted linear solve.
-
-    Independent of any eigendecomposition; requires Im z != 0.
-    """
-    z = complex(z)
-    if z.imag == 0:
-        raise ValueError("shift must be off the real axis")
-    a = np.asarray(a)
-    n = a.shape[0]
-    shifted = a.astype(complex, copy=True)
-    shifted[np.diag_indices(n)] -= z
-    try:
-        w = np.linalg.solve(shifted, np.asarray(x, dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError("shifted solve failed") from exc
-    return complex(np.vdot(x, w))

@@ -8,24 +8,20 @@ ellipses whose foci are the exact support ends (``mp.support``), or 0 and
 the upper end where no log is integrated, with the periodic trapezoid
 rule on each; that rule converges geometrically in the
 ellipse parameter (Trefethen & Weideman 2014), so the node count follows
-from H and c (``contour_nodes``).  This module also evaluates the kernel,
-the two auxiliary kernels of its derivation, and the homogeneity residual,
-zero exactly where the simplified (degenerate-population) formula holds: a
-test oracle, as ``run_clt`` decides by ``law.H.is_degenerate``.  All are
-on the real-entry scale; ``harness.run_clt`` divides by beta = 2
-for complex entries (Bai & Silverstein 2004).
+from H and c (``contour_nodes``).  ``kernel_from_mbar`` evaluates the
+kernel from transform values at the nodes, on the real-entry scale;
+``harness.run_clt`` divides by beta = 2 for complex entries (Bai &
+Silverstein 2004).  The kernel at one pair of points, the two auxiliary
+kernels of its derivation and the homogeneity residual are test oracles
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .mp import _lower_end, _node_count, solve_mbar_grid, support
+from .mp import _lower_end, _node_count, support
 from .spectrum import SpectralMeasure
-
-_MIN_SEPARATION = 1e-8
 
 
 def contour_nodes(H: SpectralMeasure, c: float, enclose_zero: bool = False):
@@ -72,76 +68,3 @@ def kernel_from_mbar(z1, mbar1, z2, mbar2, c: float):
     num = (z2 * mbar2 - z1 * mbar1) ** 2
     den = c ** 2 * z1 * z2 * (z2 - z1) * (mbar2 - mbar1)
     return 2.0 * num / den
-
-
-def _mbar_pair(z1, z2, H: SpectralMeasure, c: float):
-    """(z1, z2, mbar(z1), mbar(z2)) from one solve; rejects near-coincident points."""
-    z1, z2 = complex(z1), complex(z2)
-    if abs(z1 - z2) < _MIN_SEPARATION:
-        raise ValueError("use offset contours")
-    m1, m2 = solve_mbar_grid(np.array([z1, z2]), H, c)[0]
-    return z1, z2, complex(m1), complex(m2)
-
-
-def cov_kernel(z1: complex, z2: complex, H: SpectralMeasure, c: float) -> complex:
-    """Covariance kernel (real-entry scale) of the limiting Gaussian process at (z1, z2)."""
-    z1, z2, m1, m2 = _mbar_pair(z1, z2, H, c)
-    if abs(m1 - m2) < 1e-14:
-        raise ValueError("transform values coincide; use offset contours")
-    return complex(kernel_from_mbar(z1, m1, z2, m2, c))
-
-
-@dataclass(frozen=True)
-class ProofKernels:
-    """The two auxiliary kernels, each in integral and algebraic form."""
-
-    d_integral: complex
-    d_algebraic: complex
-    h_integral: complex
-    h_algebraic: complex
-
-    @property
-    def d(self) -> complex:
-        return self.d_integral
-
-    @property
-    def h(self) -> complex:
-        return self.h_integral
-
-
-def proof_kernels(z1: complex, z2: complex, H: SpectralMeasure, c: float) -> ProofKernels:
-    """Auxiliary kernels d and h whose ratio h/(1-d) rebuilds the covariance kernel.
-
-    d = c * integral t^2 m1 m2 / ((1+t m1)(1+t m2)) dH
-      = 1 + m1 m2 (z1 - z2) / (m2 - m1),
-    h = (m1 m2 / (z1 z2)) * (integral t / ((1+t m1)(1+t m2)) dH)^2
-      = (m1 m2 / (z1 z2)) * ((z1 m1 - z2 m2) / (c (m2 - m1)))^2.
-    """
-    z1, z2, m1, m2 = _mbar_pair(z1, z2, H, c)
-    if abs(m1 - m2) < 1e-14:
-        raise ValueError("transform values coincide; use offset contours")
-    t, w = H.atoms, H.weights
-    f1 = 1.0 + t * m1
-    f2 = 1.0 + t * m2
-    d_int = c * np.sum(w * t * t * m1 * m2 / (f1 * f2))
-    d_alg = 1.0 + m1 * m2 * (z1 - z2) / (m2 - m1)
-    cross = np.sum(w * t / (f1 * f2))
-    h_int = (m1 * m2 / (z1 * z2)) * cross ** 2
-    h_alg = (m1 * m2 / (z1 * z2)) * ((z1 * m1 - z2 * m2) / (c * (m2 - m1))) ** 2
-    return ProofKernels(d_integral=complex(d_int), d_algebraic=complex(d_alg),
-                        h_integral=complex(h_int), h_algebraic=complex(h_alg))
-
-
-def homogeneity_residual(z1: complex, z2: complex, H: SpectralMeasure, c: float) -> complex:
-    """Defect of the product rule for 1/(1+t*mbar); zero iff H is a point mass.
-
-    Returns integral dH/((1+t m1)(1+t m2)) minus the product of the two
-    single-argument integrals.  Choosing z2 = conj(z1) makes it a real,
-    strictly positive Cauchy-Schwarz defect for any non-degenerate H.
-    """
-    _, _, m1, m2 = _mbar_pair(z1, z2, H, c)
-    t, w = H.atoms, H.weights
-    f1 = 1.0 + t * m1
-    f2 = 1.0 + t * m2
-    joint = np.sum(w / (f1 * f2))
-    return complex(joint - np.sum(w / f1) * np.sum(w / f2))

@@ -147,6 +147,11 @@ def realize_direction(spec: DirectionSpec, n: int) -> np.ndarray:
         raise ConfigError(f"custom vector has length {v.size}, expected {n}")
     if not np.all(np.isfinite(v)):
         raise ConfigError("custom direction vector must be finite")
+    # an exact power of two brings the largest real or imaginary part into [1/2, 1):
+    # the norm cannot overflow or underflow, and v / norm keeps its bits wherever
+    # nothing underflows; a factor 2**-e would overflow for a subnormal largest part
+    parts = v.view(float)
+    v = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(v.dtype)
     norm = np.linalg.norm(v)
     if norm == 0:
         raise ConfigError("custom direction vector is zero")
@@ -272,13 +277,3 @@ def build_sample_cov(cfg: ModelConfig, replicate: int = 0,
             raise ValueError(f"entries must be a {(cfg.n, cfg.N)} array of {ws.entries.dtype}")
         ws.entries[...] = entries
     return _gram(cfg, ws, ws.gram[0])
-
-
-def companion_sample_cov(cfg: ModelConfig, replicate: int = 0) -> np.ndarray:
-    """The N x N companion (1/N) X* T X sharing the nonzero spectrum of A."""
-    tdiag = realize_population(cfg.population, cfg.n)
-    rng = replicate_rng(cfg.seed, replicate)
-    x = draw_entries(cfg.entry_dist, cfg.n, cfg.N, rng)
-    y = np.sqrt(tdiag)[:, None] * x
-    b = (y.conj().T @ y) / cfg.N
-    return (b + b.conj().T) / 2.0

@@ -168,38 +168,6 @@ def solve_mbar_grid(z, H: SpectralMeasure, c: float):
     return m.reshape(z.shape), res.reshape(z.shape), steps.reshape(z.shape)
 
 
-def inverse_z(mbar: complex, H: SpectralMeasure, c: float) -> complex:
-    """Explicit inverse map z(mbar) = -1/mbar + c * integral t/(1 + t*mbar) dH."""
-    mbar = complex(mbar)
-    if mbar == 0:
-        raise ValueError("inverse map is singular at mbar = 0")
-    factors = 1.0 + H.atoms * mbar
-    if np.any(np.abs(factors) < 1e-14):
-        raise ValueError("pole: 1 + t*mbar vanishes at an atom")
-    return -1.0 / mbar + c * np.sum(H.weights * H.atoms / factors)
-
-
-def closed_form_mp(z: complex, c: float, t: float = 1.0) -> complex:
-    """Companion transform for a single-atom population, by quadratic formula.
-
-    For atom t the equation reduces (after rescaling) to
-    w*u^2 + (w + 1 - c)*u + 1 = 0 at w = z/t, with the root chosen in the
-    upper half-plane; test oracle only.
-    """
-    if t <= 0:
-        raise ValueError("atom must be positive")
-    z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("closed form expects Im z > 0")
-    w = z / t
-    b = w + 1.0 - c
-    disc = np.sqrt(b * b - 4.0 * w)
-    r1 = (-b + disc) / (2.0 * w)
-    r2 = (-b - disc) / (2.0 * w)
-    root = r1 if r1.imag > 0 else r2
-    return complex(root) / t
-
-
 def _mass_at_zero(H: SpectralMeasure, c: float) -> float:
     """Point mass of the limit law at zero: max(w_0, 1 - 1/c), w_0 the weight of a zero atom."""
     return max(float(H.weights[H.atoms == 0].sum()), 1.0 - 1.0 / c)

@@ -49,12 +49,6 @@ def weighted_spectrum(es: EigenSystem, x: np.ndarray) -> WeightedSpectrum:
     return WeightedSpectrum(lambdas=np.asarray(es.lambdas, dtype=float), weights=w)
 
 
-def eval_cdf(ws: WeightedSpectrum, x: float) -> float:
-    """Right-continuous step CDF: total weight on eigenvalues <= x."""
-    k = np.searchsorted(ws.lambdas, x, side="right")
-    return float(ws.weights[:k].sum())
-
-
 def y_process(ws: WeightedSpectrum, t: float):
     """Normalized partial-sum process of the centered weights at time t.
 

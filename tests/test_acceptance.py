@@ -10,16 +10,15 @@ import time
 import numpy as np
 from covspec import (DirectionSpec, FunctionalSpec, LimitLaw, ModelConfig,
                      PopulationSpec, SpectralMeasure, Tolerances, bb_samples,
-                     build_sample_cov, cdf_limit, closed_form_mp, compare_report,
-                     cov_kernel, density, eig_decompose,
-                     estimate_mean_cov, eval_cdf, homogeneity_residual, inverse_z,
-                     proof_kernels, quad_form_power, realize_direction,
-                     resolvent_quad_form, run_clt, run_replications, solve_mbar_grid,
+                     build_sample_cov, cdf_limit, compare_report, density,
+                     eig_decompose, estimate_mean_cov, quad_form_power,
+                     realize_direction, run_clt, run_replications, solve_mbar_grid,
                      support, theoretical_cov_contour,
                      theoretical_cov_simplified, w_statistic, weighted_spectrum,
                      y_process)
 from covspec.cli import main
-from test_harness import perturbed_contour
+from oracles import (closed_form_mp, cov_kernel, eval_cdf, homogeneity_residual, inverse_z,
+                     perturbed_contour, proof_kernels, resolvent_quad_form)
 
 MP1 = SpectralMeasure.point(1.0)
 H12 = SpectralMeasure([1.0, 2.0], [0.5, 0.5])
@@ -250,5 +249,5 @@ def test_a12_proof_kernel_identities():
             assert abs(pk.d_integral - pk.d_algebraic) <= 1e-9
             assert abs(pk.h_integral - pk.h_algebraic) <= 1e-9
             kernel_half = cov_kernel(z1, z2, h, 0.5) / 2
-            assert abs(pk.h / (1 - pk.d) - kernel_half) <= 1e-9
+            assert abs(pk.h_integral / (1 - pk.d_integral) - kernel_half) <= 1e-9
     _report("A12 proof-kernel identities", "(integral = algebraic = kernel/2 at 1e-9)")

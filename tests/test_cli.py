@@ -105,6 +105,18 @@ class TestDispatch:
         assert (out1 / "spectrum.csv").read_bytes() == (out2 / "spectrum.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
+    @pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600], ids=["2^600", "2^-600"])
+    def test_simulate_custom_direction_far_from_unit_scale(self, tmp_path, scale):
+        # the squares of scale * (1, 1, 0, 0) overflow or underflow; a power of two
+        # changes no bit of the direction, so no byte of the output
+        outs = [tmp_path / "unit", tmp_path / "scaled"]
+        for s, out in zip((1.0, scale), outs):
+            cfgfile = _config(tmp_path, n=4, N=20,
+                              direction={"kind": "custom", "vector": [s, s, 0.0, 0.0]})
+            assert main(["simulate", "--config", str(cfgfile), "--out", str(out)]) == 0
+        for name in ("spectrum.csv", "summary.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_runtime_imports_no_scipy(self, tmp_path):
         # scipy is a test oracle only: importing the CLI and running a
         # density call must leave no scipy module loaded

@@ -8,9 +8,10 @@ import covspec
 from covspec import (DirectionSpec, FunctionalSpec, ModelConfig, PopulationSpec,
                      SpectralMeasure, build_sample_cov, cholesky_logdet, eig_decompose,
                      gauss_rule, map_replicates, quad_form_power, realize_direction,
-                     resolvent_quad_form, weighted_spectrum)
+                     weighted_spectrum)
 from covspec.harness import _block_size
 from covspec.model import ENTRY_DISTS
+from oracles import resolvent_quad_form
 
 
 def test_diagonal_permutation():

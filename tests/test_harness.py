@@ -20,26 +20,13 @@ from covspec.kernels import contour_nodes, kernel_from_mbar
 from covspec.mp import solve_mbar_grid
 from covspec.model import sample_cov_block
 from covspec.cli import FIGURE_ONE_SIZES, FIGURE_SMALL, _figure_samples
+from oracles import perturbed_contour
 
 MP1 = SpectralMeasure.point(1.0)
 G1 = FunctionalSpec.monomial(1)
 G2 = FunctionalSpec.monomial(2)
 G3 = FunctionalSpec.monomial(3)
 GLOG = FunctionalSpec.log()
-
-
-def perturbed_contour(monkeypatch, node_factor=1, rho_power=1.0):
-    """Make contour_nodes use node_factor times the nodes, or rho**rho_power
-    with the node count the rule gives for it."""
-    ellipses = covspec.kernels._ellipses
-
-    def replaced(a, b, rho, M):
-        if rho_power != 1.0:
-            rho = rho ** rho_power
-            M = min(2048, 2 * int(np.ceil(54.0 / np.log(rho))))
-        return ellipses(a, b, rho, M * node_factor)
-
-    monkeypatch.setattr(covspec.kernels, "_ellipses", replaced)
 
 
 def _cfg(n=40, N=80, dist="real-gaussian", seed=0):

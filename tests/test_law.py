@@ -1,7 +1,5 @@
 import csv
 import json
-from math import comb
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -12,6 +10,7 @@ from covspec import (DirectionSpec, FunctionalSpec, LimitLaw, ModelConfig,
 from covspec.cli import main
 import covspec.law as law_module
 from covspec.law import mean_functional_density
+from oracles import mp_closed_density, narayana_moment
 
 MP1 = SpectralMeasure.point(1.0)
 H13 = SpectralMeasure([1.0, 3.0], [0.5, 0.5])
@@ -25,19 +24,6 @@ BENCH_DENSITY = [
     ([(1.0, 0.5), (3.0, 0.5)], 200, 100),
     ([(0.5, 0.2), (1.0, 0.2), (2.0, 0.2), (4.0, 0.2), (8.0, 0.2)], 100, 200),
 ]
-
-
-def narayana_moment(k, c, t):
-    """k-th moment of the Marchenko-Pastur law of ratio c scaled by t: t^k
-    sum_r C(k, r) C(k-1, r) c^r / (r+1), the Narayana polynomial."""
-    return t ** k * sum(comb(k, r) * comb(k - 1, r) / (r + 1) * c ** r for r in range(k))
-
-
-def mp_closed_density(x, c):
-    a, b = (1 - np.sqrt(c)) ** 2, (1 + np.sqrt(c)) ** 2
-    x = np.asarray(x, dtype=float)
-    out = np.sqrt(np.maximum((b - x) * (x - a), 0.0)) / (2 * np.pi * c * x)
-    return out
 
 
 class TestDensity:

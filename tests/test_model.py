@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from covspec import (ENTRY_DISTS, ConfigError, DirectionSpec, ModelConfig, PopulationSpec,
-                     SpectralMeasure, Workspace, build_sample_cov, companion_sample_cov,
-                     draw_entries, eig_decompose, realize_direction, realize_population,
-                     replicate_rng)
+                     SpectralMeasure, Workspace, build_sample_cov, draw_entries,
+                     eig_decompose, realize_direction, realize_population, replicate_rng)
 from covspec.model import sample_cov_block
+from oracles import companion_sample_cov
 
 
 def _cfg(n=20, N=40, dist="real-gaussian", pop=None, seed=0, direction=None):
@@ -98,6 +98,30 @@ class TestRealizeDirection:
     def test_non_finite_custom_vector_is_config_error(self, v):
         with pytest.raises(ConfigError, match="custom direction vector must be finite"):
             realize_direction(DirectionSpec.custom(v), 3)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("v, want", [
+        ([1e200, 1e200, 0.0, 0.0], [0.5 ** 0.5, 0.5 ** 0.5, 0.0, 0.0]),
+        ([1e-200, 1e-200, 0.0, 0.0], [0.5 ** 0.5, 0.5 ** 0.5, 0.0, 0.0]),
+        ([5e-324, 0.0], [1.0, 0.0]),
+        ([1e200j, -1e200, 0.0], [0.5 ** 0.5 * 1j, -(0.5 ** 0.5), 0.0])],
+        ids=["1e200", "1e-200", "subnormal", "complex-1e200"])
+    def test_custom_vector_far_from_unit_scale(self, v, want):
+        # the squares of these entries overflow or underflow, their norm does not
+        np.testing.assert_allclose(realize_direction(DirectionSpec.custom(v), len(v)), want,
+                                   rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_custom_vector_bitwise_the_plain_quotient(self, dtype):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 7, 33, 200):
+            for scale in (1e-3, 1.0, 1e3):
+                v = scale * rng.standard_normal(n)
+                if dtype is complex:
+                    v = v + 1j * scale * rng.standard_normal(n)
+                x = realize_direction(DirectionSpec.custom(v), n)
+                assert x.dtype == dtype
+                np.testing.assert_array_equal(x, v / np.linalg.norm(v))
 
 
 class TestBuildSampleCov:

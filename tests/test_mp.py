@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from covspec import (ConvergenceError, LimitLaw, SpectralMeasure, closed_form_mp, density,
-                     inverse_z, mp, solve_mbar_grid, support)
+from covspec import (ConvergenceError, LimitLaw, SpectralMeasure, density, mp, solve_mbar_grid,
+                     support)
+from oracles import closed_form_mp, inverse_z
 
 MP1 = SpectralMeasure.point(1.0)
 H13 = SpectralMeasure([1.0, 3.0], [0.5, 0.5])

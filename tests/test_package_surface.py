@@ -1,0 +1,66 @@
+"""The package ships only what its commands and the benchmark call.
+
+Reference code that only tests call lives in ``tests/oracles.py``: every
+public top-level function and class of ``covspec`` must be used by another
+part of the package or by the benchmark.
+"""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import covspec
+
+SRC = Path(covspec.__file__).resolve().parent
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+MOVED_TO_TESTS = ("cov_kernel", "_mbar_pair", "ProofKernels", "proof_kernels",
+                  "homogeneity_residual", "inverse_z", "closed_form_mp", "resolvent_quad_form",
+                  "eval_cdf", "companion_sample_cov")
+
+
+def _referenced(node):
+    """Every name that node refers to as a Name, an Attribute or an import."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.rsplit(".", 1)[-1]
+
+
+def _public_defs_and_uses():
+    """(module, name) of each public top-level definition in the package, and
+    the names used outside their own definition in the package (not counting
+    ``__init__.py``) or in the benchmark."""
+    defs, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    defs.append((path.stem, node.name))
+                used.update(name for name in _referenced(node) if name != node.name)
+            else:
+                used.update(_referenced(node))
+    for path in sorted(BENCHMARKS.glob("*.py")):
+        used.update(_referenced(ast.parse(path.read_text())))
+    return defs, used
+
+
+def test_every_public_definition_has_a_caller():
+    defs, used = _public_defs_and_uses()
+    assert len(defs) > 50
+    unused = [f"{module}.{name}" for module, name in defs if name not in used]
+    assert not unused, f"only tests call {unused}: move them to tests/oracles.py"
+
+
+@pytest.mark.parametrize("module", ["covspec"] + [
+    f"covspec.{m.name}" for m in pkgutil.iter_modules(covspec.__path__)])
+def test_moved_oracles_are_not_in_the_package(module):
+    mod = importlib.import_module(module)
+    assert [name for name in MOVED_TO_TESTS if hasattr(mod, name)] == []

@@ -3,9 +3,9 @@ import pytest
 
 from covspec import (DirectionSpec, FunctionalSpec, LimitLaw, ModelConfig,
                      PopulationSpec, SpectralMeasure, WeightedSpectrum,
-                     build_sample_cov, eig_decompose, eval_cdf, mean_functional,
-                     quad_form_power, realize_direction, resolvent_quad_form,
+                     build_sample_cov, eig_decompose, mean_functional, quad_form_power,
                      w_statistic, weighted_spectrum, y_process)
+from oracles import eval_cdf, resolvent_quad_form
 
 
 def _random_instance(n=20, seed=0):
