@@ -28,7 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -40,11 +40,8 @@ from .kde import default_grid, kde, silverman_bandwidth
 from .law import LimitLaw, cdf_limit, density
 from .model import (ConfigError, DirectionSpec, ModelConfig, PopulationSpec,
                     build_sample_cov, realize_direction, realize_population)
-from .mp import ConvergenceError
 from .spectrum import SpectralMeasure
 from .weighted import WeightedSpectrum, w_statistic, weighted_spectrum
-
-COMMANDS = ("simulate", "density", "clt", "bridge", "figures")
 
 FIGURE_ONE_SIZES = (20, 100, 200, 500)   # n = 0.2 N
 FIGURE_SMALL = {2: (5, 50), 3: (10, 50)}  # (n, N), statistic sqrt(N/n) W_n
@@ -158,7 +155,7 @@ def _parse_document(doc: dict) -> RunConfig:
     if direction.kind == "basis":
         _require(0 <= direction.index < model.n, f"direction.index {direction.index} out of range")
     command = doc.get("command", "simulate")
-    _require(command in COMMANDS, f"command must be one of {COMMANDS}")
+    _require(command in COMMANDS, f"command must be one of {tuple(COMMANDS)}")
     reps = doc.get("reps")
     if reps is not None:
         # with one replicate no command has a sample covariance
@@ -291,9 +288,7 @@ def _cmd_bridge(rc: RunConfig, outdir) -> None:
 def _figure_samples(base: ModelConfig, n: int, N: int, reps: int, scaled: bool) -> np.ndarray:
     if n > N:  # A has rank at most N < n, whatever its Cholesky factorization says
         raise ValueError("singular sample covariance")
-    cfg = ModelConfig(n=n, N=N, entry_dist=base.entry_dist,
-                      population=base.population, direction=base.direction,
-                      seed=base.seed)
+    cfg = replace(base, n=n, N=N)
     scale = np.sqrt(N / n) if scaled else 1.0
     return map_replicates(cfg, lambda a: scale * cholesky_logdet(a), reps)
 
@@ -320,6 +315,10 @@ def _cmd_figures(rc: RunConfig, outdir) -> None:
         _write_csv(outdir / f"fig{which}.csv", ["x", "kde"], [xs, kde(vals, xs)])
 
 
+COMMANDS = {"simulate": _cmd_simulate, "density": _cmd_density, "clt": _cmd_clt,
+            "bridge": _cmd_bridge, "figures": _cmd_figures}
+
+
 def dispatch(rc: RunConfig) -> int:
     """Run the configured command; returns the process exit code."""
     from pathlib import Path
@@ -330,21 +329,12 @@ def dispatch(rc: RunConfig) -> int:
     except OSError as exc:
         print(f"config error: cannot create output directory: {exc}", file=sys.stderr)
         return 2
-    handlers = {
-        "simulate": _cmd_simulate,
-        "density": _cmd_density,
-        "clt": _cmd_clt,
-        "bridge": _cmd_bridge,
-        "figures": _cmd_figures,
-    }
-    handler = handlers[rc.command]
     try:
-        handler(rc, outdir)
+        COMMANDS[rc.command](rc, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, RuntimeError, ValueError, ArithmeticError,
-            np.linalg.LinAlgError) as exc:
+    except (RuntimeError, ValueError, ArithmeticError) as exc:
         print(f"numerical failure in {rc.command}: {exc}", file=sys.stderr)
         return 3
     return 0

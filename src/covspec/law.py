@@ -13,12 +13,12 @@ the positive atoms is 1).  The midpoint rule in theta, with the node count
 of the contour ellipses (``mp._node_count``), therefore converges
 geometrically, and the distribution function is the cosine interpolant of
 the same samples of h, integrated term by term.  It adds the point mass at
-zero, max(w_0, 1 - 1/c) for a zero atom of weight w_0.  A LimitLaw builds
-its rule and its distribution function once each, under a lock, so one
-instance can serve every replicate worker.  Means are not kept: the mean of
-a polynomial is a sum of exact moments, from the power series of mbar in
-1/z (``limit_moments``), and never builds the rule; the mean of the log is
-one dot product with the rule's masses.
+zero, max(w_0, 1 - 1/c) for a zero atom of weight w_0.  A LimitLaw keeps
+only its rule, built on first use under a lock; the distribution function
+takes its coefficients from the rule at each call.  The mean of a
+polynomial is a sum of exact moments, from the power series of mbar in 1/z
+(``limit_moments``), and never builds the rule; the mean of the log is one
+dot product with the rule's masses.
 """
 
 from __future__ import annotations
@@ -45,17 +45,14 @@ class LimitLaw:
     """Limiting sample-spectrum distribution for ratio c and population H.
 
     The quadrature nodes and their masses are built on first use, under a
-    lock, and published together; the distribution function is built on
-    first use under the same lock.  Instances are safe to share across
-    threads.
+    lock, and published together; nothing else is cached.  Instances are
+    safe to share across threads.
     """
 
     c: float
     H: SpectralMeasure
     # (x, q, pieces), set once by ensure_grids
     _grids: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    # per interval (a, b, c0, coef), set once by _cdf_series
-    _cdf: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False,
                                   compare=False)
 
@@ -81,35 +78,11 @@ class LimitLaw:
                     self._grids = _midpoint_rule(self)
         return self._grids
 
-    def _cdf_series(self) -> tuple:
-        # the means need only q: building the series apart, on first use, keeps
-        # numpy.fft (and its memory) out of runs that never ask for F
-        if self._cdf is None:
-            pieces = self.ensure_grids()[2]
-            with self._lock:
-                if self._cdf is None:
-                    self._cdf = _cosine_cdf(pieces)
-        return self._cdf
-
     @property
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes x and masses q: the integral of v against the density is q @ v(x)."""
         x, q, _ = self.ensure_grids()
         return x, q
-
-    def total_mass(self) -> float:
-        return self.atom_at_zero + float(self.quadrature[1].sum())
-
-    def continuous_cdf(self, x) -> np.ndarray:
-        """Mass of the continuous part up to x."""
-        xx = np.asarray(x, dtype=float)
-        out = np.zeros(xx.shape)
-        for a, b, c0, coef in self._cdf_series():
-            inside = (xx > a) & (xx < b)
-            theta = np.arccos(np.clip((a + b - 2.0 * xx[inside]) / (b - a), -1.0, 1.0))
-            out[inside] += np.clip(c0 * theta + _sine_series(coef, theta), 0.0, c0 * np.pi)
-            out[xx >= b] += c0 * np.pi
-        return out
 
 
 def _midpoint_rule(law: LimitLaw) -> tuple:
@@ -129,34 +102,26 @@ def _midpoint_rule(law: LimitLaw) -> tuple:
     return np.concatenate(xs), q, pieces
 
 
-def _cosine_cdf(pieces) -> tuple:
-    """Per interval (a, b, c0, coef), with c0 theta + sum_k coef_k sin(k theta)
-    the mass of the interval up to angle theta, the integral of the cosine
-    interpolant of h; c0 pi is the interval's mass, the sum of its q."""
-    return tuple((a, b, h.sum() / h.size, _cosine_antiderivative(h)) for a, b, h in pieces)
-
-
-def _cosine_antiderivative(h) -> np.ndarray:
-    """coef_k, k = 1..M-1, of the sine terms of the integral from 0 of the
-    cosine interpolant sum_k a_k cos(k theta) of h at the M midpoint angles.
+def _mass_to_angle(h, theta) -> np.ndarray:
+    """Mass of an interval up to each angle theta, clipped to [0, c0 pi]: the
+    integral from 0 of the cosine interpolant of h at its M midpoint angles,
+    c0 theta + sum_k (a_k/k) sin(k theta), with c0 the mean of h and c0 pi
+    the interval's mass, the sum of its q.
 
     a_k = (2/M) sum_j h_j cos(k theta_j) is a DCT-II, taken from the FFT of
-    h followed by its mirror image; coef_k = a_k/k.
+    h followed by its mirror image.  The sines are summed in blocks of
+    bounded size.
     """
     M = h.size
     k = np.arange(1, M)
     spectrum = np.fft.fft(np.concatenate([h, h[::-1]]))[1:M]
-    return (np.exp(-0.5j * np.pi * k / M) * spectrum).real / (M * k)
-
-
-def _sine_series(coef, theta) -> np.ndarray:
-    """sum_k coef_k sin(k theta) at any angles, in blocks of bounded size."""
-    k = np.arange(1, coef.size + 1)
+    coef = (np.exp(-0.5j * np.pi * k / M) * spectrum).real / (M * k)
     step = max(1, _SERIES_ENTRIES // k.size)
-    out = np.empty(theta.size)
+    series = np.empty(theta.size)
     for start in range(0, theta.size, step):
-        out[start:start + step] = np.sin(np.outer(theta[start:start + step], k)) @ coef
-    return out
+        series[start:start + step] = np.sin(np.outer(theta[start:start + step], k)) @ coef
+    c0 = h.sum() / M
+    return np.clip(c0 * theta + series, 0.0, c0 * np.pi)
 
 
 def density(x, law: LimitLaw):
@@ -183,11 +148,18 @@ def density(x, law: LimitLaw):
 
 
 def cdf_limit(x, law: LimitLaw):
-    """Distribution function of the limiting law at x, in [0, 1]."""
+    """Distribution function of the limiting law at x, in [0, 1]: on each
+    support interval (a, b) of the rule, the integral of the cosine
+    interpolant of its h up to the angle of x, plus the point mass at zero."""
     scalar = np.isscalar(x)
     xx = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.clip(law.continuous_cdf(xx), 0.0, 1.0) + law.atom_at_zero * (xx >= 0)
-    out = np.minimum(out, 1.0)
+    cont = np.zeros(xx.shape)
+    for a, b, h in law.ensure_grids()[2]:
+        inside = (xx > a) & (xx < b)
+        theta = np.arccos(np.clip((a + b - 2.0 * xx[inside]) / (b - a), -1.0, 1.0))
+        cont[inside] += _mass_to_angle(h, theta)
+        cont[xx >= b] += h.sum() / h.size * np.pi
+    out = np.minimum(np.clip(cont, 0.0, 1.0) + law.atom_at_zero * (xx >= 0), 1.0)
     return float(out[0]) if scalar else out
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .model import ConfigError
 from .spectrum import SpectralMeasure
 
 DEFAULT_TOL = 1e-12
@@ -199,9 +200,12 @@ def support(H: SpectralMeasure, c: float) -> tuple[tuple[float, float], ...]:
     whose midpoint has positive density bound one interval.  When c times
     the weight of the positive atoms is 1 the lower edge is exactly 0, which
     is decided from the input because z(y) there is 0 only to rounding.
+    A population without a positive atom has no bulk and is a ConfigError.
     """
     if c <= 0:
         raise ValueError("ratio c must be positive")
+    if H.t_max <= 0:
+        raise ConfigError("population needs an atom t > 0 of positive weight")
     # u_k^2 overflows exactly when u_k = t_k sqrt(c w_k) >= 2^512; scaling t_k
     # by 2^-512 first is exact, so this decides it without forming u_k
     if np.any(H.atoms * 2.0 ** -512 * np.sqrt(c * H.weights) >= 1.0):

@@ -66,10 +66,6 @@ class SpectralMeasure:
         return cls(uniq, counts / values.size)
 
     @property
-    def t_min(self) -> float:
-        return float(self.atoms[0])
-
-    @property
     def t_max(self) -> float:
         return float(self.atoms[-1])
 

@@ -126,6 +126,11 @@ def mp_closed_density(x, c):
     return out
 
 
+def total_mass(law) -> float:
+    """Mass of a LimitLaw: its point mass at zero plus the masses of its midpoint rule."""
+    return law.atom_at_zero + float(law.quadrature[1].sum())
+
+
 def resolvent_quad_form(a: np.ndarray, x: np.ndarray, z: complex) -> complex:
     """x* (A - zI)^(-1) x via a direct shifted linear solve.
 

@@ -63,6 +63,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(json.dumps(dict(BASE, population={"atoms": [], "extra": 1})))
 
+    def test_unknown_command(self):
+        with pytest.raises(ConfigError, match=r"^command must be one of \('simulate', "
+                                              r"'density', 'clt', 'bridge', 'figures'\)$"):
+            parse_config(json.dumps(dict(BASE, command="plot")))
+
     def test_bad_enum(self):
         with pytest.raises(ConfigError, match="entries"):
             parse_config(json.dumps(dict(BASE, entries="cauchy")))
@@ -194,6 +199,17 @@ class TestDispatch:
         assert proc.returncode == 0, proc.stderr
         header, rows = _read_csv(tmp_path / "density.csv")
         assert header == ["x", "f", "F"] and rows.shape == (2, 3)
+
+    def test_raw_linalg_error_exit_3(self, tmp_path, capsys, monkeypatch):
+        # numpy's LinAlgError, here from the support's eigvals, is a failed computation
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+        cfgfile = _config(tmp_path)
+        assert main(["density", "--config", str(cfgfile), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure in density: Eigenvalues did not converge")
 
     def test_density_tiny_atom_exit_3(self, tmp_path, capsys):
         # u = t sqrt(c w) squares to 0: the support has no edges; this runs

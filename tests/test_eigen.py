@@ -9,6 +9,7 @@ from covspec import (DirectionSpec, FunctionalSpec, ModelConfig, PopulationSpec,
                      SpectralMeasure, build_sample_cov, cholesky_logdet, eig_decompose,
                      gauss_rule, map_replicates, quad_form_power, realize_direction,
                      weighted_spectrum)
+from covspec.eigen import _check_lanczos
 from covspec.harness import _block_size
 from covspec.model import ENTRY_DISTS
 from oracles import resolvent_quad_form
@@ -128,6 +129,43 @@ class TestEigDecomposeChecks:
         spoil = self._spoil(monkeypatch, fault, build_sample_cov(self.CFG, replicate=2)[0, 0])
         with pytest.raises(RuntimeError, match="^replicate 2 failed: " + re.escape(fault)):
             map_replicates(self.CFG, lambda s: eig_decompose(spoil(s)).lambdas, 5, workers=1)
+
+
+    def test_failed_eigh_is_a_runtime_error(self, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(covspec.eigen.np.linalg, "eigh", no_convergence)
+        with pytest.raises(RuntimeError, match="^eig did not converge$"):
+            eig_decompose(np.eye(3))
+
+
+class TestLanczosCheck:
+    """Three diagonal matrices whose first two Lanczos vectors are unit
+    vectors satisfy both checks exactly; spoiling the middle one must fail."""
+
+    @staticmethod
+    def _runs():
+        d = np.array([[1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 5.0, 7.0], [0.5, 1.5, 2.5, 3.5]])
+        a = np.stack([np.diag(row) for row in d])
+        t = np.stack([np.diag(row[:2]) for row in d])
+        basis = np.tile(np.eye(4)[:2], (3, 1, 1))
+        return a, basis, t, np.zeros((3, 4)), np.linalg.matrix_norm(a)
+
+    def test_exact_runs_pass(self):
+        _check_lanczos(*self._runs())
+
+    def test_middle_basis_not_orthonormal(self):
+        a, basis, t, w, norm_a = self._runs()
+        basis[1, 1] = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
+        with pytest.raises(RuntimeError, match="^Lanczos vectors lost orthonormality$"):
+            _check_lanczos(a, basis, t, w, norm_a)
+
+    def test_middle_krylov_relation_broken(self):
+        a, basis, t, w, norm_a = self._runs()
+        t[1, 0, 0] += 1e-3
+        with pytest.raises(RuntimeError, match="^Lanczos Krylov relation failed$"):
+            _check_lanczos(a, basis, t, w, norm_a)
 
 
 class TestCholeskyLogdet:

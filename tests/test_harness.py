@@ -357,6 +357,13 @@ class TestBlocks:
             map_replicates(cfg, fn, 8, workers=1)
         assert calls == [8, 1, 1, 1, 1, 1, 1]  # the block, then replicates 0..5 alone
 
+    def test_rows_must_match_matrices(self):
+        # a block giving the wrong row count is rerun one matrix at a time,
+        # which names the first replicate
+        with pytest.raises(RuntimeError, match=r"^replicate 0 failed: fn gave shape \(2,\) "
+                                               r"for 1 matrices"):
+            map_replicates(_cfg(n=10, N=20), lambda s: np.zeros(len(s) + 1), 3, workers=1)
+
     def test_block_size(self):
         # one n x n Gram per replicate against the 1 MiB budget
         assert _block_size(_cfg(n=200, N=400)) == 3  # the clt config
@@ -683,6 +690,21 @@ def test_run_clt_non_finite_direction_draws_no_replicate(monkeypatch):
                       direction=DirectionSpec.custom([np.inf, 1.0, 0.0]))
     with pytest.raises(ConfigError, match="custom direction vector must be finite"):
         run_clt(cfg, [G1], 4)
+
+
+def test_run_clt_no_positive_atom_draws_no_replicate(monkeypatch):
+    # the theory comes first and refuses a population without bulk
+    monkeypatch.setattr(covspec.harness, "sample_cov_block", None)
+    cfg = ModelConfig(n=3, N=12, entry_dist="real-gaussian",
+                      population=PopulationSpec(SpectralMeasure.point(0.0)),
+                      direction=DirectionSpec.basis(0))
+    with pytest.raises(ConfigError, match="^population needs an atom t > 0"):
+        run_clt(cfg, [G1], 4)
+
+
+def test_contour_theory_no_positive_atom():
+    with pytest.raises(ConfigError, match="^population needs an atom t > 0"):
+        theoretical_cov_contour([G1], SpectralMeasure.point(0.0), 0.5)
 
 
 @pytest.mark.parametrize("workers", [0, -2, 1.5, True])

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from covspec import (DirectionSpec, FunctionalSpec, LimitLaw, ModelConfig,
+from covspec import (ConfigError, DirectionSpec, FunctionalSpec, LimitLaw, ModelConfig,
                      PopulationSpec, SpectralMeasure, build_sample_cov, cdf_limit,
                      density, limit_moments, mean_functional, support)
 from covspec.cli import main
 import covspec.law as law_module
 from covspec.law import mean_functional_density
-from oracles import mp_closed_density, narayana_moment
+from oracles import mp_closed_density, narayana_moment, total_mass
 
 MP1 = SpectralMeasure.point(1.0)
 H13 = SpectralMeasure([1.0, 3.0], [0.5, 0.5])
@@ -62,7 +62,7 @@ class TestDensity:
         # |mbar| reaches ~1e3 next to the lower edge, where the root is
         # double; the scaled residual check must pass and the mass hold
         law = LimitLaw(c=c, H=MP1)
-        assert abs(law.total_mass() - 1.0) <= 2e-4
+        assert abs(total_mass(law) - 1.0) <= 2e-4
         xs = np.linspace((1 - np.sqrt(c)) ** 2, (1 + np.sqrt(c)) ** 2, 2001)[1:-1]
         ref = mp_closed_density(xs, c)
         assert np.max(np.abs(density(xs, law) - ref) / ref) <= 1e-10
@@ -182,7 +182,7 @@ class TestCdf:
                      (SpectralMeasure([1.0, 3.0], [0.5, 0.5]), 0.5),
                      (SpectralMeasure([1.0, 3.0], [0.5, 0.5]), 1.0)]:
             law = LimitLaw(c=c, H=h)
-            assert abs(law.total_mass() - 1.0) <= 1e-13
+            assert abs(total_mass(law) - 1.0) <= 1e-13
 
     @pytest.mark.parametrize("atoms,n,N", BENCH_DENSITY + [([(1.0, 1.0)], 100, 100)])
     def test_against_quadrature(self, atoms, n, N):
@@ -211,7 +211,7 @@ class TestCdf:
     def test_zero_population_atom(self):
         # the zero rows of T put mass max(w_0, 1 - 1/c) = 0.5 at zero
         law = LimitLaw(c=0.5, H=SpectralMeasure([0.0, 1.0], [0.5, 0.5]))
-        assert abs(law.total_mass() - 1.0) <= 1e-13
+        assert abs(total_mass(law) - 1.0) <= 1e-13
         assert cdf_limit(0.0, law) == 0.5
         assert abs(mean_functional(law, FunctionalSpec.poly([1.0, 1.0])) - 1.5) <= 1e-13
         with pytest.raises(ValueError):
@@ -299,6 +299,22 @@ class TestMoments:
         assert limit_moments(law, 1) == H013.moment(1)
 
 
+class TestNoPositiveAtom:
+    # delta_0 has no bulk: the theory refuses it as a fault of the config
+    LAW = LimitLaw(c=0.5, H=SpectralMeasure.point(0.0))
+
+    def test_bulk_window(self):
+        with pytest.raises(ConfigError, match="^population needs an atom t > 0"):
+            self.LAW.bulk_window()
+
+    def test_cdf_limit(self):
+        with pytest.raises(ConfigError, match="^population needs an atom t > 0"):
+            cdf_limit(1.0, self.LAW)
+
+    def test_moments_stay_exact(self):
+        assert [limit_moments(self.LAW, k) for k in range(4)] == [1.0, 0.0, 0.0, 0.0]
+
+
 class TestMeanFunctional:
     def test_poly_uses_moments(self):
         law = LimitLaw(c=0.5, H=MP1)
@@ -328,7 +344,7 @@ class TestMeanFunctional:
         # the rule where mean_functional takes exact moments; {1, 10} at
         # c = 0.05 has two support intervals)
         law = LimitLaw(c=c, H=h)
-        assert abs(law.total_mass() - 1.0) <= 1e-13
+        assert abs(total_mass(law) - 1.0) <= 1e-13
         got1 = mean_functional_density(law, FunctionalSpec.monomial(1))
         assert abs(got1 - h.moment(1)) <= 1e-13
         got2 = mean_functional_density(law, FunctionalSpec.monomial(2))

@@ -3,7 +3,7 @@ import pytest
 
 from covspec import (ConvergenceError, LimitLaw, SpectralMeasure, density, mp, solve_mbar_grid,
                      support)
-from oracles import closed_form_mp, inverse_z
+from oracles import closed_form_mp, inverse_z, total_mass
 
 MP1 = SpectralMeasure.point(1.0)
 H13 = SpectralMeasure([1.0, 3.0], [0.5, 0.5])
@@ -117,7 +117,7 @@ def test_many_atoms_root_selection():
     assert np.max(np.abs(mbar - _single_upper_root(zs, H, 0.5))) <= 1e-10
     back = np.array([inverse_z(m, H, 0.5) for m in mbar])
     assert np.max(np.abs(back - zs)) <= 1e-10
-    assert abs(LimitLaw(c=0.5, H=H).total_mass() - 1.0) <= 1e-13
+    assert abs(total_mass(LimitLaw(c=0.5, H=H)) - 1.0) <= 1e-13
 
 
 def test_herglotz_properties():
@@ -144,7 +144,7 @@ def test_round_trip_on_grid():
 
 def _envelope(H, c):
     # loose bounds t_min(1-sqrt(c))^2 (0 once c >= 1) and t_max(1+sqrt(c))^2
-    lo = H.t_min * (1 - np.sqrt(c)) ** 2 if c < 1 else 0.0
+    lo = H.atoms[0] * (1 - np.sqrt(c)) ** 2 if c < 1 else 0.0
     return lo, H.t_max * (1 + np.sqrt(c)) ** 2
 
 

@@ -1,8 +1,9 @@
 """The package ships only what its commands and the benchmark call.
 
 Reference code that only tests call lives in ``tests/oracles.py``: every
-public top-level function and class of ``covspec`` must be used by another
-part of the package or by the benchmark.
+public top-level function and class of ``covspec``, and every public method
+and property of its public classes, must be used by another part of the
+package or by the benchmark.
 """
 
 import ast
@@ -33,29 +34,46 @@ def _referenced(node):
 
 
 def _public_defs_and_uses():
-    """(module, name) of each public top-level definition in the package, and
-    the names used outside their own definition in the package (not counting
-    ``__init__.py``) or in the benchmark."""
-    defs, used = [], set()
+    """(module, name) of each public top-level definition in the package and
+    (module, class.member) of each public method or property of a public
+    class, and the names used outside their own definition in the package
+    (not counting ``__init__.py``) or in the benchmark."""
+    defs, members, used = [], [], set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if not node.name.startswith("_"):
-                    defs.append((path.stem, node.name))
-                used.update(name for name in _referenced(node) if name != node.name)
-            else:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 used.update(_referenced(node))
+                continue
+            public = not node.name.startswith("_")
+            if public:
+                defs.append((path.stem, node.name))
+            # a class's parts one by one, so that a member's own body does not count
+            parts = list(ast.iter_child_nodes(node)) if isinstance(node, ast.ClassDef) else [node]
+            for part in parts:
+                own = {node.name}
+                if isinstance(part, ast.FunctionDef) and part is not node:
+                    own.add(part.name)
+                    if public and not part.name.startswith("_"):
+                        members.append((path.stem, f"{node.name}.{part.name}"))
+                used.update(name for name in _referenced(part) if name not in own)
     for path in sorted(BENCHMARKS.glob("*.py")):
         used.update(_referenced(ast.parse(path.read_text())))
-    return defs, used
+    return defs, members, used
 
 
 def test_every_public_definition_has_a_caller():
-    defs, used = _public_defs_and_uses()
+    defs, _, used = _public_defs_and_uses()
     assert len(defs) > 50
     unused = [f"{module}.{name}" for module, name in defs if name not in used]
+    assert not unused, f"only tests call {unused}: move them to tests/oracles.py"
+
+
+def test_every_public_member_has_a_caller():
+    _, members, used = _public_defs_and_uses()
+    assert len(members) > 15
+    unused = [f"{module}.{name}" for module, name in members if name.split(".")[1] not in used]
     assert not unused, f"only tests call {unused}: move them to tests/oracles.py"
 
 

@@ -5,6 +5,7 @@ from covspec import (DirectionSpec, FunctionalSpec, LimitLaw, ModelConfig,
                      PopulationSpec, SpectralMeasure, WeightedSpectrum,
                      build_sample_cov, eig_decompose, mean_functional, quad_form_power,
                      w_statistic, weighted_spectrum, y_process)
+from covspec.eigen import EigenSystem
 from oracles import eval_cdf, resolvent_quad_form
 
 
@@ -60,6 +61,14 @@ class TestWeightedSpectrum:
         es = eig_decompose(np.eye(3))
         with pytest.raises(ValueError):
             weighted_spectrum(es, np.array([1.0, 0.0]))
+
+    def test_weights_off_unit_sum_rejected(self):
+        # the middle matrix's eigenvectors doubled: its weights sum to 4
+        es = eig_decompose(np.stack([np.diag([3.0, 1.0, 2.0])] * 3))
+        vectors = es.vectors.copy()
+        vectors[1] *= 2.0
+        with pytest.raises(ValueError, match="^projection weights sum to"):
+            weighted_spectrum(EigenSystem(es.lambdas, vectors), np.array([1.0, 0.0, 0.0]))
 
 
 class TestEvalCdf:
