@@ -16,7 +16,7 @@ from .law import LimitLaw, cdf_limit, density, limit_moments, mean_functional
 from .kernels import contour_nodes
 from .functionals import FunctionalSpec, poly_product
 from .weighted import WeightedSpectrum, w_statistic, weighted_spectrum, y_process
-from .kde import default_grid, kde, silverman_bandwidth
+from .kde import kde, silverman_bandwidth
 from .harness import (CompareVerdict, MCReport, Tolerances, bb_covariance, bb_samples,
                       bb_target, compare_report, estimate_mean_cov, map_replicates,
                       realized_law, run_clt, run_replications, theoretical_cov_contour,

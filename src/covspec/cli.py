@@ -36,7 +36,7 @@ import numpy as np
 from .eigen import cholesky_logdet, eig_decompose, quad_form_power
 from .functionals import FunctionalSpec
 from .harness import _BLAS, _env_workers, bb_covariance, bb_target, map_replicates, run_clt
-from .kde import default_grid, kde, silverman_bandwidth
+from .kde import kde, silverman_bandwidth
 from .law import LimitLaw, cdf_limit, density
 from .model import (ConfigError, DirectionSpec, ModelConfig, PopulationSpec,
                     build_sample_cov, realize_direction, realize_population)
@@ -44,7 +44,9 @@ from .spectrum import SpectralMeasure
 from .weighted import WeightedSpectrum, w_statistic, weighted_spectrum
 
 FIGURE_ONE_SIZES = (20, 100, 200, 500)   # n = 0.2 N
-FIGURE_SMALL = {2: (5, 50), 3: (10, 50)}  # (n, N), statistic sqrt(N/n) W_n
+# the (n, N, scale) of each series of a figure: its statistic is scale * W_n
+FIGURES = {1: tuple((int(round(0.2 * N)), N, 1.0) for N in FIGURE_ONE_SIZES),
+           2: ((5, 50, np.sqrt(50 / 5)),), 3: ((10, 50, np.sqrt(50 / 10)),)}
 
 
 @dataclass(frozen=True)
@@ -182,16 +184,9 @@ def _parse_document(doc: dict) -> RunConfig:
                      reps=reps, out=out, grid=grid, which=which)
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def _write_csv(path, header, columns):
-    rows = len(columns[0])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
 
 
 def _write_json(path, payload) -> None:
@@ -266,6 +261,9 @@ def _check_direction(cfg: ModelConfig) -> None:
 
 
 def _cmd_clt(rc: RunConfig, outdir) -> None:
+    _require(rc.model.entry_dist in ("real-gaussian", "complex-gaussian"),
+             f"entries {rc.model.entry_dist!r} have a nonzero fourth cumulant; the clt theory "
+             f"assumes E X^4 = 3 (real) or E|X|^4 = 2 (complex)")
     _check_direction(rc.model)
     gs = rc.functionals or (FunctionalSpec.monomial(1),)
     report = run_clt(rc.model, gs, rc.reps or 100)
@@ -285,34 +283,22 @@ def _cmd_bridge(rc: RunConfig, outdir) -> None:
     _write_json(outdir / "bb.json", payload)
 
 
-def _figure_samples(base: ModelConfig, n: int, N: int, reps: int, scaled: bool) -> np.ndarray:
+def _figure_samples(base: ModelConfig, n: int, N: int, reps: int, scale: float) -> np.ndarray:
     if n > N:  # A has rank at most N < n, whatever its Cholesky factorization says
         raise ValueError("singular sample covariance")
     cfg = replace(base, n=n, N=N)
-    scale = np.sqrt(N / n) if scaled else 1.0
     return map_replicates(cfg, lambda a: scale * cholesky_logdet(a), reps)
 
 
 def _cmd_figures(rc: RunConfig, outdir) -> None:
     which = rc.which or 1
-    reps = rc.reps or 1000
-    base = rc.model
-    if which == 1:
-        series = {}
-        for N in FIGURE_ONE_SIZES:
-            n = int(round(0.2 * N))
-            series[N] = _figure_samples(base, n, N, reps, scaled=False)
-        allv = np.concatenate(list(series.values()))
-        h = max(silverman_bandwidth(v) for v in series.values())
-        xs = np.linspace(allv.min() - 4 * h, allv.max() + 4 * h, 512)
-        cols = [xs] + [kde(series[N], xs) for N in FIGURE_ONE_SIZES]
-        header = ["x"] + [f"kde_N{N}" for N in FIGURE_ONE_SIZES]
-        _write_csv(outdir / "fig1.csv", header, cols)
-    else:
-        n, N = FIGURE_SMALL[which]
-        vals = _figure_samples(base, n, N, reps, scaled=True)
-        xs = default_grid(vals)
-        _write_csv(outdir / f"fig{which}.csv", ["x", "kde"], [xs, kde(vals, xs)])
+    table = FIGURES[which]
+    series = [_figure_samples(rc.model, n, N, rc.reps or 1000, scale) for n, N, scale in table]
+    allv = np.concatenate(series)
+    h = max(silverman_bandwidth(v) for v in series)
+    xs = np.linspace(allv.min() - 4 * h, allv.max() + 4 * h, 512)
+    names = [f"kde_N{N}" for _, N, _ in table] if len(table) > 1 else ["kde"]
+    _write_csv(outdir / f"fig{which}.csv", ["x"] + names, [xs] + [kde(v, xs) for v in series])
 
 
 COMMANDS = {"simulate": _cmd_simulate, "density": _cmd_density, "clt": _cmd_clt,

@@ -34,9 +34,3 @@ def kde(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
         sums[start:start + _KDE_ROWS] = np.exp(-0.5 * u * u).sum(axis=1)
     return sums / (samples.size * h * np.sqrt(2 * np.pi))
 
-
-def default_grid(samples: np.ndarray, points: int = 512) -> np.ndarray:
-    """Evaluation grid spanning the samples plus four bandwidths on each side."""
-    samples = np.asarray(samples, dtype=float)
-    h = silverman_bandwidth(samples)
-    return np.linspace(samples.min() - 4 * h, samples.max() + 4 * h, points)

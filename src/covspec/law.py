@@ -127,23 +127,25 @@ def _mass_to_angle(h, theta) -> np.ndarray:
 def density(x, law: LimitLaw):
     """Density of the limiting law at x (scalar or array), nonnegative.
 
-    f(x) = max(0, Im mbar(x))/(c*pi) with mbar the root of the equation at
-    real x whose imaginary part is largest: inside the bulk the roots include
-    one conjugate pair, outside it every root is real and f is exactly 0.
-    At zero f is +inf where the lower edge is zero; below a positive lower
-    edge it is 0, and zero is rejected if the law has a point mass there.
+    Strictly inside an interval of the exact support (``mp.support``),
+    f(x) = max(0, Im mbar(x))/(c*pi), mbar the root of the equation at real
+    x with the largest imaginary part; elsewhere, edges included, f is 0.
+    At zero f is +inf where the lower edge is zero, and zero is rejected if
+    the law has a point mass there.
     """
     scalar = np.isscalar(x)
     xx = np.atleast_1d(np.asarray(x, dtype=float))
+    bulk = support(law.H, law.c)
     at_zero = xx == 0
     out = np.zeros_like(xx)
     if np.any(at_zero):
-        zero_edge = support(law.H, law.c)[0][0] == 0
+        zero_edge = bulk[0][0] == 0
         if law.atom_at_zero > 0 and not zero_edge:
             raise ConfigError("density undefined at the point mass at zero; use cdf_limit")
         out[at_zero] = np.inf if zero_edge else 0.0
-    mbar, _, _ = _upper_root(xx[~at_zero], law.H, law.c)
-    out[~at_zero] = np.maximum(mbar.imag, 0.0) / (law.c * np.pi)
+    inside = np.any([(xx > a) & (xx < b) for a, b in bulk], axis=0)
+    mbar, _, _ = _upper_root(xx[inside], law.H, law.c)
+    out[inside] = np.maximum(mbar.imag, 0.0) / (law.c * np.pi)
     return float(out[0]) if scalar else out
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import covspec
-from covspec.cli import ConfigError, main, parse_config
+from covspec.cli import ConfigError, _write_csv, main, parse_config
 from covspec.model import DirectionSpec, ModelConfig, PopulationSpec
 from covspec.spectrum import SpectralMeasure
 
@@ -180,13 +180,22 @@ class TestDispatch:
 
     def test_figures_small(self, tmp_path):
         cfgfile = _config(tmp_path)
-        code = main(["figures", "--config", str(cfgfile), "--out", str(tmp_path),
-                     "--which", "2", "--reps", "80"])
-        assert code == 0
-        header, rows = _read_csv(tmp_path / "fig2.csv")
-        assert header == ["x", "kde"]
-        mass = np.trapezoid(rows[:, 1], rows[:, 0])
-        assert abs(mass - 1.0) <= 0.02
+        for which in (2, 3):
+            code = main(["figures", "--config", str(cfgfile), "--out", str(tmp_path),
+                         "--which", str(which), "--reps", "80"])
+            assert code == 0
+            header, rows = _read_csv(tmp_path / f"fig{which}.csv")
+            assert header == ["x", "kde"] and rows.shape == (512, 2)
+            mass = np.trapezoid(rows[:, 1], rows[:, 0])
+            assert abs(mass - 1.0) <= 0.02
+
+    def test_csv_format(self, tmp_path):
+        # shortest round-trip text is not the format: 17 significant digits, C spellings
+        _write_csv(tmp_path / "t.csv", ["a", "b"],
+                   [np.array([0.1, np.inf, 5e-324]), np.array([-0.0, np.nan, 1 / 3])])
+        want = (b"a,b\n0.10000000000000001,-0\ninf,nan\n"
+                b"4.9406564584124654e-324,0.33333333333333331\n")
+        assert (tmp_path / "t.csv").read_bytes() == want
 
     def test_module_entry_point(self, tmp_path):
         src = str(Path(covspec.__file__).resolve().parents[1])
@@ -361,6 +370,26 @@ class TestDispatch:
         assert main(["clt", "--config", str(cfgfile), "--out", str(tmp_path),
                      "--reps", "4"]) == 0
         assert (tmp_path / "report.json").is_file()
+
+    @pytest.mark.parametrize("entries", ["rademacher", "uniform-rescaled"])
+    def test_clt_non_gaussian_entries_exit_2(self, tmp_path, capsys, entries):
+        # the theory has no fourth-cumulant term: it would report the Gaussian covariance
+        cfgfile = _config(tmp_path, n=30, N=60, entries=entries)
+        assert main(["clt", "--config", str(cfgfile), "--out", str(tmp_path),
+                     "--reps", "4"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: entries {entries!r} have a nonzero fourth cumulant; the clt theory "
+            f"assumes E X^4 = 3 (real) or E|X|^4 = 2 (complex)\n")
+        assert not (tmp_path / "report.json").exists()
+
+    def test_density_gap_below_the_bulk_is_zero(self, tmp_path):
+        # {0, 1, 3} at c = 0.5: a point mass at zero, then the bulk from 0.235
+        atoms = {"atoms": [{"t": t, "w": 1 / 3} for t in (0.0, 1.0, 3.0)]}
+        cfgfile = _config(tmp_path, n=99, N=198, population=atoms)
+        assert main(["density", "--config", str(cfgfile), "--out", str(tmp_path),
+                     "--grid=-1,1e-300,0.5"]) == 0
+        _, rows = _read_csv(tmp_path / "density.csv")
+        assert rows[:2, 1].tolist() == [0.0, 0.0] and rows[2, 1] > 0
 
     def test_uniform_direction_weights_exact_at_large_n(self):
         from covspec.cli import _check_direction

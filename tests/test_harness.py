@@ -19,7 +19,7 @@ from covspec.harness import _block_size
 from covspec.kernels import contour_nodes, kernel_from_mbar
 from covspec.mp import solve_mbar_grid
 from covspec.model import sample_cov_block
-from covspec.cli import FIGURE_ONE_SIZES, FIGURE_SMALL, _figure_samples
+from covspec.cli import FIGURE_ONE_SIZES, FIGURES, _figure_samples
 from oracles import perturbed_contour
 
 MP1 = SpectralMeasure.point(1.0)
@@ -49,6 +49,17 @@ class TestRunReplications:
             a = build_sample_cov(cfg, replicate=r)
             expected = np.sqrt(cfg.N) * (quad_form_power(a, x, 1) - 1.0)
             assert abs(vals[r, 0] - expected) <= 1e-6
+
+    @pytest.mark.parametrize("n, N, index", [(60, 120, 0), (200, 400, 0), (200, 400, 199)])
+    def test_rademacher_basis_direction_is_exact(self, n, N, index):
+        # x*Ax is the mean of N squared signs, exactly 1: the anchor of the
+        # fourth-cumulant theory.  n = 60 takes the eigh fall-back, n = 200
+        # the Gauss rule
+        cfg = ModelConfig(n=n, N=N, entry_dist="rademacher", population=PopulationSpec.identity(),
+                          direction=DirectionSpec.basis(index), seed=3)
+        vals = run_replications(cfg, [G1, G2], 20, workers=2)
+        assert np.max(np.abs(vals[:, 0])) <= 1e-12
+        assert np.max(np.abs(vals[:, 1])) > 0.1
 
     def test_deterministic(self):
         vals1 = run_replications(_cfg(seed=5), [G1], 6, workers=1)
@@ -192,11 +203,10 @@ class TestMapReplicates:
         finally:
             set_(before)
 
-    @pytest.mark.parametrize("n, N", [(round(0.2 * N), N) for N in FIGURE_ONE_SIZES]
-                             + list(FIGURE_SMALL.values()))
+    @pytest.mark.parametrize("n, N", [(n, N) for table in FIGURES.values() for n, N, _ in table])
     def test_logdet_matches_eigenvalue_sum(self, n, N):
         cfg = _cfg(n=n, N=N, seed=4)
-        got = _figure_samples(cfg, n, N, 6, scaled=False)
+        got = _figure_samples(cfg, n, N, 6, scale=1.0)
         want = [w_statistic(eig_decompose(build_sample_cov(cfg, replicate=r))) for r in range(6)]
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
@@ -204,7 +214,7 @@ class TestMapReplicates:
         # n > N is refused before any replicate: Cholesky can factor a
         # rank-deficient A in floating point and give a finite log det
         with pytest.raises(ValueError, match="^singular sample covariance$"):
-            _figure_samples(_cfg(), 20, 10, 3, scaled=False)
+            _figure_samples(_cfg(), 20, 10, 3, scale=1.0)
         with pytest.raises(RuntimeError, match="replicate 0 failed: singular"):
             map_replicates(_cfg(n=20, N=10), lambda a: cholesky_logdet(0.0 * a), 3, workers=2)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from covspec import default_grid, kde, silverman_bandwidth
+from covspec import kde, silverman_bandwidth
 
 
 def test_degenerate_samples():
@@ -29,7 +29,8 @@ def test_two_point_symmetry():
 def test_integrates_to_one():
     rng = np.random.default_rng(7)
     for samples in (rng.standard_normal(500), rng.exponential(2.0, 800)):
-        grid = default_grid(samples, points=1024)
+        h = silverman_bandwidth(samples)
+        grid = np.linspace(samples.min() - 4 * h, samples.max() + 4 * h, 1024)
         vals = kde(samples, grid)
         assert np.all(vals >= 0)
         assert abs(np.trapezoid(vals, grid) - 1.0) <= 0.02
@@ -44,8 +45,8 @@ def test_bandwidth_formula():
 @pytest.mark.parametrize("R", [777, 1000, 5000])
 def test_chunked_grid_matches_one_pass_formula(R):
     samples = np.random.default_rng(R).standard_normal(R)
-    xs = default_grid(samples)
     h = silverman_bandwidth(samples)
+    xs = np.linspace(samples.min() - 4 * h, samples.max() + 4 * h, 512)
     u = (xs[:, None] - samples[None, :]) / h
     want = np.exp(-0.5 * u * u).sum(axis=1) / (R * h * np.sqrt(2 * np.pi))
     assert kde(samples, xs).tobytes() == want.tobytes()

@@ -36,6 +36,15 @@ class TestDensity:
         assert abs(density(5.0, law)) <= 1e-6
         assert abs(density(0.1, law)) <= 1e-6
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_in_the_gap_above_a_point_mass_at_zero(self):
+        law = LimitLaw(c=0.5, H=H013)
+        lo = support(H013, 0.5)[0][0]
+        assert 0.2 < lo < 0.3
+        # the lower edge itself is off the open interval
+        assert density(np.array([1e-300, 1e-20, lo / 2, lo]), law).tolist() == [0.0] * 4
+        assert density(1e-20, LimitLaw(c=2.0, H=MP1)) == 0.0
+
     def test_matches_closed_form_pointwise(self):
         law = LimitLaw(c=0.25, H=MP1)
         xs = np.linspace(0.3, 2.2, 100)

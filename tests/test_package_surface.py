@@ -77,6 +77,28 @@ def test_every_public_member_has_a_caller():
     assert not unused, f"only tests call {unused}: move them to tests/oracles.py"
 
 
+def test_every_import_is_used():
+    # a deletion that leaves its import behind fails here; ``__init__.py``
+    # imports only to re-export
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        # an attribute chain a.b.c has the Name a at its root
+        used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert not unused, f"imported but never used: {unused}"
+
+
 @pytest.mark.parametrize("module", ["covspec"] + [
     f"covspec.{m.name}" for m in pkgutil.iter_modules(covspec.__path__)])
 def test_moved_oracles_are_not_in_the_package(module):
