@@ -50,7 +50,7 @@ from .kernels import contour_nodes, kernel_from_mbar
 from .law import LimitLaw, mean_functional
 from .model import (ConfigError, ModelConfig, Workspace, _is_int, entry_dtype,
                     realize_direction, realize_population, sample_cov_block)
-from .mp import _lower_end, solve_mbar_grid
+from .mp import solve_mbar_grid
 from .spectrum import SpectralMeasure
 from .weighted import weighted_spectrum, y_process
 
@@ -221,6 +221,8 @@ def run_replications(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
     if R < 2:
         raise ConfigError("need at least 2 replications")
     gs = list(gs)
+    if not gs:
+        raise ConfigError("need at least one functional")
     law = realized_law(cfg) if law is None else law
     means = np.array([mean_functional(law, g) for g in gs])
     rootN = np.sqrt(cfg.N)
@@ -251,8 +253,8 @@ def estimate_mean_cov(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
-def theoretical_cov_contour(gs: Sequence[FunctionalSpec], H: SpectralMeasure,
-                            c: float) -> tuple[np.ndarray, float]:
+def theoretical_cov_contour(gs: Sequence[FunctionalSpec],
+                            law: LimitLaw) -> tuple[np.ndarray, float]:
     """Theoretical covariance matrix (real-entry scale) by double contour integration.
 
     Entry (i, j) integrates gs[i] on the outer and gs[j] on the inner ellipse
@@ -267,11 +269,13 @@ def theoretical_cov_contour(gs: Sequence[FunctionalSpec], H: SpectralMeasure,
     same sum over every other node of both ellipses.
     """
     gs = list(gs)
+    if not gs:
+        raise ConfigError("need at least one functional")
     log = any(g.needs_positive_support for g in gs)
-    if log and _lower_end(H, c) <= 0:
+    if log and law.lower_end <= 0:
         raise ConfigError("log functional needs the spectrum bounded away from zero")
-    (z1, w1), (z2, w2) = contour_nodes(H, c, enclose_zero=not log)
-    m1, m2 = np.split(solve_mbar_grid(np.concatenate([z1, z2]), H, c)[0], [z1.size])
+    (z1, w1), (z2, w2) = contour_nodes(law, enclose_zero=not log)
+    m1, m2 = np.split(solve_mbar_grid(np.concatenate([z1, z2]), law.H, law.c)[0], [z1.size])
     gw1 = np.array([g(z1) * w1 for g in gs])
     gw2 = np.array([g(z2) * w2 for g in gs])
     # kernel rows contracted with the inner functionals: every node, and
@@ -280,7 +284,7 @@ def theoretical_cov_contour(gs: Sequence[FunctionalSpec], H: SpectralMeasure,
     kg_half = np.empty(((z1.size + 1) // 2, len(gs)), dtype=complex)
     for start in range(0, z1.size, _KERNEL_ROWS):
         sl = slice(start, start + _KERNEL_ROWS)
-        k = kernel_from_mbar(z1[sl, None], m1[sl, None], z2[None, :], m2[None, :], c)
+        k = kernel_from_mbar(z1[sl, None], m1[sl, None], z2[None, :], m2[None, :], law.c)
         kg[sl] = k @ gw2.T
         # blocks start at even rows, so the block's even rows are the global ones
         kg_half[start // 2:(start + _KERNEL_ROWS) // 2] = k[::2, ::2] @ gw2[:, ::2].T
@@ -382,7 +386,7 @@ def run_clt(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int) -> MCReport:
     gs = list(gs)
     law = realized_law(cfg)  # built once: it gives both theories and centres the replicates
     beta = 2.0 if entry_dtype(cfg.entry_dist).kind == "c" else 1.0
-    theory, theory_err = theoretical_cov_contour(gs, law.H, law.c)
+    theory, theory_err = theoretical_cov_contour(gs, law)
     simplified = theoretical_cov_simplified(gs, law) / beta if law.H.is_degenerate else None
     values = run_replications(cfg, gs, R, law=law)
     mean, cov = estimate_mean_cov(values)

@@ -4,27 +4,27 @@ The limiting Gaussian fluctuation of eigenvector-weighted spectral
 statistics has a covariance expressed through the companion transform at
 pairs of points off the real axis, integrated over two nested contours
 around the support (Bai & Silverstein 2004).  The contours are confocal
-ellipses whose foci are the exact support ends (``mp.support``), or 0 and
-the upper end where no log is integrated, with the periodic trapezoid
-rule on each; that rule converges geometrically in the
-ellipse parameter (Trefethen & Weideman 2014), so the node count follows
-from H and c (``contour_nodes``).  ``kernel_from_mbar`` evaluates the
-kernel from transform values at the nodes, on the real-entry scale;
-``harness.run_clt`` divides by beta = 2 for complex entries (Bai &
-Silverstein 2004).  The kernel at one pair of points, the two auxiliary
-kernels of its derivation and the homogeneity residual are test oracles
-(``tests/oracles.py``).
+ellipses whose foci are the ends of the law's support (``LimitLaw.bulk``,
+solved once per law), or 0 and the upper end where no log is integrated,
+with the periodic trapezoid rule on each; that rule converges
+geometrically in the ellipse parameter (Trefethen & Weideman 2014), so the
+node count follows from the law (``contour_nodes``).  ``kernel_from_mbar``
+evaluates the kernel from transform values at the nodes, on the
+real-entry scale; ``harness.run_clt`` divides by beta = 2 for complex
+entries (Bai & Silverstein 2004).  The kernel at one pair of points, the
+two auxiliary kernels of its derivation and the homogeneity residual are
+test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .mp import _lower_end, _node_count, support
-from .spectrum import SpectralMeasure
+from .law import LimitLaw
+from .mp import _node_count
 
 
-def contour_nodes(H: SpectralMeasure, c: float, enclose_zero: bool = False):
+def contour_nodes(law: LimitLaw, enclose_zero: bool = False):
     """Nodes and weights ((z_out, w_out), (z_in, w_in)) of the two contour ellipses.
 
     Both ellipses have foci a and b: b the upper support edge, a the lower
@@ -44,7 +44,7 @@ def contour_nodes(H: SpectralMeasure, c: float, enclose_zero: bool = False):
     past its cap: for H = delta_1 at c = 0.999 the capped ellipses around
     (a, b) miss the polynomial covariances by 1.4 times the largest entry.
     """
-    a, b = 0.0 if enclose_zero else _lower_end(H, c), support(H, c)[-1][1]
+    a, b = 0.0 if enclose_zero else law.lower_end, law.bulk[-1][1]
     # each ellipse sits a factor rho^(1/3) from its nearest singularity, so the
     # trapezoid rule on M nodes errs like rho^(-M/3): e^-36 at the M of _node_count
     return _ellipses(a, b, *_node_count(a, b))

@@ -14,15 +14,18 @@ of the contour ellipses (``mp._node_count``), therefore converges
 geometrically, and the distribution function is the cosine interpolant of
 the same samples of h, integrated term by term.  It adds the point mass at
 zero, max(w_0, 1 - 1/c) for a zero atom of weight w_0.  A LimitLaw keeps
-only its rule, built on first use under a lock; the distribution function
-takes its coefficients from the rule at each call.  The mean of a
+its support (``LimitLaw.bulk``), which the rule, the density, the window,
+the log guard and the contour (``kernels.contour_nodes``) read, and its
+rule, built under a lock; each is made on first use, and the distribution
+function takes its coefficients from the rule at each call.  The mean of a
 polynomial is a sum of exact moments, from the power series of mbar in 1/z
-(``limit_moments``), and never builds the rule; the mean of the log is one
-dot product with the rule's masses.
+(``limit_moments``), and needs neither; the mean of the log is one dot
+product with the rule's masses.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
@@ -31,7 +34,7 @@ import numpy as np
 
 from .functionals import FunctionalSpec
 from .model import ConfigError
-from .mp import _lower_end, _mass_at_zero, _node_count, _upper_root, support
+from .mp import _node_count, _upper_root, support
 from .spectrum import SpectralMeasure
 
 # padding of the density window beyond the support, as a share of its width
@@ -44,9 +47,9 @@ _SERIES_ENTRIES = 1 << 16
 class LimitLaw:
     """Limiting sample-spectrum distribution for ratio c and population H.
 
-    The quadrature nodes and their masses are built on first use, under a
-    lock, and published together; nothing else is cached.  Instances are
-    safe to share across threads.
+    The support (``bulk``) is solved on first use, and so are the quadrature
+    nodes and their masses, under a lock and published together; nothing
+    else is cached.  Instances are safe to share across threads.
     """
 
     c: float
@@ -57,17 +60,27 @@ class LimitLaw:
                                   compare=False)
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("ratio c must be positive")
+        if not (np.isfinite(self.c) and self.c > 0):
+            raise ConfigError(f"ratio c must be finite and positive (got {self.c!r})")
 
     @property
     def atom_at_zero(self) -> float:
-        return _mass_at_zero(self.H, self.c)
+        """Point mass at zero: max(w_0, 1 - 1/c), w_0 the weight of a zero atom."""
+        return max(float(self.H.weights[self.H.atoms == 0].sum()), 1.0 - 1.0 / self.c)
+
+    @functools.cached_property
+    def bulk(self) -> tuple[tuple[float, float], ...]:
+        """The exact support, ``mp.support(H, c)``, solved once."""
+        return support(self.H, self.c)
+
+    @property
+    def lower_end(self) -> float:
+        """Lowest point of the law: 0 if it has a point mass there, else the bulk's lower edge."""
+        return 0.0 if self.atom_at_zero > 0 else self.bulk[0][0]
 
     def bulk_window(self) -> tuple[float, float]:
         """Interval around the support, padded by a share of its width, never below 0."""
-        bulk = support(self.H, self.c)
-        lo, hi = bulk[0][0], bulk[-1][1]
+        lo, hi = self.bulk[0][0], self.bulk[-1][1]
         span = hi - lo
         return max(lo - _WINDOW_PAD * span, lo / 2.0), hi + _WINDOW_PAD * span
 
@@ -90,7 +103,7 @@ def _midpoint_rule(law: LimitLaw) -> tuple:
     x_j = a + (b-a) sin^2(theta_j/2) at theta_j = pi (j+1/2)/M with masses
     q_j = (pi/M) h_j, h_j = (b-a)/2 sin(theta_j) f(x_j); pieces holds
     (a, b, h) per interval.  All densities come from one call."""
-    bulk = support(law.H, law.c)
+    bulk = law.bulk
     thetas = [np.pi * (np.arange(M) + 0.5) / M for M in (_node_count(a, b)[1] for a, b in bulk)]
     # a + (b-a) sin^2(theta/2) is (a+b)/2 - (b-a)/2 cos(theta), accurate next to a
     xs = [a + (b - a) * np.sin(theta / 2.0) ** 2 for (a, b), theta in zip(bulk, thetas)]
@@ -127,7 +140,7 @@ def _mass_to_angle(h, theta) -> np.ndarray:
 def density(x, law: LimitLaw):
     """Density of the limiting law at x (scalar or array), nonnegative.
 
-    Strictly inside an interval of the exact support (``mp.support``),
+    Strictly inside an interval of the exact support (``LimitLaw.bulk``),
     f(x) = max(0, Im mbar(x))/(c*pi), mbar the root of the equation at real
     x with the largest imaginary part; elsewhere, edges included, f is 0.
     At zero f is +inf where the lower edge is zero, and zero is rejected if
@@ -135,7 +148,7 @@ def density(x, law: LimitLaw):
     """
     scalar = np.isscalar(x)
     xx = np.atleast_1d(np.asarray(x, dtype=float))
-    bulk = support(law.H, law.c)
+    bulk = law.bulk
     at_zero = xx == 0
     out = np.zeros_like(xx)
     if np.any(at_zero):
@@ -185,20 +198,12 @@ def limit_moments(law: LimitLaw, k: int) -> float:
     return float(power[k] / (k + 1) / law.c)
 
 
-def mean_functional_density(law: LimitLaw, g: FunctionalSpec) -> float:
-    """Integral of g against the law by the cached midpoint rule."""
-    if g.needs_positive_support and _lower_end(law.H, law.c) <= 0:
-        raise ConfigError("log functional needs the spectrum bounded away from zero")
-    x, q = law.quadrature
-    val = float(q @ np.asarray(g(x), dtype=float))
-    if law.atom_at_zero > 0:
-        val += law.atom_at_zero * float(g(0.0))
-    return val
-
-
 def mean_functional(law: LimitLaw, g: FunctionalSpec) -> float:
     """Integral of g against the limiting law: exact moments for a
     polynomial, the midpoint rule for the log."""
     if g.kind == "poly":
         return float(sum(coef * limit_moments(law, d) for d, coef in enumerate(g.coeffs)))
-    return mean_functional_density(law, g)
+    if law.lower_end <= 0:
+        raise ConfigError("log functional needs the spectrum bounded away from zero")
+    x, q = law.quadrature
+    return float(q @ np.asarray(g(x), dtype=float))

@@ -143,8 +143,8 @@ def solve_mbar_grid(z, H: SpectralMeasure, c: float):
     Returns
     -------
     (mbar, residual, iterations) arrays of the same shape as ``z``: the
-    residual |mbar + 1/(z - c*I(mbar))|, at most DEFAULT_TOL, and the
-    number of Newton polish steps taken.
+    residual |g| / max(1, |mbar|)^2 of g = mbar + 1/(z - c*I(mbar)), at
+    most DEFAULT_TOL, and the number of Newton polish steps taken.
 
     Raises
     ------
@@ -167,16 +167,6 @@ def solve_mbar_grid(z, H: SpectralMeasure, c: float):
     m, res, steps = _upper_root(np.where(flip, zf.conj(), zf), H, c)
     m = np.where(flip, m.conj(), m)
     return m.reshape(z.shape), res.reshape(z.shape), steps.reshape(z.shape)
-
-
-def _mass_at_zero(H: SpectralMeasure, c: float) -> float:
-    """Point mass of the limit law at zero: max(w_0, 1 - 1/c), w_0 the weight of a zero atom."""
-    return max(float(H.weights[H.atoms == 0].sum()), 1.0 - 1.0 / c)
-
-
-def _lower_end(H: SpectralMeasure, c: float) -> float:
-    """Lowest point of the law: 0 if it has a point mass there, else the bulk's lower edge."""
-    return 0.0 if _mass_at_zero(H, c) > 0 else support(H, c)[0][0]
 
 
 def _node_count(a: float, b: float) -> tuple[float, int]:

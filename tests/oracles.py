@@ -131,6 +131,17 @@ def total_mass(law) -> float:
     return law.atom_at_zero + float(law.quadrature[1].sum())
 
 
+def rule_mean(law, g) -> float:
+    """Integral of g against a LimitLaw by its midpoint rule, plus the point
+    mass at zero, for any g; the package takes polynomial means from exact
+    moments instead."""
+    x, q = law.quadrature
+    val = float(q @ np.asarray(g(x), dtype=float))
+    if law.atom_at_zero > 0:
+        val += law.atom_at_zero * float(g(0.0))
+    return val
+
+
 def resolvent_quad_form(a: np.ndarray, x: np.ndarray, z: complex) -> complex:
     """x* (A - zI)^(-1) x via a direct shifted linear solve.
 

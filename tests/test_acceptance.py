@@ -165,16 +165,16 @@ def test_a8_contour_equals_simplified(monkeypatch):
     for c in (0.25, 0.5):
         law = LimitLaw(c=c, H=MP1)
         via_moments = theoretical_cov_simplified(gs, law)
-        via_contour, _ = theoretical_cov_contour(gs, MP1, c)
+        via_contour, _ = theoretical_cov_contour(gs, law)
         assert np.abs(via_contour - via_moments).max() <= 1e-12
     # contour independence: double the node count, then narrow the ellipses
-    base, _ = theoretical_cov_contour(gs, MP1, 0.5)
+    base, _ = theoretical_cov_contour(gs, LimitLaw(c=0.5, H=MP1))
     with monkeypatch.context() as m:
         perturbed_contour(m, node_factor=2)
-        fine, _ = theoretical_cov_contour(gs, MP1, 0.5)
+        fine, _ = theoretical_cov_contour(gs, LimitLaw(c=0.5, H=MP1))
     with monkeypatch.context() as m:
         perturbed_contour(m, rho_power=0.75)
-        narrow, _ = theoretical_cov_contour(gs, MP1, 0.5)
+        narrow, _ = theoretical_cov_contour(gs, LimitLaw(c=0.5, H=MP1))
     assert np.abs(base - fine).max() <= 1e-12
     assert np.abs(base - narrow).max() <= 1e-12
     assert time.perf_counter() - t0 <= 30

@@ -408,13 +408,13 @@ class TestEstimateMeanCov:
 
 class TestTheoreticalCovContour:
     def test_linear_pair(self):
-        got, err = theoretical_cov_contour([G1], MP1, 0.5)
+        got, err = theoretical_cov_contour([G1], LimitLaw(c=0.5, H=MP1))
         assert got.shape == (1, 1)
         assert abs(got[0, 0] - 2.0) <= 1e-12
         assert err <= 1e-8
 
     def test_mixed_pair(self):
-        got, _ = theoretical_cov_contour([G1, G2], MP1, 0.5)
+        got, _ = theoretical_cov_contour([G1, G2], LimitLaw(c=0.5, H=MP1))
         assert abs(got[0, 1] - 5.0) <= 1e-12
         assert got[0, 1] == got[1, 0]
 
@@ -440,7 +440,7 @@ class TestTheoreticalCovContour:
         law = LimitLaw(c=c, H=MP1)
         want = theoretical_cov_simplified(gs, law)
         if case == "real":
-            got, err = theoretical_cov_contour(gs, MP1, c)
+            got, err = theoretical_cov_contour(gs, law)
         else:  # the theory run_clt reports for complex entries at n / N = c
             n, N = {0.25: (20, 80), 0.5: (40, 80), 0.999: (999, 1000), 2.0: (80, 40)}[c]
             monkeypatch.setenv("COVSPEC_WORKERS", "1")
@@ -452,12 +452,12 @@ class TestTheoreticalCovContour:
     def test_log_requires_positive_left_edge(self):
         for c in (1.0, 2.0):
             with pytest.raises(ValueError, match="log"):
-                theoretical_cov_contour([GLOG, G1], MP1, c)
+                theoretical_cov_contour([GLOG, G1], LimitLaw(c=c, H=MP1))
 
     def test_log_pair_matches_simplified(self):
         for c in (0.2, 0.5):
             law = LimitLaw(c=c, H=MP1)
-            via_contour, _ = theoretical_cov_contour([GLOG, G1], MP1, c)
+            via_contour, _ = theoretical_cov_contour([GLOG, G1], law)
             via_grid = theoretical_cov_simplified([GLOG, G1], law)
             assert np.abs(via_contour - via_grid).max() <= 1e-12
 
@@ -472,7 +472,7 @@ class TestTheoreticalCovContour:
                         weight="alg", wvar=(0.5, 0.5), epsabs=1e-13, epsrel=1e-13,
                         limit=200)[0] for k in (1, 2)]
         want = 2 / c * (moments[1] - moments[0] ** 2)
-        got, err = theoretical_cov_contour([GLOG], MP1, c)
+        got, err = theoretical_cov_contour([GLOG], LimitLaw(c=c, H=MP1))
         assert abs(got[0, 0] - want) <= 1e-10
         assert err <= 1e-8
 
@@ -485,7 +485,7 @@ class TestTheoreticalCovContour:
     def test_blocks_match_one_shot_kernel(self, h, c, M):
         # oracle: the whole M x M kernel at once, then the same two contractions
         gs = [G1, G2, GLOG]
-        (z1, w1), (z2, w2) = contour_nodes(h, c)
+        (z1, w1), (z2, w2) = contour_nodes(LimitLaw(c=c, H=h))
         assert z1.size == M
         m1, m2 = np.split(solve_mbar_grid(np.concatenate([z1, z2]), h, c)[0], [M])
         gw1 = np.array([g(z1) * w1 for g in gs])
@@ -495,7 +495,7 @@ class TestTheoreticalCovContour:
         half = -(4.0 * gw1[:, ::2] @ (k[::2, ::2] @ gw2[:, ::2].T)) / (4.0 * np.pi ** 2)
         want = (full.real + full.real.T) / 2.0
         want_err = max(float(np.max(np.abs(full - half))), float(np.max(np.abs(full.imag))))
-        got, err = theoretical_cov_contour(gs, h, c)
+        got, err = theoretical_cov_contour(gs, LimitLaw(c=c, H=h))
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
         assert abs(err - want_err) <= 1e-14
         if M == 312:  # the benchmark's clt config gives bitwise the one-shot result
@@ -508,13 +508,13 @@ class TestTheoreticalCovContour:
         (SpectralMeasure([0.5, 1.0, 2.0, 4.0, 8.0], [0.2] * 5), 0.5, [G1, G2, GLOG]),
     ], ids=["atoms1-2_c0.5", "atoms1-2_c0.5_poly", "atoms1-3_c2", "atoms5_c0.5"])
     def test_independent_of_the_contour(self, monkeypatch, h, c, gs):
-        base, _ = theoretical_cov_contour(gs, h, c)
+        base, _ = theoretical_cov_contour(gs, LimitLaw(c=c, H=h))
         with monkeypatch.context() as m:
             perturbed_contour(m, node_factor=2)
-            doubled, _ = theoretical_cov_contour(gs, h, c)
+            doubled, _ = theoretical_cov_contour(gs, LimitLaw(c=c, H=h))
         with monkeypatch.context() as m:
             perturbed_contour(m, rho_power=0.75)
-            narrower, _ = theoretical_cov_contour(gs, h, c)
+            narrower, _ = theoretical_cov_contour(gs, LimitLaw(c=c, H=h))
         scale = np.abs(base).max()
         assert np.abs(doubled - base).max() <= 1e-12 * scale
         assert np.abs(narrower - base).max() <= 1e-12 * scale
@@ -640,7 +640,7 @@ def test_run_clt_complex_entries_halve_the_real_scale_theory(monkeypatch):
     cfg = _cfg(n=40, N=80, dist="complex-gaussian", seed=4)
     report = run_clt(cfg, [G1, G2], 6)
     law = realized_law(cfg)
-    contour, err = theoretical_cov_contour([G1, G2], law.H, law.c)
+    contour, err = theoretical_cov_contour([G1, G2], law)
     simplified = theoretical_cov_simplified([G1, G2], law)
     assert report.theory_cov_contour.tobytes() == (contour / 2.0).tobytes()
     assert report.theory_err == err / 2.0
@@ -714,7 +714,18 @@ def test_run_clt_no_positive_atom_draws_no_replicate(monkeypatch):
 
 def test_contour_theory_no_positive_atom():
     with pytest.raises(ConfigError, match="^population needs an atom t > 0"):
-        theoretical_cov_contour([G1], SpectralMeasure.point(0.0), 0.5)
+        theoretical_cov_contour([G1], LimitLaw(c=0.5, H=SpectralMeasure.point(0.0)))
+
+
+@pytest.mark.parametrize("entry", ["run_replications", "run_clt", "theoretical_cov_contour"])
+def test_no_functional_is_a_config_error(monkeypatch, entry):
+    # refused before any draw, not reported as a failed replicate or a matmul error
+    monkeypatch.setattr(covspec.harness, "sample_cov_block", None)
+    call = {"run_replications": lambda: run_replications(_cfg(), [], 4),
+            "run_clt": lambda: run_clt(_cfg(), [], 4),
+            "theoretical_cov_contour": lambda: theoretical_cov_contour([], LimitLaw(c=0.5, H=MP1))}
+    with pytest.raises(ConfigError, match="^need at least one functional$"):
+        call[entry]()
 
 
 @pytest.mark.parametrize("workers", [0, -2, 1.5, True])

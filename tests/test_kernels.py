@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from covspec import (DirectionSpec, FunctionalSpec, ModelConfig, PopulationSpec, SpectralMeasure,
-                     contour_nodes, run_clt, solve_mbar_grid, support)
+from covspec import (DirectionSpec, FunctionalSpec, LimitLaw, ModelConfig, PopulationSpec,
+                     SpectralMeasure, contour_nodes, run_clt, solve_mbar_grid, support)
 from covspec.kernels import kernel_from_mbar
 from oracles import closed_form_mp, cov_kernel, homogeneity_residual, proof_kernels
 
@@ -102,7 +102,8 @@ class TestContour:
         for h, c in CONTOUR_CASES:
             bulk = support(h, c)
             a, b = (bulk[0][0], bulk[-1][1]) if c < 1 else (0.0, bulk[-1][1])
-            (z_out, _), (z_in, _) = contour_nodes(h, c)
+            law = LimitLaw(c=c, H=h)
+            (z_out, _), (z_in, _) = contour_nodes(law)
             # the inner ellipse surrounds [a, b], the outer surrounds the inner
             assert z_in.real.min() < a and z_in.real.max() > b
             assert z_out.real.min() < z_in.real.min() and z_out.real.max() > z_in.real.max()
@@ -111,13 +112,14 @@ class TestContour:
                 assert z_out.real.min() > 0  # log stays analytic inside
             else:
                 assert z_in.real.max() > 0 > z_in.real.min()  # the point mass at zero inside
-            (z_out, _), (z_in, _) = contour_nodes(h, c, enclose_zero=True)
+            (z_out, _), (z_in, _) = contour_nodes(law, enclose_zero=True)
             assert z_in.real.min() < 0 and z_in.real.max() > b
             assert z_out.real.min() < z_in.real.min() and z_out.real.max() > z_in.real.max()
 
     def test_nodes_conjugate_symmetric(self):
         for h, c in CONTOUR_CASES:
-            for z, w in contour_nodes(h, c) + contour_nodes(h, c, enclose_zero=True):
+            law = LimitLaw(c=c, H=h)
+            for z, w in contour_nodes(law) + contour_nodes(law, enclose_zero=True):
                 # every node's conjugate is a node too
                 nearest = np.abs(np.conj(z)[:, None] - z[None, :]).min(axis=1)
                 assert nearest.max() <= 1e-12
@@ -131,7 +133,8 @@ class TestContour:
         for h, c in CONTOUR_CASES:
             bulk = support(h, c)
             a, b = (bulk[0][0], bulk[-1][1]) if c < 1 else (0.0, bulk[-1][1])
-            ellipses = contour_nodes(h, c) + contour_nodes(h, c, enclose_zero=True)
+            law = LimitLaw(c=c, H=h)
+            ellipses = contour_nodes(law) + contour_nodes(law, enclose_zero=True)
             for z, w in ellipses:
                 for p in (a, (2 * a + b) / 3, b):
                     assert abs(np.sum(w / (z - p)) - 2j * np.pi) <= 1e-11

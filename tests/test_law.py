@@ -1,16 +1,19 @@
 import csv
+import importlib
 import json
+import pkgutil
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import covspec
 from covspec import (ConfigError, DirectionSpec, FunctionalSpec, LimitLaw, ModelConfig,
                      PopulationSpec, SpectralMeasure, build_sample_cov, cdf_limit,
                      density, limit_moments, mean_functional, support)
 from covspec.cli import main
 import covspec.law as law_module
-from covspec.law import mean_functional_density
-from oracles import mp_closed_density, narayana_moment, total_mass
+from oracles import mp_closed_density, narayana_moment, rule_mean, total_mass
 
 MP1 = SpectralMeasure.point(1.0)
 H13 = SpectralMeasure([1.0, 3.0], [0.5, 0.5])
@@ -271,7 +274,7 @@ class TestMoments:
         law = LimitLaw(c=0.5, H=MP1)
         for k in (1, 2, 3, 4):
             g = FunctionalSpec.monomial(k)
-            assert abs(limit_moments(law, k) - mean_functional_density(law, g)) <= 1e-4 * max(
+            assert abs(limit_moments(law, k) - rule_mean(law, g)) <= 1e-4 * max(
                 1.0, limit_moments(law, k))
 
     def test_moments_match_density_integral(self):
@@ -291,7 +294,7 @@ class TestMoments:
         law = LimitLaw(c=c, H=h)
         for k in range(1, 7):
             exact = limit_moments(law, k)
-            rule = mean_functional_density(law, FunctionalSpec.monomial(k))
+            rule = rule_mean(law, FunctionalSpec.monomial(k))
             assert abs(exact - rule) <= 1e-13 * abs(exact)
 
     @pytest.mark.parametrize("t", [0.3, 1.0, 2.0, 5.0])
@@ -306,6 +309,49 @@ class TestMoments:
         # the trace identity, also where the rule misses the mass by 6e-8
         law = LimitLaw(c=0.5, H=H013)
         assert limit_moments(law, 1) == H013.moment(1)
+
+
+@pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_ratio_must_be_finite_and_positive(c):
+    # a nan ratio passed a bare c <= 0 check and centred every replicate at nan
+    with pytest.raises(ConfigError, match="^ratio c must be finite and positive"):
+        LimitLaw(c=c, H=MP1)
+
+
+def _count_support(monkeypatch) -> list:
+    """Record each call of mp.support made through any covspec module that binds it."""
+    calls, solve = [], covspec.mp.support
+
+    def counted(H, c):
+        calls.append(c)
+        return solve(H, c)
+
+    for name in ["covspec"] + [f"covspec.{m.name}" for m in pkgutil.iter_modules(covspec.__path__)]:
+        module = importlib.import_module(name)
+        if getattr(module, "support", None) is solve:
+            monkeypatch.setattr(module, "support", counted)
+    return calls
+
+
+class TestSupportSolvedOnce:
+    # the rule, the density, the window, the log guard and both ellipses read LimitLaw.bulk
+    def test_run_clt(self, monkeypatch):
+        calls = _count_support(monkeypatch)
+        cfg = ModelConfig(n=60, N=120, entry_dist="real-gaussian", population=PopulationSpec(MP1),
+                          direction=DirectionSpec.basis(0), seed=3)
+        gs = [FunctionalSpec.monomial(1), FunctionalSpec.monomial(2), FunctionalSpec.log()]
+        covspec.run_clt(cfg, gs, 4)
+        assert calls == [0.5]
+
+    def test_density_command(self, monkeypatch, tmp_path):
+        calls = _count_support(monkeypatch)
+        doc = {"n": 90, "N": 100, "entries": "real-gaussian",
+               "population": {"atoms": [{"t": 1.0, "w": 1.0}]},
+               "direction": {"kind": "e", "index": 0}, "seed": 1}
+        cfgfile = tmp_path / "config.json"
+        cfgfile.write_text(json.dumps(doc))
+        assert main(["density", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+        assert calls == [0.9]
 
 
 class TestNoPositiveAtom:
@@ -349,14 +395,14 @@ class TestMeanFunctional:
     def test_poly_means_match_exact_moments(self, h, c):
         # the midpoint rule in the angle of each support interval integrates
         # 1, x and x^2 to rounding: mass 1 and the first two moments of the
-        # limit law, H.m1 and H.m2 + c H.m1^2 (mean_functional_density runs
+        # limit law, H.m1 and H.m2 + c H.m1^2 (rule_mean runs
         # the rule where mean_functional takes exact moments; {1, 10} at
         # c = 0.05 has two support intervals)
         law = LimitLaw(c=c, H=h)
         assert abs(total_mass(law) - 1.0) <= 1e-13
-        got1 = mean_functional_density(law, FunctionalSpec.monomial(1))
+        got1 = rule_mean(law, FunctionalSpec.monomial(1))
         assert abs(got1 - h.moment(1)) <= 1e-13
-        got2 = mean_functional_density(law, FunctionalSpec.monomial(2))
+        got2 = rule_mean(law, FunctionalSpec.monomial(2))
         assert abs(got2 - (h.moment(2) + c * h.moment(1) ** 2)) <= 1e-13
 
     def test_log_functional(self):

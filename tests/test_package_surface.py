@@ -99,6 +99,20 @@ def test_every_import_is_used():
     assert not unused, f"imported but never used: {unused}"
 
 
+def test_private_names_imported_across_modules():
+    # a module that reaches into a sibling's private name fails here, and so
+    # does a removal that this record does not follow
+    reached = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = {alias.name for alias in node.names if alias.name.startswith("_")}
+                if names:
+                    reached.setdefault(path.stem, set()).update(names)
+    assert reached == {"cli": {"_BLAS", "_env_workers"}, "harness": {"_is_int"},
+                       "kernels": {"_node_count"}, "law": {"_node_count", "_upper_root"}}
+
+
 @pytest.mark.parametrize("module", ["covspec"] + [
     f"covspec.{m.name}" for m in pkgutil.iter_modules(covspec.__path__)])
 def test_moved_oracles_are_not_in_the_package(module):
