@@ -275,7 +275,7 @@ def theoretical_cov_contour(gs: Sequence[FunctionalSpec],
     if log and law.lower_end <= 0:
         raise ConfigError("log functional needs the spectrum bounded away from zero")
     (z1, w1), (z2, w2) = contour_nodes(law, enclose_zero=not log)
-    m1, m2 = np.split(solve_mbar_grid(np.concatenate([z1, z2]), law.H, law.c)[0], [z1.size])
+    m1, m2 = np.split(solve_mbar_grid(np.concatenate([z1, z2]), law)[0], [z1.size])
     gw1 = np.array([g(z1) * w1 for g in gs])
     gw2 = np.array([g(z2) * w2 for g in gs])
     # kernel rows contracted with the inner functionals: every node, and
@@ -409,13 +409,12 @@ def run_clt(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int) -> MCReport:
 
 @dataclass(frozen=True)
 class Tolerances:
-    abs_tol: float = 0.0
     rel_tol: float = 0.0
 
     @classmethod
     def monte_carlo(cls, R: int) -> "Tolerances":
         # 3 standard errors of a variance estimate plus a finite-n allowance
-        return cls(abs_tol=0.0, rel_tol=3.0 * np.sqrt(2.0 / R) + 0.10)
+        return cls(rel_tol=3.0 * np.sqrt(2.0 / R) + 0.10)
 
 
 @dataclass
@@ -425,7 +424,7 @@ class CompareVerdict:
 
 
 def compare_report(mc: MCReport, tolerances: Tolerances) -> CompareVerdict:
-    """Entrywise |sample - theory| <= abs_tol + rel_tol*|theory| verdict."""
+    """Entrywise |sample - theory| <= rel_tol*|theory| verdict."""
     sample = np.asarray(mc.sample_cov)
     theory = np.asarray(mc.theory_cov_contour)
     if sample.shape != theory.shape:
@@ -434,7 +433,7 @@ def compare_report(mc: MCReport, tolerances: Tolerances) -> CompareVerdict:
     k = sample.shape[0]
     for i in range(k):
         for j in range(k):
-            bound = tolerances.abs_tol + tolerances.rel_tol * abs(theory[i, j])
+            bound = tolerances.rel_tol * abs(theory[i, j])
             if abs(sample[i, j] - theory[i, j]) > bound:
                 failures.append({"entry": (i, j), "sample": float(sample[i, j]),
                                  "theory": float(theory[i, j]), "bound": float(bound)})

@@ -8,20 +8,19 @@ ellipses whose foci are the ends of the law's support (``LimitLaw.bulk``,
 solved once per law), or 0 and the upper end where no log is integrated,
 with the periodic trapezoid rule on each; that rule converges
 geometrically in the ellipse parameter (Trefethen & Weideman 2014), so the
-node count follows from the law (``contour_nodes``).  ``kernel_from_mbar``
-evaluates the kernel from transform values at the nodes, on the
-real-entry scale; ``harness.run_clt`` divides by beta = 2 for complex
-entries (Bai & Silverstein 2004).  The kernel at one pair of points, the
-two auxiliary kernels of its derivation and the homogeneity residual are
-test oracles (``tests/oracles.py``).
+node count follows from the law (``contour_nodes``, by ``law._node_count``).
+``kernel_from_mbar`` evaluates the kernel from transform values at the
+nodes, on the real-entry scale; ``harness.run_clt`` divides by beta = 2
+for complex entries (Bai & Silverstein 2004).  The kernel at one pair of
+points, the two auxiliary kernels of its derivation and the homogeneity
+residual are test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .law import LimitLaw
-from .mp import _node_count
+from .law import LimitLaw, _node_count
 
 
 def contour_nodes(law: LimitLaw, enclose_zero: bool = False):

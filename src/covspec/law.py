@@ -9,18 +9,19 @@ one rule.  On each interval (a, b) of the exact support (``mp.support``),
 x = (a+b)/2 - (b-a)/2 cos(theta) turns f dx into h(theta) dtheta with h
 even, periodic and analytic: f is sqrt((x-a)(b-x)) times an analytic
 function, or x^(-1/2) times one at a zero lower edge (c times the weight of
-the positive atoms is 1).  The midpoint rule in theta, with the node count
-of the contour ellipses (``mp._node_count``), therefore converges
+the positive atoms is 1).  The midpoint rule in theta, on the node count
+that the contour ellipses take too (``_node_count``), therefore converges
 geometrically, and the distribution function is the cosine interpolant of
 the same samples of h, integrated term by term.  It adds the point mass at
-zero, max(w_0, 1 - 1/c) for a zero atom of weight w_0.  A LimitLaw keeps
-its support (``LimitLaw.bulk``), which the rule, the density, the window,
-the log guard and the contour (``kernels.contour_nodes``) read, and its
-rule, built under a lock; each is made on first use, and the distribution
-function takes its coefficients from the rule at each call.  The mean of a
-polynomial is a sum of exact moments, from the power series of mbar in 1/z
-(``limit_moments``), and needs neither; the mean of the log is one dot
-product with the rule's masses.
+zero, max(w_0, 1 - 1/c) for a zero atom of weight w_0.  A LimitLaw is
+frozen, and the solver (``mp``) takes the law, so c is checked once.  It
+keeps its support (``LimitLaw.bulk``), which the rule, the density, the
+window, the log guard and the contour (``kernels.contour_nodes``) read,
+and its rule, built under a lock; each is made on first use, and the
+distribution function takes its coefficients from the rule at each call.
+The mean of a polynomial is a sum of exact moments, from the power series
+of mbar in 1/z (``limit_moments``), and needs neither; the mean of the log
+is one dot product with the rule's masses.
 """
 
 from __future__ import annotations
@@ -34,22 +35,28 @@ import numpy as np
 
 from .functionals import FunctionalSpec
 from .model import ConfigError
-from .mp import _node_count, _upper_root, support
+from .mp import _upper_root, support
 from .spectrum import SpectralMeasure
 
 # padding of the density window beyond the support, as a share of its width
 _WINDOW_PAD = 0.05
 # bound on queries * terms per block of a sine-series evaluation
 _SERIES_ENTRIES = 1 << 16
+_MAX_NODES = 2048
+# the periodic rules in the angle of an ellipse with foci a, b (the contour's
+# trapezoid rule, the density's midpoint rule) err like a power of rho^(-M),
+# rho the ellipse parameter of the nearest singularity: M = 2*54/ln(rho)
+# puts that power at e^-36 or below
+_DECAY = 54.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class LimitLaw:
     """Limiting sample-spectrum distribution for ratio c and population H.
 
     The support (``bulk``) is solved on first use, and so are the quadrature
     nodes and their masses, under a lock and published together; nothing
-    else is cached.  Instances are safe to share across threads.
+    else is cached.  Instances are frozen and safe to share across threads.
     """
 
     c: float
@@ -70,8 +77,8 @@ class LimitLaw:
 
     @functools.cached_property
     def bulk(self) -> tuple[tuple[float, float], ...]:
-        """The exact support, ``mp.support(H, c)``, solved once."""
-        return support(self.H, self.c)
+        """The exact support, ``mp.support(law)``, solved once."""
+        return support(self)
 
     @property
     def lower_end(self) -> float:
@@ -88,7 +95,7 @@ class LimitLaw:
         if self._grids is None:
             with self._lock:
                 if self._grids is None:
-                    self._grids = _midpoint_rule(self)
+                    object.__setattr__(self, "_grids", _midpoint_rule(self))
         return self._grids
 
     @property
@@ -96,6 +103,16 @@ class LimitLaw:
         """Nodes x and masses q: the integral of v against the density is q @ v(x)."""
         x, q, _ = self.ensure_grids()
         return x, q
+
+
+def _node_count(a: float, b: float) -> tuple[float, int]:
+    """(rho, M) of a periodic rule around [a, b]: rho the parameter of the
+    ellipse with foci a, b through 0, capped at 2 (2 when a = 0), and
+    M = min(2048, 2*ceil(54/ln rho))."""
+    rho = 2.0
+    if a > 0:
+        rho = min((np.sqrt(b) + np.sqrt(a)) / (np.sqrt(b) - np.sqrt(a)), 2.0)
+    return rho, min(_MAX_NODES, 2 * int(np.ceil(_DECAY / np.log(rho))))
 
 
 def _midpoint_rule(law: LimitLaw) -> tuple:
@@ -157,7 +174,7 @@ def density(x, law: LimitLaw):
             raise ConfigError("density undefined at the point mass at zero; use cdf_limit")
         out[at_zero] = np.inf if zero_edge else 0.0
     inside = np.any([(xx > a) & (xx < b) for a, b in bulk], axis=0)
-    mbar, _, _ = _upper_root(xx[inside], law.H, law.c)
+    mbar, _, _ = _upper_root(xx[inside], law)
     out[inside] = np.maximum(mbar.imag, 0.0) / (law.c * np.pi)
     return float(out[0]) if scalar else out
 

@@ -8,6 +8,7 @@ import numpy as np
 
 import covspec.kernels
 from covspec.kernels import kernel_from_mbar
+from covspec.law import LimitLaw
 from covspec.model import ModelConfig, draw_entries, realize_population, replicate_rng
 from covspec.mp import solve_mbar_grid
 from covspec.spectrum import SpectralMeasure
@@ -21,7 +22,7 @@ def _mbar_pair(z1, z2, H: SpectralMeasure, c: float):
     z1, z2 = complex(z1), complex(z2)
     if abs(z1 - z2) < _MIN_SEPARATION:
         raise ValueError("use offset contours")
-    m1, m2 = solve_mbar_grid(np.array([z1, z2]), H, c)[0]
+    m1, m2 = solve_mbar_grid(np.array([z1, z2]), LimitLaw(c=c, H=H))[0]
     return z1, z2, complex(m1), complex(m2)
 
 

@@ -114,11 +114,11 @@ def test_a4_resolvent_oracle():
 def test_a5_mp_solver():
     t0 = time.perf_counter()
     for c in (0.25, 0.5):
-        (lo, hi), = support(MP1, c)
+        (lo, hi), = support(LimitLaw(c=c, H=MP1))
         re = np.linspace(lo * 0.9, hi * 1.1, 20)
         im = np.geomspace(1e-2, 10, 20)
         zs = (re[:, None] + 1j * im[None, :]).ravel()
-        mbar, res, _ = solve_mbar_grid(zs, MP1, c)
+        mbar, res, _ = solve_mbar_grid(zs, LimitLaw(c=c, H=MP1))
         assert res.max() <= 1e-12
         closed = np.array([closed_form_mp(z, c) for z in zs])
         assert np.max(np.abs(mbar - closed)) <= 1e-10

@@ -100,9 +100,9 @@ class TestHomogeneityResidual:
 class TestContour:
     def test_around_support(self):
         for h, c in CONTOUR_CASES:
-            bulk = support(h, c)
-            a, b = (bulk[0][0], bulk[-1][1]) if c < 1 else (0.0, bulk[-1][1])
             law = LimitLaw(c=c, H=h)
+            bulk = support(law)
+            a, b = (bulk[0][0], bulk[-1][1]) if c < 1 else (0.0, bulk[-1][1])
             (z_out, _), (z_in, _) = contour_nodes(law)
             # the inner ellipse surrounds [a, b], the outer surrounds the inner
             assert z_in.real.min() < a and z_in.real.max() > b
@@ -131,9 +131,9 @@ class TestContour:
         # trapezoid nodes integrate 1/(z - p) to 2*pi*i for p inside, 0 outside;
         # at c = 0.9 the ellipses are thin and pass within 3e-4 of the foci
         for h, c in CONTOUR_CASES:
-            bulk = support(h, c)
-            a, b = (bulk[0][0], bulk[-1][1]) if c < 1 else (0.0, bulk[-1][1])
             law = LimitLaw(c=c, H=h)
+            bulk = support(law)
+            a, b = (bulk[0][0], bulk[-1][1]) if c < 1 else (0.0, bulk[-1][1])
             ellipses = contour_nodes(law) + contour_nodes(law, enclose_zero=True)
             for z, w in ellipses:
                 for p in (a, (2 * a + b) / 3, b):
@@ -145,8 +145,8 @@ class TestContour:
 def test_kernel_from_mbar_broadcasts():
     z1 = np.array([1 + 1j, 2 + 1j])
     z2 = np.array([1 - 1j, 3 - 0.5j])
-    m1 = solve_mbar_grid(z1, MP1, 0.5)[0]
-    m2 = solve_mbar_grid(z2, MP1, 0.5)[0]
+    m1 = solve_mbar_grid(z1, LimitLaw(c=0.5, H=MP1))[0]
+    m2 = solve_mbar_grid(z2, LimitLaw(c=0.5, H=MP1))[0]
     grid = kernel_from_mbar(z1[:, None], m1[:, None], z2[None, :], m2[None, :], 0.5)
     assert grid.shape == (2, 2)
     one = cov_kernel(z1[0], z2[1], MP1, 0.5)

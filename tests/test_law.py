@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib
 import json
 import pkgutil
@@ -42,7 +43,7 @@ class TestDensity:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_in_the_gap_above_a_point_mass_at_zero(self):
         law = LimitLaw(c=0.5, H=H013)
-        lo = support(H013, 0.5)[0][0]
+        lo = support(LimitLaw(c=0.5, H=H013))[0][0]
         assert 0.2 < lo < 0.3
         # the lower edge itself is off the open interval
         assert density(np.array([1e-300, 1e-20, lo / 2, lo]), law).tolist() == [0.0] * 4
@@ -208,7 +209,7 @@ class TestCdf:
         got = cdf_limit(xs, law)
         for x, F in zip(xs, got):
             want = law.atom_at_zero
-            for a, b in support(law.H, c):
+            for a, b in support(law):
                 if x > a:
                     want += _mass_by_quad(law, a, b, min(x, b), len(atoms) == 1)
             assert abs(F - want) <= 1e-12
@@ -318,13 +319,24 @@ def test_ratio_must_be_finite_and_positive(c):
         LimitLaw(c=c, H=MP1)
 
 
+def test_law_is_frozen():
+    # a ratio changed after the support was solved would pair one law's
+    # support with another's moments
+    law = LimitLaw(c=0.5, H=MP1)
+    bulk = law.bulk
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        law.c = 2.0
+    assert law.c == 0.5 and law.bulk == bulk
+    assert mean_functional(law, FunctionalSpec.monomial(2)) == pytest.approx(1.5)
+
+
 def _count_support(monkeypatch) -> list:
     """Record each call of mp.support made through any covspec module that binds it."""
     calls, solve = [], covspec.mp.support
 
-    def counted(H, c):
-        calls.append(c)
-        return solve(H, c)
+    def counted(law):
+        calls.append(law.c)
+        return solve(law)
 
     for name in ["covspec"] + [f"covspec.{m.name}" for m in pkgutil.iter_modules(covspec.__path__)]:
         module = importlib.import_module(name)

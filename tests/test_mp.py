@@ -11,7 +11,7 @@ H13 = SpectralMeasure([1.0, 3.0], [0.5, 0.5])
 
 def solve_mbar(z, H, c):
     """(mbar, residual) at the one point z."""
-    mbar, res, _ = solve_mbar_grid(np.array([z]), H, c)
+    mbar, res, _ = solve_mbar_grid(np.array([z]), LimitLaw(c=c, H=H))
     return complex(mbar[0]), float(res[0])
 
 
@@ -67,7 +67,7 @@ def test_real_z_rejected():
 def test_nonconvergence_error_carries_residual(monkeypatch):
     # a root far enough off that the Newton polish cannot repair it
     roots = mp._arrowhead_roots
-    monkeypatch.setattr(mp, "_arrowhead_roots", lambda z, H, c: roots(z, H, c) * 1.5)
+    monkeypatch.setattr(mp, "_arrowhead_roots", lambda z, law: roots(z, law) * 1.5)
     with pytest.raises(ConvergenceError) as err:
         solve_mbar(1 + 0.01j, MP1, 0.25)
     assert err.value.residual > 0
@@ -92,7 +92,7 @@ class TestClosedForm:
 
 def _single_upper_root(zs, H, c):
     """Assert one root per point lies in the upper half-plane; return it as mbar."""
-    y = mp._arrowhead_roots(zs, H, c)
+    y = mp._arrowhead_roots(zs, LimitLaw(c=c, H=H))
     upper = y.imag > 0  # Im y > 0 exactly when Im mbar = Im(-1/y) > 0
     assert np.all(upper.sum(axis=1) == 1)
     return -1.0 / y[upper]
@@ -101,7 +101,7 @@ def _single_upper_root(zs, H, c):
 def test_uniqueness_across_initial_guesses():
     rng = np.random.default_rng(23)
     zs = rng.uniform(0.05, 4, 1000) + 1j * rng.uniform(0.02, 5, 1000)
-    got, res, _ = solve_mbar_grid(zs, H13, 0.5)
+    got, res, _ = solve_mbar_grid(zs, LimitLaw(c=0.5, H=H13))
     assert res.max() <= 1e-12
     assert np.max(np.abs(got - _single_upper_root(zs, H13, 0.5))) <= 1e-10
 
@@ -112,7 +112,7 @@ def test_many_atoms_root_selection():
     H = SpectralMeasure(np.geomspace(0.1, 10.0, 50), np.full(50, 1 / 50))
     rng = np.random.default_rng(5)
     zs = rng.uniform(0.0, 30.0, 200) + 1j * rng.uniform(0.01, 3.0, 200)
-    mbar, res, _ = solve_mbar_grid(zs, H, 0.5)
+    mbar, res, _ = solve_mbar_grid(zs, LimitLaw(c=0.5, H=H))
     assert res.max() <= 1e-12
     assert np.max(np.abs(mbar - _single_upper_root(zs, H, 0.5))) <= 1e-10
     back = np.array([inverse_z(m, H, 0.5) for m in mbar])
@@ -121,22 +121,22 @@ def test_many_atoms_root_selection():
 
 
 def test_herglotz_properties():
-    (lo, hi), = support(MP1, 0.5)
+    (lo, hi), = support(LimitLaw(c=0.5, H=MP1))
     re = np.linspace(lo * 0.9, hi * 1.1, 20)
     im = np.geomspace(1e-2, 10, 20)
     zs = (re[:, None] + 1j * im[None, :]).ravel()
-    mbar, res, _ = solve_mbar_grid(zs, MP1, 0.5)
+    mbar, res, _ = solve_mbar_grid(zs, LimitLaw(c=0.5, H=MP1))
     assert res.max() <= 1e-12
     assert np.all(mbar.imag > 0)
     assert np.all((zs * mbar).imag >= -1e-12)
 
 
 def test_round_trip_on_grid():
-    (lo, hi), = support(H13, 0.5)
+    (lo, hi), = support(LimitLaw(c=0.5, H=H13))
     re = np.linspace(lo * 0.9, hi * 1.1, 20)
     im = np.geomspace(1e-2, 10, 20)
     zs = (re[:, None] + 1j * im[None, :]).ravel()
-    mbar, res, _ = solve_mbar_grid(zs, H13, 0.5)
+    mbar, res, _ = solve_mbar_grid(zs, LimitLaw(c=0.5, H=H13))
     assert res.max() <= 1e-12
     back = np.array([inverse_z(m, H13, 0.5) for m in mbar])
     assert np.max(np.abs(back - zs)) <= 1e-8
@@ -150,7 +150,7 @@ def _envelope(H, c):
 
 def _assert_inside_envelope(H, c):
     lo, hi = _envelope(H, c)
-    bulk = support(H, c)
+    bulk = support(LimitLaw(c=c, H=H))
     assert all(a < b for a, b in bulk)
     assert all(b1 < a2 for (_, b1), (a2, _) in zip(bulk, bulk[1:]))
     assert lo - 1e-14 <= bulk[0][0] and bulk[-1][1] <= hi * (1 + 1e-14)
@@ -164,7 +164,7 @@ class TestSupportInterval:
     @pytest.mark.parametrize("c", [0.25, 0.5, 0.9, 1.0, 2.0])
     def test_point_mass(self, c):
         t = 2.5
-        (lo, hi), = support(SpectralMeasure.point(t), c)
+        (lo, hi), = support(LimitLaw(c=c, H=SpectralMeasure.point(t)))
         assert abs(lo - t * (1 - np.sqrt(c)) ** 2) <= 1e-14 * t
         assert abs(hi - t * (1 + np.sqrt(c)) ** 2) <= 1e-14 * hi
         if c == 1.0:
@@ -183,7 +183,8 @@ class TestSupportInterval:
         for h, c in ((MP1, 1.0), (H13, 1.0), (H5, 1.0),
                      (SpectralMeasure([0.0, 1.0], [0.5, 0.5]), 2.0)):
             assert _assert_inside_envelope(h, c)[0][0] == 0.0
-        assert support(SpectralMeasure([0.0, 1.0], [0.5, 0.5]), 0.5) == support(MP1, 0.25)
+        assert (support(LimitLaw(c=0.5, H=SpectralMeasure([0.0, 1.0], [0.5, 0.5])))
+                == support(LimitLaw(c=0.25, H=MP1)))
 
     def test_two_atoms(self):
         (a1, b1), (a2, b2) = _assert_inside_envelope(H13, 0.05)
@@ -195,7 +196,7 @@ class TestSupportInterval:
     def test_bad_ratio(self):
         for c in (0.0, -1.0):
             with pytest.raises(ValueError):
-                support(MP1, c)
+                support(LimitLaw(c=c, H=MP1))
 
     @pytest.mark.parametrize("h", [SpectralMeasure.point(1e160),
                                    SpectralMeasure([1.0, 1e160], [0.5, 0.5])])
@@ -203,5 +204,5 @@ class TestSupportInterval:
         # u_k^2 = c w_k t_k^2 overflows: refused before any product, so
         # (under error::RuntimeWarning) no overflow warning either
         with pytest.raises(ArithmeticError, match="^support: c w_k t_k") as info:
-            support(h, 0.5)
+            support(LimitLaw(c=0.5, H=h))
         assert str(h.atoms.tolist()) in str(info.value)

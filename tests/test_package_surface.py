@@ -8,7 +8,10 @@ package or by the benchmark.
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,8 @@ import pytest
 import covspec
 
 SRC = Path(covspec.__file__).resolve().parent
-BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARKS = ROOT / "benchmarks"
 MOVED_TO_TESTS = ("cov_kernel", "_mbar_pair", "ProofKernels", "proof_kernels",
                   "homogeneity_residual", "inverse_z", "closed_form_mp", "resolvent_quad_form",
                   "eval_cdf", "companion_sample_cov")
@@ -110,7 +114,34 @@ def test_private_names_imported_across_modules():
                 if names:
                     reached.setdefault(path.stem, set()).update(names)
     assert reached == {"cli": {"_BLAS", "_env_workers"}, "harness": {"_is_int"},
-                       "kernels": {"_node_count"}, "law": {"_node_count", "_upper_root"}}
+                       "kernels": {"_node_count"}, "law": {"_upper_root"}}
+
+
+def test_no_function_takes_the_law_apart():
+    # (c, H) fix the limit law, so a routine takes the one checked LimitLaw
+    # rather than both parts; a function with an H and a c parameter fails here
+    split = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                if {"H", "c"} <= names:
+                    split.append(f"{path.name}:{node.lineno}")
+    assert not split, f"take a LimitLaw, not (H, c): {split}"
+
+
+def test_readme_quick_start_runs():
+    # the README's library example, as written, in a fresh interpreter
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("## Library quick start"):]
+    start = section.index("```python\n") + len("```python\n")
+    block = section[start:section.index("```", start)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", block], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("module", ["covspec"] + [
