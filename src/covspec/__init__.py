@@ -14,7 +14,7 @@ from .eigen import EigenSystem, cholesky_logdet, eig_decompose, gauss_rule, quad
 from .mp import ConvergenceError, solve_mbar_grid, support
 from .law import LimitLaw, cdf_limit, density, limit_moments, mean_functional
 from .kernels import contour_nodes
-from .functionals import FunctionalSpec, poly_product
+from .functionals import FunctionalSpec
 from .weighted import WeightedSpectrum, w_statistic, weighted_spectrum, y_process
 from .kde import kde, silverman_bandwidth
 from .harness import (CompareVerdict, MCReport, Tolerances, bb_covariance, bb_samples,

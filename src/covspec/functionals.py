@@ -23,6 +23,8 @@ class FunctionalSpec:
             raise ValueError(f"unknown functional kind {self.kind!r}")
         if self.kind == "poly" and len(self.coeffs) == 0:
             raise ValueError("polynomial needs at least one coefficient")
+        if not np.all(np.isfinite(self.coeffs)):
+            raise ValueError(f"polynomial coefficients must be finite (got {self.coeffs!r})")
 
     @classmethod
     def poly(cls, coeffs) -> "FunctionalSpec":
@@ -69,9 +71,3 @@ class FunctionalSpec:
             acc = acc * x + coef
         return acc
 
-
-def poly_product(a: FunctionalSpec, b: FunctionalSpec) -> FunctionalSpec:
-    """Product of two polynomial functionals."""
-    if a.kind != "poly" or b.kind != "poly":
-        raise ValueError("product is defined for polynomials only")
-    return FunctionalSpec.poly(np.convolve(a.coeffs, b.coeffs))

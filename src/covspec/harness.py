@@ -23,10 +23,10 @@ and weights of its m running matrices, the fall-back once on its spectra.
 ``bb_samples`` takes the eigenvector weights in eigenvalue order
 (``eig_decompose``), and the figures a Cholesky log-determinant.
 Theory comes in two independently computed flavors, each returning the
-whole k x k matrix for k functionals: a double contour integral of the
-covariance kernel on two ellipses around the exact support, with an error
-estimate from halving the node count, and the simplified variance formula
-available when the population spectrum is a single point mass.
+whole k x k matrix for k functionals, whose domain the law checks
+(``LimitLaw.lower_focus``): a double contour integral of the covariance
+kernel around the exact support, with an error estimate from halving the
+node count, and the simplified variance formula at a one-atom population.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .eigen import eig_decompose, gauss_rule
-from .functionals import FunctionalSpec, poly_product
+from .functionals import FunctionalSpec
 from .kernels import contour_nodes, kernel_from_mbar
 from .law import LimitLaw, mean_functional
 from .model import (ConfigError, ModelConfig, Workspace, _is_int, entry_dtype,
@@ -258,7 +258,7 @@ def theoretical_cov_contour(gs: Sequence[FunctionalSpec],
     """Theoretical covariance matrix (real-entry scale) by double contour integration.
 
     Entry (i, j) integrates gs[i] on the outer and gs[j] on the inner ellipse
-    of ``contour_nodes``, which enclose 0 unless a functional is a log; the
+    of ``contour_nodes(law, gs)``, which enclose 0 unless a functional is a log; the
     returned real matrix is the symmetric average of the two orders.  The
     transform is solved once on both node sets.  The node-by-node kernel is
     evaluated in blocks of 64 rows, so memory stays near 64 x M entries at
@@ -271,10 +271,7 @@ def theoretical_cov_contour(gs: Sequence[FunctionalSpec],
     gs = list(gs)
     if not gs:
         raise ConfigError("need at least one functional")
-    log = any(g.needs_positive_support for g in gs)
-    if log and law.lower_end <= 0:
-        raise ConfigError("log functional needs the spectrum bounded away from zero")
-    (z1, w1), (z2, w2) = contour_nodes(law, enclose_zero=not log)
+    (z1, w1), (z2, w2) = contour_nodes(law, gs)
     m1, m2 = np.split(solve_mbar_grid(np.concatenate([z1, z2]), law)[0], [z1.size])
     gw1 = np.array([g(z1) * w1 for g in gs])
     gw2 = np.array([g(z2) * w2 for g in gs])
@@ -299,22 +296,22 @@ def theoretical_cov_simplified(gs: Sequence[FunctionalSpec], law: LimitLaw) -> n
 
     Real-entry scale, valid only for a degenerate population spectrum; exact
     through moments for a pair of polynomials, density quadrature (means
-    included) for a pair with a log.  A log needs the law bounded away from zero: a point
-    mass there raises, from ``mean_functional``.
+    included) for any other pair.  A log needs the law bounded away from zero: a point
+    mass there raises, from ``LimitLaw.lower_focus``.
     """
     if not law.H.is_degenerate:
         raise ValueError("simplified covariance requires a degenerate population spectrum")
     gs = list(gs)
     means = [mean_functional(law, g) for g in gs]
-    if any(g.kind != "poly" for g in gs):
-        x, q = law.quadrature
-        gv = [np.asarray(g(x), dtype=float) for g in gs]
     cov = np.empty((len(gs), len(gs)))
     for i, j in zip(*np.triu_indices(len(gs))):
         if gs[i].kind == "poly" and gs[j].kind == "poly":
-            cross, m1, m2 = mean_functional(law, poly_product(gs[i], gs[j])), means[i], means[j]
+            product = FunctionalSpec.poly(np.convolve(gs[i].coeffs, gs[j].coeffs))
+            cross, m1, m2 = mean_functional(law, product), means[i], means[j]
         else:
-            cross, m1, m2 = q @ (gv[i] * gv[j]), q @ gv[i], q @ gv[j]
+            x, q = law.quadrature
+            vi, vj = (np.asarray(gs[k](x), dtype=float) for k in (i, j))
+            cross, m1, m2 = q @ (vi * vj), q @ vi, q @ vj
         cov[i, j] = cov[j, i] = 2.0 / law.c * (cross - m1 * m2)
     return cov
 

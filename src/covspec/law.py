@@ -16,12 +16,12 @@ the same samples of h, integrated term by term.  It adds the point mass at
 zero, max(w_0, 1 - 1/c) for a zero atom of weight w_0.  A LimitLaw is
 frozen, and the solver (``mp``) takes the law, so c is checked once.  It
 keeps its support (``LimitLaw.bulk``), which the rule, the density, the
-window, the log guard and the contour (``kernels.contour_nodes``) read,
-and its rule, built under a lock; each is made on first use, and the
-distribution function takes its coefficients from the rule at each call.
-The mean of a polynomial is a sum of exact moments, from the power series
-of mbar in 1/z (``limit_moments``), and needs neither; the mean of the log
-is one dot product with the rule's masses.
+window and the contour's lower focus (``LimitLaw.lower_focus``, the one
+check of the functionals' domain) read, and its rule, built under a lock;
+each is made on first use, and the distribution function takes its
+coefficients from the rule at each call.  A polynomial's mean is a sum of
+exact moments, from the power series of mbar in 1/z (``limit_moments``),
+and needs neither; any other mean is one dot product with the rule's masses.
 """
 
 from __future__ import annotations
@@ -80,10 +80,19 @@ class LimitLaw:
         """The exact support, ``mp.support(law)``, solved once."""
         return support(self)
 
-    @property
-    def lower_end(self) -> float:
-        """Lowest point of the law: 0 if it has a point mass there, else the bulk's lower edge."""
-        return 0.0 if self.atom_at_zero > 0 else self.bulk[0][0]
+    def lower_focus(self, gs) -> float:
+        """Lower focus of the contour ellipses for the functionals gs: 0 unless
+        some g needs positive support (the log's branch point at 0), else the
+        law's lowest point, which must not be 0.  The kernel is analytic at 0,
+        and a focus there keeps rho at 2 where a lower edge near 0 would push
+        rho towards 1 and M past its cap: for H = delta_1 at c = 0.999 capped
+        ellipses around the support miss the polynomial covariances by 1.4
+        times the largest entry."""
+        if not any(g.needs_positive_support for g in gs):
+            return 0.0
+        if self.atom_at_zero > 0 or self.bulk[0][0] <= 0:
+            raise ConfigError("log functional needs the spectrum bounded away from zero")
+        return self.bulk[0][0]
 
     def bulk_window(self) -> tuple[float, float]:
         """Interval around the support, padded by a share of its width, never below 0."""
@@ -217,10 +226,9 @@ def limit_moments(law: LimitLaw, k: int) -> float:
 
 def mean_functional(law: LimitLaw, g: FunctionalSpec) -> float:
     """Integral of g against the limiting law: exact moments for a
-    polynomial, the midpoint rule for the log."""
+    polynomial, the midpoint rule for any other g."""
     if g.kind == "poly":
         return float(sum(coef * limit_moments(law, d) for d, coef in enumerate(g.coeffs)))
-    if law.lower_end <= 0:
-        raise ConfigError("log functional needs the spectrum bounded away from zero")
+    law.lower_focus([g])  # refuses a log where the law reaches 0
     x, q = law.quadrature
     return float(q @ np.asarray(g(x), dtype=float))

@@ -190,3 +190,32 @@ def perturbed_contour(monkeypatch, node_factor=1, rho_power=1.0):
         return ellipses(a, b, rho, M * node_factor)
 
     monkeypatch.setattr(covspec.kernels, "_ellipses", replaced)
+
+
+class Reciprocal:
+    """g(x) = 1/x, a functional the package does not build in: a callable with
+    the kind, label and needs_positive_support that the theory reads.  Its
+    pole at 0 must stay outside the contour, as the log's branch point does."""
+
+    kind = "reciprocal"
+    label = "1/x"
+    needs_positive_support = True
+
+    def __call__(self, x):
+        return 1.0 / np.asarray(x)
+
+
+def logdet_moments(n: int, N: int) -> tuple[float, float]:
+    """Exact mean and variance of W = log det A, A = X X^T / N with X an n x N
+    matrix of real standard Gaussian entries (T = I).
+
+    By Bartlett's decomposition N^n det A is a product of independent
+    chi-square variables with N - i + 1 degrees of freedom, i = 1..n
+    (Muirhead 1982, Thm 3.2.14), and log chi2_k has mean psi(k/2) + log 2
+    and variance psi'(k/2).
+    """
+    from scipy.special import digamma, polygamma  # a test-only dependency
+
+    half = (N - np.arange(1, n + 1) + 1) / 2.0
+    mean = float(np.sum(digamma(half) + np.log(2.0)) - n * np.log(N))
+    return mean, float(np.sum(polygamma(1, half)))

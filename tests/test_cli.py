@@ -10,6 +10,7 @@ import pytest
 
 import covspec
 from covspec.cli import ConfigError, _write_csv, main, parse_config
+from covspec.functionals import FunctionalSpec
 from covspec.model import DirectionSpec, ModelConfig, PopulationSpec
 from covspec.spectrum import SpectralMeasure
 
@@ -84,6 +85,14 @@ class TestParseConfig:
         assert rc.functionals[1].kind == "log"
         with pytest.raises(ConfigError):
             parse_config(json.dumps(dict(BASE, functionals=["exp"])))
+
+    def test_non_finite_coefficients_refused(self):
+        for coeffs in ([np.nan], [1.0, np.inf], [0.0, -np.inf, 1.0]):
+            with pytest.raises(ValueError, match="^polynomial coefficients must be finite"):
+                FunctionalSpec.poly(coeffs)
+        with pytest.raises(ValueError, match="^polynomial coefficients must be finite"):
+            FunctionalSpec.parse("poly:1e400")  # parses to inf
+        assert FunctionalSpec.poly([0.0, 1e300]).coeffs == (0.0, 1e300)
 
 
 class TestDispatch:
@@ -453,12 +462,15 @@ class TestDispatch:
         (["bridge"], {"population": {"atoms": [{"t": 0.0, "w": 1.0}]}}),
         (["clt"], {"functionals": [5]}),
         (["clt"], {"functionals": "log"}),
+        (["clt", "--g", "poly:nan"], {}),
+        (["clt", "--g", "poly:1,inf"], {}),
+        (["clt", "--g", "poly:1e400"], {}),
     ], ids=["clt-reps-1", "figures-reps-1", "bridge-reps-1", "bridge-grid-1.5", "bridge-grid-0",
             "bridge-rademacher", "clt-log-c-1", "clt-log-atom-0", "density-zero-at-atom",
             "density-grid-str", "simulate-n-below-atoms", "simulate-vector-length",
             "clt-vector-zero", "figures-n-below-atoms", "density-no-positive-atom",
             "clt-no-positive-atom", "bridge-no-positive-atom", "functional-number",
-            "functionals-string"])
+            "functionals-string", "functional-nan", "functional-inf", "functional-1e400"])
     def test_input_fault_exit_2(self, tmp_path, capsys, argv, overrides):
         # every fault of the input exits 2, also where the library finds it, and writes nothing
         cfgfile = _config(tmp_path, **dict({"n": 20, "N": 40}, **overrides))

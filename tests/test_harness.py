@@ -20,7 +20,7 @@ from covspec.kernels import contour_nodes, kernel_from_mbar
 from covspec.mp import solve_mbar_grid
 from covspec.model import sample_cov_block
 from covspec.cli import FIGURE_ONE_SIZES, FIGURES, _figure_samples
-from oracles import perturbed_contour
+from oracles import Reciprocal, logdet_moments, perturbed_contour
 
 MP1 = SpectralMeasure.point(1.0)
 G1 = FunctionalSpec.monomial(1)
@@ -238,6 +238,20 @@ class TestMapReplicates:
             _figure_samples(_cfg(), 20, 10, 3, scale=1.0)
         with pytest.raises(RuntimeError, match="replicate 0 failed: singular"):
             map_replicates(_cfg(n=20, N=10), lambda a: cholesky_logdet(0.0 * a), 3, workers=2)
+
+    @pytest.mark.parametrize("n, N", [(20, 100), (50, 250)])
+    def test_logdet_matches_exact_law(self, n, N):
+        # the figures' engine against the exact finite-n law of W = log det A;
+        # seed 18 was fixed before the first run
+        R = 4000
+        w = map_replicates(_cfg(n=n, N=N, seed=18), cholesky_logdet, R)
+        mean, var = logdet_moments(n, N)
+        dev = w - w.mean()
+        s2 = dev @ dev / (R - 1)
+        # SE of the sample variance from the sample fourth moment
+        var_se = np.sqrt((np.mean(dev ** 4) - s2 ** 2) / R)
+        assert abs(w.mean() - mean) <= 4.0 * np.sqrt(s2 / R)
+        assert abs(s2 - var) <= 4.0 * var_se
 
     @pytest.mark.parametrize("dist", ["real-gaussian", "complex-gaussian"])
     def test_gauss_matches_weights(self, dist):
@@ -507,7 +521,7 @@ class TestTheoreticalCovContour:
         # oracle: the whole M x M kernel at once, then the same two contractions
         gs = [G1, G2, GLOG]
         law = LimitLaw(c=c, H=h)
-        (z1, w1), (z2, w2) = contour_nodes(law)
+        (z1, w1), (z2, w2) = contour_nodes(law, gs)
         assert z1.size == M
         m1, m2 = np.split(solve_mbar_grid(np.concatenate([z1, z2]), law)[0], [M])
         gw1 = np.array([g(z1) * w1 for g in gs])
@@ -570,6 +584,31 @@ class TestTheoreticalCovSimplified:
                 theoretical_cov_simplified(gs, law)
         got = theoretical_cov_simplified([G1, G2], law)
         assert got[0, 1] == pytest.approx(4.0 + 2.0 * 2.0)  # 4 + 2c
+
+
+class TestReciprocalFunctional:
+    # 1/x is not built in: both theory paths and the mean read only its call,
+    # kind and needs_positive_support.  At H = delta_1, Var(1/x) = 2/(1-c)^3,
+    # Cov(1/x, x) = -2/(1-c), Var(x) = 2, and the mean of 1/x is 1/(1-c).
+    @pytest.mark.parametrize("c", [0.25, 0.5, 0.9])
+    def test_closed_forms(self, c):
+        law = LimitLaw(c=c, H=MP1)
+        gs = [Reciprocal(), G1]
+        want = np.array([[2.0 / (1 - c) ** 3, -2.0 / (1 - c)], [-2.0 / (1 - c), 2.0]])
+        got, err = theoretical_cov_contour(gs, law)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+        assert err >= np.max(np.abs(got - want))
+        simplified = theoretical_cov_simplified(gs, law)
+        assert np.max(np.abs(simplified - want) / np.abs(want)) <= 1e-12
+        assert abs(mean_functional(law, Reciprocal()) * (1 - c) - 1.0) <= 1e-13
+
+    def test_pole_at_mass_at_zero(self):
+        # at c = 2 the law has a point mass at the pole
+        law = LimitLaw(c=2.0, H=MP1)
+        for theory in (theoretical_cov_contour, theoretical_cov_simplified):
+            with pytest.raises(ConfigError, match="^log functional needs the spectrum bounded "
+                                                  "away from zero$"):
+                theory([Reciprocal(), G1], law)
 
 
 class TestBrownianBridge:

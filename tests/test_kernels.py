@@ -8,6 +8,7 @@ from oracles import closed_form_mp, cov_kernel, homogeneity_residual, proof_kern
 
 MP1 = SpectralMeasure.point(1.0)
 G1 = FunctionalSpec.monomial(1)
+GLOG = FunctionalSpec.log()
 H12 = SpectralMeasure([1.0, 2.0], [0.5, 0.5])
 H13 = SpectralMeasure([1.0, 3.0], [0.5, 0.5])
 H5 = SpectralMeasure([0.5, 1.0, 2.0, 4.0, 8.0], [0.2] * 5)
@@ -103,7 +104,7 @@ class TestContour:
             law = LimitLaw(c=c, H=h)
             bulk = support(law)
             a, b = (bulk[0][0], bulk[-1][1]) if c < 1 else (0.0, bulk[-1][1])
-            (z_out, _), (z_in, _) = contour_nodes(law)
+            (z_out, _), (z_in, _) = contour_nodes(law, [GLOG] if c < 1 else [G1])
             # the inner ellipse surrounds [a, b], the outer surrounds the inner
             assert z_in.real.min() < a and z_in.real.max() > b
             assert z_out.real.min() < z_in.real.min() and z_out.real.max() > z_in.real.max()
@@ -112,14 +113,14 @@ class TestContour:
                 assert z_out.real.min() > 0  # log stays analytic inside
             else:
                 assert z_in.real.max() > 0 > z_in.real.min()  # the point mass at zero inside
-            (z_out, _), (z_in, _) = contour_nodes(law, enclose_zero=True)
+            (z_out, _), (z_in, _) = contour_nodes(law, [G1])
             assert z_in.real.min() < 0 and z_in.real.max() > b
             assert z_out.real.min() < z_in.real.min() and z_out.real.max() > z_in.real.max()
 
     def test_nodes_conjugate_symmetric(self):
         for h, c in CONTOUR_CASES:
             law = LimitLaw(c=c, H=h)
-            for z, w in contour_nodes(law) + contour_nodes(law, enclose_zero=True):
+            for z, w in contour_nodes(law, [GLOG] if c < 1 else [G1]) + contour_nodes(law, [G1]):
                 # every node's conjugate is a node too
                 nearest = np.abs(np.conj(z)[:, None] - z[None, :]).min(axis=1)
                 assert nearest.max() <= 1e-12
@@ -134,7 +135,7 @@ class TestContour:
             law = LimitLaw(c=c, H=h)
             bulk = support(law)
             a, b = (bulk[0][0], bulk[-1][1]) if c < 1 else (0.0, bulk[-1][1])
-            ellipses = contour_nodes(law) + contour_nodes(law, enclose_zero=True)
+            ellipses = contour_nodes(law, [GLOG] if c < 1 else [G1]) + contour_nodes(law, [G1])
             for z, w in ellipses:
                 for p in (a, (2 * a + b) / 3, b):
                     assert abs(np.sum(w / (z - p)) - 2j * np.pi) <= 1e-11

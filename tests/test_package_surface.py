@@ -131,6 +131,23 @@ def test_no_function_takes_the_law_apart():
     assert not split, f"take a LimitLaw, not (H, c): {split}"
 
 
+def test_no_boolean_flags():
+    # a True/False default is an option that forks a routine in two; the one
+    # kept is eig_decompose(check=), which the benchmark's replay turns off to
+    # time eigh apart from its self-checks
+    flags = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+                for arg, default in zip(positional + args.kwonlyargs, defaults + args.kw_defaults):
+                    if isinstance(default, ast.Constant) and isinstance(default.value, bool):
+                        flags.append(f"{getattr(node, 'name', 'lambda')}({arg.arg}=)")
+    assert flags == ["eig_decompose(check=)"], f"boolean options: {flags}"
+
+
 def test_readme_quick_start_runs():
     # the README's library example, as written, in a fresh interpreter
     text = (ROOT / "README.md").read_text()
