@@ -295,7 +295,7 @@ def theoretical_cov_simplified(gs: Sequence[FunctionalSpec], law: LimitLaw) -> n
     """Simplified covariance matrix, entry (i, j) = (2/c) * (E[g_i g_j] - E[g_i] E[g_j]).
 
     Real-entry scale, valid only for a degenerate population spectrum; exact
-    through moments for a pair of polynomials, density quadrature (means
+    through moments for a pair of polynomials, ``LimitLaw.integral`` (means
     included) for any other pair.  A log needs the law bounded away from zero: a point
     mass there raises, from ``LimitLaw.lower_focus``.
     """
@@ -309,9 +309,9 @@ def theoretical_cov_simplified(gs: Sequence[FunctionalSpec], law: LimitLaw) -> n
             product = FunctionalSpec.poly(np.convolve(gs[i].coeffs, gs[j].coeffs))
             cross, m1, m2 = mean_functional(law, product), means[i], means[j]
         else:
-            x, q = law.quadrature
-            vi, vj = (np.asarray(gs[k](x), dtype=float) for k in (i, j))
-            cross, m1, m2 = q @ (vi * vj), q @ vi, q @ vj
+            gi, gj = gs[i], gs[j]
+            cross = law.integral(lambda x: gi(x) * gj(x))
+            m1, m2 = law.integral(gi), law.integral(gj)
         cov[i, j] = cov[j, i] = 2.0 / law.c * (cross - m1 * m2)
     return cov
 

@@ -113,6 +113,15 @@ class LimitLaw:
         x, q, _ = self.ensure_grids()
         return x, q
 
+    def integral(self, v) -> float:
+        """Integral of v against the law: the midpoint rule on the bulk, plus
+        the point mass at zero times v(0) where there is one."""
+        x, q = self.quadrature
+        val = float(q @ np.asarray(v(x), dtype=float))
+        if self.atom_at_zero > 0:
+            val += self.atom_at_zero * float(v(0.0))
+        return val
+
 
 def _node_count(a: float, b: float) -> tuple[float, int]:
     """(rho, M) of a periodic rule around [a, b]: rho the parameter of the
@@ -226,9 +235,8 @@ def limit_moments(law: LimitLaw, k: int) -> float:
 
 def mean_functional(law: LimitLaw, g: FunctionalSpec) -> float:
     """Integral of g against the limiting law: exact moments for a
-    polynomial, the midpoint rule for any other g."""
+    polynomial, ``LimitLaw.integral`` for any other g."""
     if g.kind == "poly":
         return float(sum(coef * limit_moments(law, d) for d, coef in enumerate(g.coeffs)))
     law.lower_focus([g])  # refuses a log where the law reaches 0
-    x, q = law.quadrature
-    return float(q @ np.asarray(g(x), dtype=float))
+    return law.integral(g)

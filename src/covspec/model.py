@@ -3,8 +3,8 @@
 The model draws an n x N matrix X of i.i.d. standardized entries, and forms
 the sample covariance A = (1/N) T^(1/2) X X* T^(1/2) for a diagonal
 nonnegative population matrix T realized from a discrete spectral measure.
-Replicates are seeded through a counter-based generator keyed on
-(seed, replicate) so results never depend on execution order.  A
+Each replicate draws from its own SFC64 stream, keyed on (seed, replicate)
+through ``SeedSequence``, so results never depend on execution order.  A
 ``Workspace`` holds one worker's buffers for a block of replicates: one draw
 buffer that every replicate of the block is drawn into, and the block's
 stacked Grams.  It is reused from one block to the next without changing
@@ -106,9 +106,16 @@ class ModelConfig:
 
 
 def replicate_rng(seed: int, replicate: int = 0) -> np.random.Generator:
-    """Counter-based generator for one replicate, keyed on (seed, replicate)."""
+    """The generator of one replicate: SFC64 seeded by ``SeedSequence`` keyed on
+    (seed, replicate).
+
+    The stream is a function of the pair alone, so no output depends on the
+    worker count, the block size or the order replicates run in.  SFC64 is
+    the cheapest of numpy's bit generators per normal, and the draw is the
+    largest cost of a replicate.
+    """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(replicate),))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def realize_population(spec: PopulationSpec, n: int) -> np.ndarray:
@@ -164,14 +171,13 @@ def entry_dtype(entry_dist: str) -> np.dtype:
 
 
 def draw_entries(entry_dist: str, n: int, N: int, rng: np.random.Generator,
-                 out: Optional[np.ndarray] = None,
-                 scratch: Optional[np.ndarray] = None) -> np.ndarray:
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
     """n x N matrix of i.i.d. entries with mean 0 and unit second absolute moment.
 
     ``out`` (C-ordered n x N, of dtype ``entry_dtype(entry_dist)``)
-    receives the draw in place; complex-gaussian draws its real and
-    imaginary parts through ``scratch`` (C-ordered n x N float).  Each is
-    allocated when not given; the values do not depend on it.
+    receives the draw in place; it is allocated when not given, and the
+    values do not depend on it.  complex-gaussian fills the real and
+    imaginary parts of each entry in turn, in one pass over the stream.
     """
     if entry_dist not in ENTRY_DISTS:
         raise ValueError(f"unknown entry distribution {entry_dist!r}")
@@ -180,10 +186,8 @@ def draw_entries(entry_dist: str, n: int, N: int, rng: np.random.Generator,
     if entry_dist == "real-gaussian":
         rng.standard_normal(out=out)
     elif entry_dist == "complex-gaussian":
-        scratch = np.empty((n, N)) if scratch is None else scratch
-        for part in (out.real, out.imag):
-            rng.standard_normal(out=scratch)
-            np.multiply(scratch, _INV_SQRT2, out=part)
+        rng.standard_normal(out=out.view(np.float64))
+        out *= _INV_SQRT2
     elif entry_dist == "rademacher":
         np.multiply(rng.integers(0, 2, size=(n, N)), 2.0, out=out)
         out -= 1.0
@@ -198,11 +202,11 @@ class Workspace:
     """Buffers one worker reuses for the sample covariances of one config.
 
     Holds the population root (None when T = I), one n x N entry buffer
-    of the entry law's dtype (for complex entries also an n x N float draw
-    buffer and an n x N conjugate buffer), shared by a block, and the
-    stacked size x n x n Grams of a block of up to ``size`` replicates:
-    each replicate is drawn into the one entry buffer, and only its Gram
-    is kept.  One thread at a time may use it.
+    of the entry law's dtype (for complex entries also an n x N conjugate
+    buffer), shared by a block, and the stacked size x n x n Grams of a
+    block of up to ``size`` replicates: each replicate is drawn into the
+    one entry buffer, and only its Gram is kept.  One thread at a time may
+    use it.
     """
 
     def __init__(self, cfg: ModelConfig, size: int = 1):
@@ -211,7 +215,6 @@ class Workspace:
         tdiag = realize_population(cfg.population, n)
         self.root = None if np.all(tdiag == 1.0) else np.sqrt(tdiag)[:, None]
         self.entries = np.empty((n, N), dtype)
-        self.scratch = np.empty((n, N)) if dtype.kind == "c" else None
         self.conj = np.empty((n, N), dtype) if dtype.kind == "c" else None
         self.gram = np.empty((size, n, n), dtype)
 
@@ -253,8 +256,7 @@ def sample_cov_block(cfg: ModelConfig, replicates: range, ws: Workspace) -> np.n
         raise ValueError(f"workspace holds {ws.gram.shape[0]} replicates, "
                          f"fewer than the block's {b}")
     for a, r in zip(ws.gram, replicates):
-        draw_entries(cfg.entry_dist, cfg.n, cfg.N, replicate_rng(cfg.seed, r),
-                     out=ws.entries, scratch=ws.scratch)
+        draw_entries(cfg.entry_dist, cfg.n, cfg.N, replicate_rng(cfg.seed, r), out=ws.entries)
         _gram(cfg, ws, a)
     return ws.gram[:b]
 
@@ -270,7 +272,7 @@ def build_sample_cov(cfg: ModelConfig, replicate: int = 0,
     ws = Workspace(cfg)
     if entries is None:
         draw_entries(cfg.entry_dist, cfg.n, cfg.N, replicate_rng(cfg.seed, replicate),
-                     out=ws.entries, scratch=ws.scratch)
+                     out=ws.entries)
     else:
         entries = np.asarray(entries)
         if entries.shape != ws.entries.shape or entries.dtype != ws.entries.dtype:

@@ -132,17 +132,6 @@ def total_mass(law) -> float:
     return law.atom_at_zero + float(law.quadrature[1].sum())
 
 
-def rule_mean(law, g) -> float:
-    """Integral of g against a LimitLaw by its midpoint rule, plus the point
-    mass at zero, for any g; the package takes polynomial means from exact
-    moments instead."""
-    x, q = law.quadrature
-    val = float(q @ np.asarray(g(x), dtype=float))
-    if law.atom_at_zero > 0:
-        val += law.atom_at_zero * float(g(0.0))
-    return val
-
-
 def resolvent_quad_form(a: np.ndarray, x: np.ndarray, z: complex) -> complex:
     """x* (A - zI)^(-1) x via a direct shifted linear solve.
 
@@ -203,6 +192,26 @@ class Reciprocal:
 
     def __call__(self, x):
         return 1.0 / np.asarray(x)
+
+
+class Entire:
+    """A g analytic on the whole plane that the package does not build in
+    (exp, or the constant 1): a callable with the kind, label and
+    needs_positive_support that the theory reads.  Its mean counts the
+    law's point mass at zero."""
+
+    needs_positive_support = False
+
+    def __init__(self, label, fn):
+        self.kind = self.label = label
+        self.fn = fn
+
+    def __call__(self, x):
+        return self.fn(np.asarray(x))
+
+
+EXP = Entire("exp", np.exp)
+ONE = Entire("1", lambda x: np.ones_like(x * 1.0))
 
 
 def logdet_moments(n: int, N: int) -> tuple[float, float]:

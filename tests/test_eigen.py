@@ -290,6 +290,20 @@ def _sample_cov(n, N, dist="real-gaussian", h=None, direction=None, seed=3):
     return build_sample_cov(cfg), realize_direction(cfg.direction, n)
 
 
+SEED_CAP = 20  # of seeds 0-19, 11 stop at k = 48 along e_0 and 6 along a uniform direction
+
+
+def _stopping_at(k, direction=None):
+    """The first n = 200, N = 400 sample covariance, scanning seeds 0, 1, ...,
+    SEED_CAP - 1, whose Gauss rule for WITH_LOG stops at k steps; and the direction."""
+    for seed in range(SEED_CAP):
+        a, x = _sample_cov(200, 400, direction=direction, seed=seed)
+        rule = gauss_rule(a, x, _sums(WITH_LOG))
+        if rule is not None and rule[0].size == k:
+            return a, x
+    raise AssertionError(f"no seed below {SEED_CAP} gives a rule that stops at k = {k}")
+
+
 def _close(got, want):
     return np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
@@ -362,8 +376,8 @@ class TestGaussRule:
         # one matrix stops at k = 40, one at k = 48, one gives up (c = 0.9)
         # and one breaks down at step 1; the rule on any stack of them gives
         # each matrix bitwise its own result
-        stops_40, x = _sample_cov(200, 400, seed=0)
-        mats = [stops_40, _sample_cov(200, 400)[0], _sample_cov(200, 222)[0], 2.0 * np.eye(200)]
+        stops_40, x = _stopping_at(40)
+        mats = [stops_40, _stopping_at(48)[0], _sample_cov(200, 222)[0], 2.0 * np.eye(200)]
         sums = _sums(WITH_LOG)
 
         def as_bytes(rule):
@@ -378,22 +392,21 @@ class TestGaussRule:
             assert [as_bytes(rule) for rule in got] == [want[i] for i in order], order
 
     def test_fn_sees_running_matrices_once_per_decomposition(self):
-        # the seed-0 matrix stops at k = 40, the seed-3 matrix at k = 48
-        stops_40, x = _sample_cov(200, 400, seed=0)
+        stops_40, x = _stopping_at(40)
         sums, shapes = _sums(WITH_LOG), []
 
         def fn(nodes, weights):
             shapes.append((nodes.shape, weights.shape))
             return sums(nodes, weights)
 
-        gauss_rule(np.stack([stops_40, _sample_cov(200, 400)[0]]), x, fn)
+        gauss_rule(np.stack([stops_40, _stopping_at(48)[0]]), x, fn)
         assert shapes == [((2, 24),) * 2, ((2, 32),) * 2, ((2, 40),) * 2, ((1, 48),) * 2]
 
     def test_breakdown_between_checkpoints_moves_no_other_record(self):
         # 36 distinct eigenvalues: the diagonal matrix breaks down at step 36,
         # which decomposes the whole stack, but the sample covariance's
         # record moves only at checkpoints, so it still stops at k = 48
-        a, x = _sample_cov(200, 400, direction=DirectionSpec.uniform(), seed=0)
+        a, x = _stopping_at(48, DirectionSpec.uniform())
         exhausted = np.diag(np.resize(np.linspace(0.1, 10.0, 36), 200))
         sums, shapes = _sums(WITH_LOG), []
 

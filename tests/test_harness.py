@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import covspec
 from covspec import (ConfigError, DirectionSpec, FunctionalSpec, LimitLaw, ModelConfig,
                      PopulationSpec, SpectralMeasure, Tolerances, bb_covariance,
                      bb_samples, bb_target, build_sample_cov, cholesky_logdet, compare_report,
-                     eig_decompose, estimate_mean_cov, gauss_rule, map_replicates,
+                     eig_decompose, estimate_mean_cov, gauss_rule, limit_moments, map_replicates,
                      mean_functional, quad_form_power, realize_direction, realized_law, run_clt,
                      run_replications, theoretical_cov_contour, theoretical_cov_simplified,
                      w_statistic, weighted_spectrum, y_process)
@@ -20,7 +21,7 @@ from covspec.kernels import contour_nodes, kernel_from_mbar
 from covspec.mp import solve_mbar_grid
 from covspec.model import sample_cov_block
 from covspec.cli import FIGURE_ONE_SIZES, FIGURES, _figure_samples
-from oracles import Reciprocal, logdet_moments, perturbed_contour
+from oracles import EXP, ONE, Reciprocal, logdet_moments, perturbed_contour
 
 MP1 = SpectralMeasure.point(1.0)
 G1 = FunctionalSpec.monomial(1)
@@ -609,6 +610,29 @@ class TestReciprocalFunctional:
             with pytest.raises(ConfigError, match="^log functional needs the spectrum bounded "
                                                   "away from zero$"):
                 theory([Reciprocal(), G1], law)
+
+
+class TestEntireFunctional:
+    # at c > 1 the law has the point mass 1 - 1/c at zero, which the bulk's
+    # midpoint rule does not see: a g that is not a polynomial takes g(0) times it
+    @pytest.mark.parametrize("c", [1.5, 2.0])
+    def test_mean_counts_the_mass_at_zero(self, c):
+        law = LimitLaw(c=c, H=MP1)
+        assert abs(mean_functional(law, ONE) - 1.0) <= 1e-13
+        # the exponential series of the exact moments, an oracle that reads no rule
+        series = sum(limit_moments(law, k) / math.factorial(k) for k in range(80))
+        assert abs(mean_functional(law, EXP) - series) <= 1e-12 * series
+
+    def test_constant_has_no_variance(self):
+        law = LimitLaw(c=2.0, H=MP1)
+        assert abs(theoretical_cov_simplified([ONE], law)[0, 0]) <= 1e-13
+
+    def test_contour_matches_simplified_with_mass_at_zero(self):
+        law = LimitLaw(c=2.0, H=MP1)
+        gs = [EXP, G1]
+        contour, _ = theoretical_cov_contour(gs, law)
+        simplified = theoretical_cov_simplified(gs, law)
+        assert np.max(np.abs(contour - simplified) / np.abs(contour)) <= 1e-12
 
 
 class TestBrownianBridge:

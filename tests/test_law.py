@@ -14,7 +14,7 @@ from covspec import (ConfigError, DirectionSpec, FunctionalSpec, LimitLaw, Model
                      density, limit_moments, mean_functional, support)
 from covspec.cli import main
 import covspec.law as law_module
-from oracles import mp_closed_density, narayana_moment, rule_mean, total_mass
+from oracles import mp_closed_density, narayana_moment, total_mass
 
 MP1 = SpectralMeasure.point(1.0)
 H13 = SpectralMeasure([1.0, 3.0], [0.5, 0.5])
@@ -275,7 +275,7 @@ class TestMoments:
         law = LimitLaw(c=0.5, H=MP1)
         for k in (1, 2, 3, 4):
             g = FunctionalSpec.monomial(k)
-            assert abs(limit_moments(law, k) - rule_mean(law, g)) <= 1e-4 * max(
+            assert abs(limit_moments(law, k) - law.integral(g)) <= 1e-4 * max(
                 1.0, limit_moments(law, k))
 
     def test_moments_match_density_integral(self):
@@ -295,7 +295,7 @@ class TestMoments:
         law = LimitLaw(c=c, H=h)
         for k in range(1, 7):
             exact = limit_moments(law, k)
-            rule = rule_mean(law, FunctionalSpec.monomial(k))
+            rule = law.integral(FunctionalSpec.monomial(k))
             assert abs(exact - rule) <= 1e-13 * abs(exact)
 
     @pytest.mark.parametrize("t", [0.3, 1.0, 2.0, 5.0])
@@ -407,14 +407,14 @@ class TestMeanFunctional:
     def test_poly_means_match_exact_moments(self, h, c):
         # the midpoint rule in the angle of each support interval integrates
         # 1, x and x^2 to rounding: mass 1 and the first two moments of the
-        # limit law, H.m1 and H.m2 + c H.m1^2 (rule_mean runs
+        # limit law, H.m1 and H.m2 + c H.m1^2 (law.integral runs
         # the rule where mean_functional takes exact moments; {1, 10} at
         # c = 0.05 has two support intervals)
         law = LimitLaw(c=c, H=h)
         assert abs(total_mass(law) - 1.0) <= 1e-13
-        got1 = rule_mean(law, FunctionalSpec.monomial(1))
+        got1 = law.integral(FunctionalSpec.monomial(1))
         assert abs(got1 - h.moment(1)) <= 1e-13
-        got2 = rule_mean(law, FunctionalSpec.monomial(2))
+        got2 = law.integral(FunctionalSpec.monomial(2))
         assert abs(got2 - (h.moment(2) + c * h.moment(1) ** 2)) <= 1e-13
 
     def test_log_functional(self):

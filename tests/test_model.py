@@ -172,9 +172,9 @@ def _direct_draw(dist, n, N, rng):
     if dist == "real-gaussian":
         return rng.standard_normal((n, N))
     if dist == "complex-gaussian":
-        re = rng.standard_normal((n, N))
-        im = rng.standard_normal((n, N))
-        return (re + 1j * im) / np.sqrt(2.0)
+        # real and imaginary parts of each entry are consecutive normals
+        z = rng.standard_normal((n, N, 2))
+        return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
     if dist == "rademacher":
         return rng.integers(0, 2, size=(n, N)).astype(float) * 2.0 - 1.0
     return rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(n, N))
@@ -186,7 +186,7 @@ class TestWorkspace:
         ws = Workspace(_cfg(n=7, N=11, dist=dist))
         for r in range(3):
             want = _direct_draw(dist, 7, 11, replicate_rng(5, r))
-            got = draw_entries(dist, 7, 11, replicate_rng(5, r), out=ws.entries, scratch=ws.scratch)
+            got = draw_entries(dist, 7, 11, replicate_rng(5, r), out=ws.entries)
             assert got is ws.entries
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
@@ -241,6 +241,29 @@ def test_replicate_rng_streams():
     c = replicate_rng(7, 1).standard_normal(4)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed, r", [(0, 0), (7, 3), (2 ** 64 - 1, 0), (2 ** 64 - 1, 10 ** 6)])
+def test_replicate_rng_is_sfc64_keyed_on_seed_and_replicate(seed, r):
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(r,))
+    want = np.random.Generator(np.random.SFC64(ss)).standard_normal(64)
+    assert replicate_rng(seed, r).standard_normal(64).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed, r", [(0, 0), (7, 41), (2 ** 64 - 2, 999)])
+def test_neighbouring_streams_uncorrelated(seed, r):
+    # for independent streams the sample correlation of m normals has sd
+    # 1/sqrt(m): each bound fails by chance with probability 5.7e-7
+    m = 10 ** 5
+    x = replicate_rng(seed, r).standard_normal(m)
+    for other in (replicate_rng(seed, r + 1), replicate_rng(seed + 1, r)):
+        rho = np.corrcoef(x, other.standard_normal(m))[0, 1]
+        assert abs(rho) <= 5.0 / np.sqrt(m)
+
+
+def test_streams_of_one_seed_start_apart():
+    first = [replicate_rng(11, r).standard_normal() for r in range(1000)]
+    assert len(set(first)) == 1000
 
 
 def test_companion_spectrum_identity():

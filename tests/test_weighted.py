@@ -153,9 +153,16 @@ def test_diagonal_moments_uniform_bound_as_stated():
 
 
 def test_diagonal_moments_uniform_convergence():
-    # the attainable content: the uniform gap shrinks with dimension and the
-    # first-moment gap meets the stated bound
-    assert _diag_moment_gap(400, 800, 1, seed=3) <= 0.15
+    # the attainable content: the first-moment gap meets the stated bound at a
+    # large enough size, and the uniform gap shrinks with dimension.  At T = I
+    # the N A_ii are i.i.d. chi2_N, so max_i |A_ii - 1| > 0.15 has probability
+    # 1 - (1 - P(|chi2_N / N - 1| > 0.15))^n: 0.68 at n = 400, N = 800, and
+    # 1.5e-7 at n = 2000, N = 4000, the smallest multiple of 200 where it is
+    # at most 1e-6 (scipy.stats.chi2)
+    assert _diag_moment_gap(2000, 4000, 1, seed=3) <= 0.15
+    # "large < small" fails with probability 2.1e-3 for m = 1 by the same
+    # exact law, and about 4.9e-3 for m = 2 (simulated, 4e4 draws at n = 400
+    # against 1e5 at n = 100)
     for m in (1, 2):
         small = _diag_moment_gap(100, 200, m, seed=3)
         large = _diag_moment_gap(400, 800, m, seed=3)
