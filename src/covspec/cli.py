@@ -8,13 +8,23 @@ clt        Monte Carlo covariance verification: report.json
 bridge     partial-sum process covariance check: bb.json
 figures    kernel-density data for the log-determinant statistic: figN.csv
 
+Every command takes --config and --out; beyond them it takes only the
+flags of the config keys it reads (``COMMANDS``), so any other flag exits 2:
+
+    covspec simulate --config CFG [--out DIR]
+    covspec density  --config CFG [--out DIR] [--grid a,b,...]
+    covspec clt      --config CFG [--out DIR] [--reps R] [--g SPEC ...]
+    covspec bridge   --config CFG [--out DIR] [--reps R] [--grid a,b,...]
+    covspec figures  --config CFG [--out DIR] [--reps R] [--which 1|2|3]
+
 Each flag replaces its key in the decoded config document (--g the
 functionals) before any check, so flags and config keys pass the same
-checks.  Exit codes: 0 success; 2 a fault in the config, the flags or
+checks.  The config document itself may hold any key of any command.
+Exit codes: 0 success; 2 a fault in the config, the flags or
 COVSPEC_WORKERS, also where the library finds it (``model.ConfigError``);
 3 a failed computation, and nothing else.
 
-Replicates (clt, bridge, figures) run on COVSPEC_WORKERS pool threads
+Replicates (clt, bridge, figures) run on a pool of COVSPEC_WORKERS threads
 (default: machine parallelism), each with one OpenBLAS thread while the
 replicates run, also when COVSPEC_WORKERS=1.  simulate builds and
 decomposes its one matrix on one OpenBLAS thread too.  Outputs are bitwise
@@ -107,6 +117,7 @@ def _parse_direction(obj) -> DirectionSpec:
     _require("kind" in obj, "missing required field direction.kind")
     kind = obj["kind"]
     if kind in ("e", "basis"):
+        _require("vector" not in obj, "basis direction takes no vector")
         index = obj.get("index", 0)
         _require(type(index) is int, f"direction.index must be an integer (got {index!r})")
         return DirectionSpec.basis(index)
@@ -115,6 +126,7 @@ def _parse_direction(obj) -> DirectionSpec:
                  "uniform direction takes no index or vector")
         return DirectionSpec.uniform()
     if kind == "custom":
+        _require("index" not in obj, "custom direction takes no index")
         _require("vector" in obj, "missing required field direction.vector")
         vec = obj["vector"]
         _require(isinstance(vec, list) and vec, "direction.vector must be a nonempty list")
@@ -301,8 +313,21 @@ def _cmd_figures(rc: RunConfig, outdir) -> None:
     _write_csv(outdir / f"fig{which}.csv", ["x"] + names, [xs] + [kde(v, xs) for v in series])
 
 
-COMMANDS = {"simulate": _cmd_simulate, "density": _cmd_density, "clt": _cmd_clt,
-            "bridge": _cmd_bridge, "figures": _cmd_figures}
+# each command's function and the config keys it reads beyond the model and
+# out: its flags are --config, --out and the flags of these keys
+COMMANDS = {"simulate": (_cmd_simulate, ()), "density": (_cmd_density, ("grid",)),
+            "clt": (_cmd_clt, ("reps", "functionals")), "bridge": (_cmd_bridge, ("reps", "grid")),
+            "figures": (_cmd_figures, ("reps", "which"))}
+
+# the flag of each command-specific config key, and its argparse options
+_FLAGS = {
+    "reps": ("--reps", {"type": int, "help": "replication count"}),
+    "functionals": ("--g", {"action": "append", "metavar": "SPEC",
+                            "help": "functional spec 'poly:c0,c1,...' or 'log' (repeatable)"}),
+    "grid": ("--grid", {"help": "comma-separated list of numbers; write --grid=-1,0,1 when "
+                                "the first is negative, which would otherwise read as a flag"}),
+    "which": ("--which", {"type": int, "choices": (1, 2, 3)}),
+}
 
 
 def dispatch(rc: RunConfig) -> int:
@@ -316,7 +341,8 @@ def dispatch(rc: RunConfig) -> int:
         print(f"config error: cannot create output directory: {exc}", file=sys.stderr)
         return 2
     try:
-        COMMANDS[rc.command](rc, outdir)
+        run, _ = COMMANDS[rc.command]
+        run(rc, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -330,30 +356,26 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="covspec",
                                      description="sample-covariance eigenvector statistics toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
+    for name, (_, keys) in COMMANDS.items():
+        # no abbreviations: density or bridge would read --g as --grid
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", required=True, help="path to JSON config")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--reps", type=int, default=None, help="replication count")
-        p.add_argument("--g", action="append", default=None,
-                       help="functional spec 'poly:c0,c1,...' or 'log' (repeatable)")
-        p.add_argument("--grid", default=None,
-                       help="comma-separated list of numbers; write --grid=-1,0,1 when "
-                            "the first is negative, which would otherwise read as a flag")
-        if name == "figures":
-            p.add_argument("--which", type=int, choices=(1, 2, 3), default=None)
+        p.add_argument("--out", help="output directory")
+        for key in keys:
+            flag, options = _FLAGS[key]
+            p.add_argument(flag, dest=key, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # the command, out and the command's own keys, each None where not given
+    flags = vars(_build_parser().parse_args(argv))
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(flags.pop("config"), "r", encoding="utf-8") as fh:
             doc = _decode(fh.read())
+        if flags.get("grid") is not None:
+            flags["grid"] = [float(t) for t in flags["grid"].split(",")]
         # each flag replaces its config key before any check
-        flags = {"command": args.command, "out": args.out, "reps": args.reps,
-                 "functionals": args.g, "which": getattr(args, "which", None),
-                 "grid": None if args.grid is None else [float(t) for t in args.grid.split(",")]}
         doc.update((key, v) for key, v in flags.items() if v is not None)
         rc = _parse_document(doc)
         _env_workers()

@@ -160,10 +160,11 @@ def map_replicates(cfg: ModelConfig, fn: Callable, R: int,
     (``model.sample_cov_block``), and calls ``fn`` once on the b x n x n
     stack.  ``fn`` may read or decompose the stack but must not keep it,
     and returns b rows, each a number or a fixed-length sequence of
-    numbers.  The blocks run on ``workers`` threads (default:
-    COVSPEC_WORKERS, else the CPU count) with numpy's OpenBLAS pinned to one
-    thread throughout, so the result is bitwise independent of the worker
-    count and, where numpy bundles OpenBLAS, of OPENBLAS_NUM_THREADS.
+    numbers.  The blocks run on a pool of min(``workers``, blocks) threads
+    (``workers`` default: COVSPEC_WORKERS, else the CPU count), one thread
+    too, with numpy's OpenBLAS pinned to one thread throughout, so the
+    result is bitwise independent of the worker count and, where numpy
+    bundles OpenBLAS, of OPENBLAS_NUM_THREADS.  R = 0 gives an empty array.
     A failure raises RuntimeError("replicate r failed: ..."): a block that
     fails is rerun one matrix at a time, so r names the replicate.  A
     ConfigError passes unchanged.
@@ -188,16 +189,13 @@ def map_replicates(cfg: ModelConfig, fn: Callable, R: int,
         return rows
 
     blocks = [range(start, min(R, start + B)) for start in range(0, R, B)]
-    nworkers = min(_worker_count(workers), len(blocks))
+    nworkers = max(1, min(_worker_count(workers), len(blocks)))  # one also at R = 0
     with _BLAS.pinned():
-        if nworkers <= 1:
-            rows = [run(block) for block in blocks]
-        else:
-            pool = ThreadPoolExecutor(max_workers=nworkers)
-            try:
-                rows = list(pool.map(run, blocks))
-            finally:
-                pool.shutdown(cancel_futures=True)
+        pool = ThreadPoolExecutor(max_workers=nworkers)
+        try:
+            rows = list(pool.map(run, blocks))
+        finally:
+            pool.shutdown(cancel_futures=True)
     return np.concatenate(rows) if rows else np.empty(0)
 
 

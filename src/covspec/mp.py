@@ -187,7 +187,8 @@ def support(law: LimitLaw) -> tuple[tuple[float, float], ...]:
     t, u, shift = _arrowhead_parts(law)
     d, eye = np.diag(t), np.eye(t.size)
     y = np.linalg.eigvals(np.block([[d, -eye], [-np.outer(u, u), d]]))
-    y = y[np.abs(y.imag) < 1e-9 * (1 + np.abs(y.real))].real
+    # a conjugate pair is complex on the atoms' own scale, not on an absolute one
+    y = y[np.abs(y.imag) < 1e-9 * (t.max() + np.abs(y.real))].real
     gap = y[:, None] - t
     if np.any(gap == 0):
         # u_k^2 underflowed (u_k below about 1e-162) or is below the rounding of

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import covspec
-from covspec.cli import ConfigError, _write_csv, main, parse_config
+from covspec.cli import ConfigError, _build_parser, _write_csv, main, parse_config
 from covspec.functionals import FunctionalSpec
 from covspec.model import DirectionSpec, ModelConfig, PopulationSpec
 from covspec.spectrum import SpectralMeasure
@@ -349,8 +349,9 @@ class TestDispatch:
     def test_nonfinite_grid_flag_exit_2(self, tmp_path, capsys, command, grid):
         # as the same values under the config's grid key
         cfgfile = _config(tmp_path, n=20, N=40)
+        reps = ["--reps", "4"] if command == "bridge" else []  # density takes no --reps
         assert main([command, "--config", str(cfgfile), "--out", str(tmp_path),
-                     "--reps", "4", "--grid", grid]) == 2
+                     *reps, "--grid", grid]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("bb.json"))
 
@@ -465,21 +466,51 @@ class TestDispatch:
         (["clt", "--g", "poly:nan"], {}),
         (["clt", "--g", "poly:1,inf"], {}),
         (["clt", "--g", "poly:1e400"], {}),
+        (["simulate"], {"direction": {"kind": "e", "index": 0, "vector": [1.0] * 20}}),
+        (["simulate"], {"direction": {"kind": "custom", "index": 0, "vector": [1.0] * 20}}),
     ], ids=["clt-reps-1", "figures-reps-1", "bridge-reps-1", "bridge-grid-1.5", "bridge-grid-0",
             "bridge-rademacher", "clt-log-c-1", "clt-log-atom-0", "density-zero-at-atom",
             "density-grid-str", "simulate-n-below-atoms", "simulate-vector-length",
             "clt-vector-zero", "figures-n-below-atoms", "density-no-positive-atom",
             "clt-no-positive-atom", "bridge-no-positive-atom", "functional-number",
-            "functionals-string", "functional-nan", "functional-inf", "functional-1e400"])
+            "functionals-string", "functional-nan", "functional-inf", "functional-1e400",
+            "basis-vector", "custom-index"])
     def test_input_fault_exit_2(self, tmp_path, capsys, argv, overrides):
         # every fault of the input exits 2, also where the library finds it, and writes nothing
         cfgfile = _config(tmp_path, **dict({"n": 20, "N": 40}, **overrides))
         out = tmp_path / "out"
-        if "--reps" not in argv:
+        if argv[0] in ("clt", "bridge", "figures") and "--reps" not in argv:
             argv = argv + ["--reps", "4"]
         assert main(argv[:1] + ["--config", str(cfgfile), "--out", str(out)] + argv[1:]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("argv", [["density", "--reps", "5"], ["simulate", "--g", "log"],
+                                      ["clt", "--grid", "1"], ["bridge", "--g", "log"],
+                                      ["figures", "--grid", "1"]],
+                             ids=["density-reps", "simulate-g", "clt-grid", "bridge-g",
+                                  "figures-grid"])
+    def test_flag_the_command_does_not_read_exit_2(self, tmp_path, capsys, argv):
+        # a command takes only the flags of the config keys it reads
+        cfgfile = _config(tmp_path, n=20, N=40)
+        with pytest.raises(SystemExit) as info:
+            main(argv[:1] + ["--config", str(cfgfile), "--out", str(tmp_path)] + argv[1:])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+    def test_flag_slots(self):
+        # --config, --out and one flag per key of the command's COMMANDS entry
+        sub = next(a for a in _build_parser()._actions if a.dest == "command")
+        slots = {name: sorted(flag for action in p._actions if action.dest != "help"
+                              for flag in action.option_strings)
+                 for name, p in sub.choices.items()}
+        assert slots == {"simulate": ["--config", "--out"],
+                         "density": ["--config", "--grid", "--out"],
+                         "clt": ["--config", "--g", "--out", "--reps"],
+                         "bridge": ["--config", "--grid", "--out", "--reps"],
+                         "figures": ["--config", "--out", "--reps", "--which"]}
+        assert sum(map(len, slots.values())) == 17
 
     def test_basis_index_checked_at_config_n(self, tmp_path):
         # figure 2 runs at n = 5: the direction, unused there, is checked only against n = 100
@@ -487,3 +518,45 @@ class TestDispatch:
         assert main(["figures", "--config", str(cfgfile), "--out", str(tmp_path),
                      "--which", "2", "--reps", "20"]) == 0
         assert (tmp_path / "fig2.csv").is_file()
+
+
+class TestScaleEquivariance:
+    # T = t I scales A by t, exactly when t is a power of two; every self-check
+    # and the support's edge filter work on the matrix's or the atoms' own scale
+    @pytest.mark.parametrize("t", [2.0 ** 20, 2.0 ** 40, 2.0 ** -40], ids=["2^20", "2^40", "2^-40"])
+    @pytest.mark.parametrize("command", ["simulate", "bridge", "clt"])
+    def test_rank_deficient_scaled_population_exit_0(self, tmp_path, command, t):
+        # n > N: A has n - N zero eigenvalues, which rounding puts a little below 0
+        cfgfile = _config(tmp_path, n=60, N=30, seed=3, population={"atoms": [{"t": t, "w": 1.0}]})
+        reps = [] if command == "simulate" else ["--reps", "20"]
+        assert main([command, "--config", str(cfgfile), "--out", str(tmp_path), *reps]) == 0
+
+    def test_simulate_spectrum_scales(self, tmp_path):
+        t = 2.0 ** 20
+        spectra = []
+        for scale in (1.0, t):
+            out = tmp_path / str(scale)
+            cfgfile = _config(tmp_path, n=200, N=100, seed=3,
+                              population={"atoms": [{"t": scale, "w": 1.0}]})
+            assert main(["simulate", "--config", str(cfgfile), "--out", str(out)]) == 0
+            spectra.append(_read_csv(out / "spectrum.csv")[1][:, 0])
+        unit, scaled = spectra
+        # relative to each eigenvalue, with a floor at the largest for the zero ones
+        bound = 1e-12 * t * np.maximum(np.abs(unit), unit.max())
+        assert np.all(np.abs(scaled - t * unit) <= bound)
+
+    def test_density_scales(self, tmp_path):
+        # H = t {1, 3} at c = 0.5 is the law of H = {1, 3} stretched by t: t f and F agree
+        t = 2.0 ** -40
+        xs = np.linspace(0.0, 12.0, 97)[1:]
+        rows = []
+        for scale in (1.0, t):
+            out = tmp_path / str(scale)
+            atoms = {"atoms": [{"t": scale, "w": 0.5}, {"t": 3.0 * scale, "w": 0.5}]}
+            cfgfile = _config(tmp_path, n=100, N=200, population=atoms,
+                              grid=(scale * xs).tolist())
+            assert main(["density", "--config", str(cfgfile), "--out", str(out)]) == 0
+            rows.append(_read_csv(out / "density.csv")[1])
+        unit, scaled = rows
+        assert np.max(np.abs(t * scaled[:, 1] - unit[:, 1])) <= 1e-14
+        assert np.max(np.abs(scaled[:, 2] - unit[:, 2])) <= 1e-14

@@ -603,6 +603,27 @@ class TestReciprocalFunctional:
         assert np.max(np.abs(simplified - want) / np.abs(want)) <= 1e-12
         assert abs(mean_functional(law, Reciprocal()) * (1 - c) - 1.0) <= 1e-13
 
+    def test_exact_finite_n_moments(self):
+        # real Gaussian entries, T = I and a unit x: x*A^-1 x = N / chi2_{N-n+1}
+        # exactly (Muirhead 1982, Thm 3.2.12), so centred at the limit mean
+        # 1/(1-c) the sqrt(N)-scaled column has mean sqrt(N)(N/(N-n-1) - 1/(1-c))
+        # = 0.201 and variance 2N^3/((N-n-1)^2 (N-n-3)) = 16.41 at n = 200,
+        # N = 400.  Each is checked at 4 standard errors (seed 17, fixed before
+        # the first run), the variance's from the sample fourth moment.  About a
+        # third of the replicates settle on the Gauss rule and the rest take the
+        # eigh fall-back, so both paths feed the column
+        n, N, R = 200, 400, 1200
+        cfg = _cfg(n=n, N=N, seed=17)
+        vals = run_replications(cfg, [Reciprocal()], R)[:, 0]
+        mean = np.sqrt(N) * (N / (N - n - 1) - 1.0 / (1.0 - n / N))
+        var = 2.0 * N ** 3 / ((N - n - 1) ** 2 * (N - n - 3))
+        dev = vals - vals.mean()
+        sample_var = dev @ dev / (R - 1)
+        z_mean = (vals.mean() - mean) / np.sqrt(sample_var / R)
+        z_var = (sample_var - var) / np.sqrt((np.mean(dev ** 4) - sample_var ** 2) / R)
+        print(f"1/x at n = {n}, N = {N}, R = {R}: z_mean {z_mean:.3f}, z_var {z_var:.3f}")
+        assert abs(z_mean) <= 4.0 and abs(z_var) <= 4.0, (z_mean, z_var)
+
     def test_pole_at_mass_at_zero(self):
         # at c = 2 the law has a point mass at the pole
         law = LimitLaw(c=2.0, H=MP1)

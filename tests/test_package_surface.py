@@ -148,6 +148,30 @@ def test_no_boolean_flags():
     assert flags == ["eig_decompose(check=)"], f"boolean options: {flags}"
 
 
+def test_each_command_reads_exactly_its_flags():
+    # a command's flags are the keys of its COMMANDS entry, so each _cmd_*
+    # must read exactly those RunConfig fields beyond the model and out: a
+    # flag no command reads, or a key read without its flag, fails here
+    from covspec.cli import COMMANDS
+
+    tree = ast.parse((SRC / "cli.py").read_text())
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")}
+    assert sorted(funcs) == sorted(f"_cmd_{name}" for name in COMMANDS)
+    for name, (run, keys) in COMMANDS.items():
+        func = funcs[f"_cmd_{name}"]
+        assert run.__name__ == func.name
+        rc = func.args.args[0].arg
+        attrs = [sub for sub in ast.walk(func)
+                 if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                 and sub.value.id == rc]
+        # rc itself never leaves the function, so its fields are read only here
+        uses = [sub for sub in ast.walk(func) if isinstance(sub, ast.Name) and sub.id == rc]
+        assert len(uses) == len(attrs), f"{func.name} passes {rc} on whole"
+        read = {sub.attr for sub in attrs} - {"command", "model", "out"}
+        assert read == set(keys), f"{func.name} reads {sorted(read)}, its flags are {keys}"
+
+
 def test_readme_quick_start_runs():
     # the README's library example, as written, in a fresh interpreter
     text = (ROOT / "README.md").read_text()
