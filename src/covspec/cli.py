@@ -295,17 +295,25 @@ def _cmd_bridge(rc: RunConfig, outdir) -> None:
     _write_json(outdir / "bb.json", payload)
 
 
-def _figure_samples(base: ModelConfig, n: int, N: int, reps: int, scale: float) -> np.ndarray:
-    if n > N:  # A has rank at most N < n, whatever its Cholesky factorization says
+def _figure_samples(base: ModelConfig, table, reps: int) -> np.ndarray:
+    """reps x k: column j is series j's statistic, scale * W_n, for the
+    (n, N, scale) of each series of the table, drawn from one stream per
+    replicate."""
+    if any(n > N for n, N, _ in table):  # A has rank at most N < n, whatever Cholesky says
         raise ValueError("singular sample covariance")
-    cfg = replace(base, n=n, N=N)
-    return map_replicates(cfg, lambda a: scale * cholesky_logdet(a), reps)
+    cfgs = [replace(base, n=n, N=N) for n, N, _ in table]
+    scales = [scale for _, _, scale in table]
+
+    def columns(*stacks):
+        return np.column_stack([scale * cholesky_logdet(a) for scale, a in zip(scales, stacks)])
+
+    return map_replicates(cfgs, columns, reps)
 
 
 def _cmd_figures(rc: RunConfig, outdir) -> None:
     which = rc.which or 1
     table = FIGURES[which]
-    series = [_figure_samples(rc.model, n, N, rc.reps or 1000, scale) for n, N, scale in table]
+    series = list(np.ascontiguousarray(_figure_samples(rc.model, table, rc.reps or 1000).T))
     allv = np.concatenate(series)
     h = max(silverman_bandwidth(v) for v in series)
     xs = np.linspace(allv.min() - 4 * h, allv.max() + 4 * h, 512)

@@ -1,27 +1,31 @@
 """Monte Carlo replication harness and theoretical covariance evaluation.
 
-Every replicate loop runs through ``map_replicates(cfg, fn, R)``, which
+Every replicate loop runs through ``map_replicates(cfgs, fn, R)``, which
 splits replicates 0..R-1 into fixed blocks, calls ``fn`` once on each
-block's stacked sample covariances and stacks the rows it returns.  The
-block size B = max(1, floor(BLOCK_BYTES / bytes of one replicate's Gram))
-depends only on n, N and the entry distribution: 3 at n = 200, N = 400,
-13 at n = 100, N = 500.  Replicates are mutually independent, seeded by
-(seed, replicate), and blocks may run on any number of worker threads,
-each drawing every replicate of its block into one draw buffer and
-writing the replicate's Gram into the block's stack, in buffers it reuses
-from one block to the next (``model.Workspace``); the stack is that
-worker's Gram buffer, valid only during the call.  While they run,
-numpy's OpenBLAS is pinned to one thread, so each worker does its linear
-algebra serially and the results depend neither on scheduling nor on the
-BLAS thread setting.  Each caller does the decomposition its statistic
-needs once per block, on the stack: ``run_replications`` evaluates
-x* g(A) x by a Lanczos Gauss rule (``eigen.gauss_rule``) where it settles
-within n/4 steps and by ``eig_decompose`` of the matrices it leaves.  Its
-statistic has the contract of ``fn``, a stack in and one row per matrix
-out: the rule calls it once per decomposition on the (m, k) Ritz values
-and weights of its m running matrices, the fall-back once on its spectra.
-``bb_samples`` takes the eigenvector weights in eigenvalue order
-(``eig_decompose``), and the figures a Cholesky log-determinant.
+block's stacked sample covariances, one stack per config, and stacks the
+rows it returns.  The configs share one seed and entry law, so one stream
+serves every config: replicate r's stream depends on (seed, r) alone, it
+is drawn once, and each config reads its first n*N draws.  The block size
+B = max(1, floor(BLOCK_BYTES / bytes of one replicate's Grams over the
+configs)) depends only on the configs' n, N and entry law: 3 at n = 200,
+N = 400, 13 at n = 100, N = 500, 10 for Figure 1's four sizes.
+Replicates are mutually independent, and blocks may run on any number of
+worker threads, each drawing every replicate of its block into one draw
+buffer and writing the replicate's Grams into the block's stacks, in
+buffers it reuses from one block to the next (``model.Workspace``, one per
+config); the stacks are that worker's Gram buffers, valid only during the
+call.  While they run, numpy's OpenBLAS is pinned to one thread, so each
+worker does its linear algebra serially and the results depend neither on
+scheduling nor on the BLAS thread setting.  Each caller does the
+decomposition its statistic needs once per block, on the stack:
+``run_replications`` evaluates x* g(A) x by a Lanczos Gauss rule
+(``eigen.gauss_rule``) where it settles within n/4 steps and by
+``eig_decompose`` of the matrices it leaves.  Its statistic has the
+contract of ``fn``, a stack in and one row per matrix out: the rule calls
+it once per decomposition on the (m, k) Ritz values and weights of its m
+running matrices, the fall-back once on its spectra.  ``bb_samples`` takes
+the eigenvector weights in eigenvalue order (``eig_decompose``), and the
+figures a Cholesky log-determinant of each series' stack.
 Theory comes in two independently computed flavors, each returning the
 whole k x k matrix for k functionals, whose domain the law checks
 (``LimitLaw.lower_focus``): a double contour integral of the covariance
@@ -141,42 +145,54 @@ class _BlasPin:
 _BLAS = _BlasPin()
 
 
-def _block_size(cfg: ModelConfig) -> int:
-    """Replicates per block: as many as fit their Grams in BLOCK_BYTES, and
-    at least one.  It depends only on n, N and the entry distribution,
-    never on R or the worker count."""
-    return max(1, BLOCK_BYTES // Workspace.replicate_bytes(cfg))
+def _block_size(cfgs: Sequence[ModelConfig]) -> int:
+    """Replicates per block: as many as fit their Grams, one per config, in
+    BLOCK_BYTES, and at least one.  It depends only on the configs' n, N
+    and entry law, never on R or the worker count."""
+    return max(1, BLOCK_BYTES // sum(Workspace.replicate_bytes(cfg) for cfg in cfgs))
 
 
-def map_replicates(cfg: ModelConfig, fn: Callable, R: int,
+def map_replicates(cfgs: Sequence[ModelConfig], fn: Callable, R: int,
                    workers: Optional[int] = None) -> np.ndarray:
     """``fn`` on the stacked sample covariances of each block of replicates
-    0..R-1, its rows stacked in replicate order (R or R x k).
+    0..R-1, one stack per config, its rows stacked in replicate order (R or
+    R x k).
 
-    Block b holds replicates [bB, min(R, (b+1)B)), with B = ``_block_size``:
-    max(1, floor(BLOCK_BYTES / bytes of one replicate's Gram)).  A block
-    draws each replicate r from the stream keyed on (cfg.seed, r) into the
-    running thread's Workspace and writes its Gram into the block's stack
-    (``model.sample_cov_block``), and calls ``fn`` once on the b x n x n
-    stack.  ``fn`` may read or decompose the stack but must not keep it,
-    and returns b rows, each a number or a fixed-length sequence of
-    numbers.  The blocks run on a pool of min(``workers``, blocks) threads
-    (``workers`` default: COVSPEC_WORKERS, else the CPU count), one thread
-    too, with numpy's OpenBLAS pinned to one thread throughout, so the
-    result is bitwise independent of the worker count and, where numpy
-    bundles OpenBLAS, of OPENBLAS_NUM_THREADS.  R = 0 gives an empty array.
-    A failure raises RuntimeError("replicate r failed: ..."): a block that
-    fails is rerun one matrix at a time, so r names the replicate.  A
-    ConfigError passes unchanged.
+    The configs must share their seed and entry law; any other set raises
+    ValueError.  One stream serves every config: replicate r draws the
+    stream keyed on (seed, r) once, and each config reads its first n*N
+    draws, so each matrix is bitwise the one the config gives alone
+    (``model.sample_cov_block``).  Block b holds replicates
+    [bB, min(R, (b+1)B)), with B = ``_block_size``: max(1, floor(BLOCK_BYTES
+    / bytes of one replicate's Grams over the configs)).  A block draws
+    into the running thread's Workspaces and calls ``fn(*stacks)`` once,
+    on one b x n x n stack per config, in the configs' order.  ``fn`` may
+    read or decompose the stacks but must not keep them, and returns b
+    rows, each a number or a fixed-length sequence of numbers.  The blocks
+    run on a pool of min(``workers``, blocks) threads (``workers`` default:
+    COVSPEC_WORKERS, else the CPU count), one thread too, with numpy's
+    OpenBLAS pinned to one thread throughout, so the result is bitwise
+    independent of the worker count and, where numpy bundles OpenBLAS, of
+    OPENBLAS_NUM_THREADS.  R must be a non-negative integer, else a
+    ConfigError before any draw; R = 0 gives an empty array.  A failure
+    raises RuntimeError("replicate r failed: ..."): a block that fails is
+    rerun one replicate at a time, so r names the replicate.  A ConfigError
+    passes unchanged.
     """
-    B = _block_size(cfg)
-    local = threading.local()  # one Workspace per thread running blocks
+    cfgs = tuple(cfgs)
+    if not cfgs or any((cfg.seed, cfg.entry_dist) != (cfgs[0].seed, cfgs[0].entry_dist)
+                       for cfg in cfgs):
+        raise ValueError("map_replicates needs one or more configs of one seed and entry law")
+    if not (_is_int(R) and R >= 0):
+        raise ConfigError(f"R must be a non-negative integer (got {R!r})")
+    B = _block_size(cfgs)
+    local = threading.local()  # one Workspace per config and thread running blocks
 
     def run(block: range) -> np.ndarray:
         try:
-            if not hasattr(local, "workspace"):
-                local.workspace = Workspace(cfg, size=min(B, R))
-            rows = np.asarray(fn(sample_cov_block(cfg, block, local.workspace)), dtype=float)
+            if not hasattr(local, "workspaces"):
+                local.workspaces = [Workspace(cfg, size=min(B, R)) for cfg in cfgs]
+            rows = np.asarray(fn(*sample_cov_block(cfgs, block, local.workspaces)), dtype=float)
             if rows.shape[:1] != (len(block),):
                 raise ValueError(f"fn gave shape {rows.shape} for {len(block)} matrices, "
                                  f"not one row each")
@@ -238,7 +254,7 @@ def run_replications(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
             fallback = iter(lss(ws.lambdas, ws.weights))
         return [next(fallback) if rule is None else rule[2] for rule in rules]
 
-    return map_replicates(cfg, rows, R, workers=workers)
+    return map_replicates([cfg], rows, R, workers=workers)
 
 
 def estimate_mean_cov(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -323,7 +339,7 @@ def bb_samples(cfg: ModelConfig, grid: Sequence[float], R: int) -> np.ndarray:
         ws = weighted_spectrum(eig_decompose(stack), x)
         return np.stack([y_process(ws, t) for t in grid], axis=-1)
 
-    return map_replicates(cfg, rows, R)
+    return map_replicates([cfg], rows, R)
 
 
 def bb_covariance(cfg: ModelConfig, grid: Sequence[float], R: int) -> np.ndarray:

@@ -27,6 +27,7 @@ and needs neither; any other mean is one dot product with the rule's masses.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
@@ -157,17 +158,31 @@ def _mass_to_angle(h, theta) -> np.ndarray:
     the interval's mass, the sum of its q.
 
     a_k = (2/M) sum_j h_j cos(k theta_j) is a DCT-II, taken from the FFT of
-    h followed by its mirror image.  The sines are summed in blocks of
+    h followed by its mirror image.  The sines come by angle addition in
+    blocks of b = floor(sqrt M) terms: the block from k0 adds
+    sin(k0 theta) sum_j cos(j theta) a_(k0+j)/(k0+j) + cos(k0 theta) sum_j
+    sin(j theta) a_(k0+j)/(k0+j) over j < b, so each theta takes about
+    4 sqrt M sines and cosines instead of M.  The angles go in chunks of
     bounded size.
     """
     M = h.size
     k = np.arange(1, M)
     spectrum = np.fft.fft(np.concatenate([h, h[::-1]]))[1:M]
     coef = (np.exp(-0.5j * np.pi * k / M) * spectrum).real / (M * k)
-    step = max(1, _SERIES_ENTRIES // k.size)
+    b = math.isqrt(M)
+    blocks = -(-k.size // b)
+    # column i holds the coefficients of the block from k0 = 1 + i b, zero-padded
+    by_block = np.zeros(blocks * b)
+    by_block[:k.size] = coef
+    by_block = by_block.reshape(blocks, b).T
+    j, k0 = np.arange(b), 1 + b * np.arange(blocks)
+    step = max(1, _SERIES_ENTRIES // max(b, blocks))
     series = np.empty(theta.size)
     for start in range(0, theta.size, step):
-        series[start:start + step] = np.sin(np.outer(theta[start:start + step], k)) @ coef
+        t = theta[start:start + step, None]
+        jt, kt = t * j, t * k0
+        series[start:start + step] = (np.sin(kt) * (np.cos(jt) @ by_block)
+                                      + np.cos(kt) * (np.sin(jt) @ by_block)).sum(axis=1)
     c0 = h.sum() / M
     return np.clip(c0 * theta + series, 0.0, c0 * np.pi)
 

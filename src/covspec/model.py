@@ -4,17 +4,22 @@ The model draws an n x N matrix X of i.i.d. standardized entries, and forms
 the sample covariance A = (1/N) T^(1/2) X X* T^(1/2) for a diagonal
 nonnegative population matrix T realized from a discrete spectral measure.
 Each replicate draws from its own SFC64 stream, keyed on (seed, replicate)
-through ``SeedSequence``, so results never depend on execution order.  A
-``Workspace`` holds one worker's buffers for a block of replicates: one draw
-buffer that every replicate of the block is drawn into, and the block's
-stacked Grams.  It is reused from one block to the next without changing
-any value; ``sample_cov_block`` fills it.
+through ``SeedSequence``, so results never depend on execution order.  The
+draw fills X in stream order, so a config reads the first n*N draws of its
+replicate's stream: as in the paper, where every X_n is the upper-left
+corner of one double array, the configs of one seed and entry law are
+nested prefixes of one stream, and one draw serves them all.  A
+``Workspace`` holds one worker's buffers for one config and a block of
+replicates: one draw buffer that every replicate of the block is drawn
+into, and the block's stacked Grams.  It is reused from one block to the
+next without changing any value; ``sample_cov_block`` fills the workspaces
+of a block's configs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -204,9 +209,9 @@ class Workspace:
     Holds the population root (None when T = I), one n x N entry buffer
     of the entry law's dtype (for complex entries also an n x N conjugate
     buffer), shared by a block, and the stacked size x n x n Grams of a
-    block of up to ``size`` replicates: each replicate is drawn into the
-    one entry buffer, and only its Gram is kept.  One thread at a time may
-    use it.
+    block of up to ``size`` replicates: each replicate is drawn into (or
+    copied from a larger config's draw into) the one entry buffer, and
+    only its Gram is kept.  One thread at a time may use it.
     """
 
     def __init__(self, cfg: ModelConfig, size: int = 1):
@@ -243,22 +248,39 @@ def _gram(cfg: ModelConfig, ws: Workspace, out: np.ndarray) -> np.ndarray:
     return a
 
 
-def sample_cov_block(cfg: ModelConfig, replicates: range, ws: Workspace) -> np.ndarray:
-    """Stacked sample covariances of ``replicates``, b x n x n for b of them.
+def sample_cov_block(cfgs: Sequence[ModelConfig], replicates: range,
+                     workspaces: Sequence[Workspace]) -> list[np.ndarray]:
+    """Stacked sample covariances of ``replicates`` for each config, one
+    b x n x n stack per config for b replicates.
 
-    Replicate r draws from the stream keyed on (cfg.seed, r), so each
-    matrix is bitwise the one ``build_sample_cov`` gives it, whatever block
-    it comes in.  The stack is the Gram buffer of ``ws`` (of size b or
+    The configs share one seed and entry law.  Replicate r's stream, keyed
+    on (seed, r), is drawn once, into the entry buffer of the config with
+    the most entries; each other config copies the first n*N of them, which
+    are bitwise its own draw because ``draw_entries`` fills its output in
+    stream order.  The copies come before any Gram, which scales its
+    entries by T^(1/2) in place.  So each matrix is bitwise the one
+    ``build_sample_cov`` gives it, whatever block or configs it comes with.
+    Each stack is the Gram buffer of its config's workspace (of size b or
     more), overwritten by its next use.
     """
     b = len(replicates)
-    if ws.gram.shape[0] < b:
-        raise ValueError(f"workspace holds {ws.gram.shape[0]} replicates, "
-                         f"fewer than the block's {b}")
-    for a, r in zip(ws.gram, replicates):
-        draw_entries(cfg.entry_dist, cfg.n, cfg.N, replicate_rng(cfg.seed, r), out=ws.entries)
-        _gram(cfg, ws, a)
-    return ws.gram[:b]
+    for ws in workspaces:
+        if ws.gram.shape[0] < b:
+            raise ValueError(f"workspace holds {ws.gram.shape[0]} replicates, "
+                             f"fewer than the block's {b}")
+    sizes = [cfg.n * cfg.N for cfg in cfgs]
+    head = sizes.index(max(sizes))
+    cfg, entries = cfgs[head], workspaces[head].entries
+    flat = entries.reshape(-1)
+    copies = [(ws.entries.reshape(-1), size)
+              for i, (ws, size) in enumerate(zip(workspaces, sizes)) if i != head]
+    for j, r in enumerate(replicates):
+        draw_entries(cfg.entry_dist, cfg.n, cfg.N, replicate_rng(cfg.seed, r), out=entries)
+        for dest, size in copies:
+            dest[...] = flat[:size]
+        for c, ws in zip(cfgs, workspaces):
+            _gram(c, ws, ws.gram[j])
+    return [ws.gram[:b] for ws in workspaces]
 
 
 def build_sample_cov(cfg: ModelConfig, replicate: int = 0,

@@ -420,7 +420,7 @@ class TestDispatch:
     def test_failed_replicate_exit_3(self, tmp_path, capsys, monkeypatch):
         # an indefinite matrix in place of the sample covariance fails the Gauss rule's check
         g = np.random.default_rng(1).standard_normal((200, 200))
-        monkeypatch.setattr(covspec.harness, "sample_cov_block", lambda *a, **k: (g + g.T)[None])
+        monkeypatch.setattr(covspec.harness, "sample_cov_block", lambda *a, **k: [(g + g.T)[None]])
         cfgfile = _config(tmp_path, n=200, N=400)
         code = main(["clt", "--config", str(cfgfile), "--out", str(tmp_path), "--reps", "4"])
         assert code == 3

@@ -125,10 +125,10 @@ class TestEigDecomposeChecks:
 
     @pytest.mark.parametrize("fault", list(_EIG_FAULTS))
     def test_failure_names_the_replicate(self, monkeypatch, fault):
-        assert _block_size(self.CFG) > 5  # replicate 2 is the middle of one block
+        assert _block_size([self.CFG]) > 5  # replicate 2 is the middle of one block
         spoil = self._spoil(monkeypatch, fault, build_sample_cov(self.CFG, replicate=2)[0, 0])
         with pytest.raises(RuntimeError, match="^replicate 2 failed: " + re.escape(fault)):
-            map_replicates(self.CFG, lambda s: eig_decompose(spoil(s)).lambdas, 5, workers=1)
+            map_replicates([self.CFG], lambda s: eig_decompose(spoil(s)).lambdas, 5, workers=1)
 
 
     def test_failed_eigh_is_a_runtime_error(self, monkeypatch):

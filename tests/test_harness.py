@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -185,12 +186,12 @@ class TestMapReplicates:
 
         seen, workspaces = {}, set()
 
-        def recording_block(cfg, replicates, workspace=None):
-            stack = sample_cov_block(cfg, replicates, workspace)
-            for r, a in zip(replicates, stack):
+        def recording_block(cfgs, replicates, block_workspaces):
+            stacks = sample_cov_block(cfgs, replicates, block_workspaces)
+            for r, a in zip(replicates, stacks[0]):
                 seen[r] = a.copy()
-            workspaces.add(id(workspace))
-            return stack
+            workspaces.add(id(block_workspaces[0]))
+            return stacks
 
         monkeypatch.setattr(harness, "sample_cov_block", recording_block)
         pop = PopulationSpec(SpectralMeasure([1.0, 3.0], [0.5, 0.5]))
@@ -199,7 +200,7 @@ class TestMapReplicates:
             workspaces.clear()
             cfg = ModelConfig(n=30, N=50, entry_dist=dist, population=pop,
                               direction=DirectionSpec.basis(0), seed=12)
-            map_replicates(cfg, cholesky_logdet, 7, workers=workers)
+            map_replicates([cfg], cholesky_logdet, 7, workers=workers)
             assert sorted(seen) == list(range(7))
             assert id(None) not in workspaces and len(workspaces) <= workers
             with harness._BLAS.pinned():
@@ -218,7 +219,7 @@ class TestMapReplicates:
             set_(2)
             seen = []
             for workers in (1, 2):
-                map_replicates(_cfg(n=10, N=20), lambda s: [seen.append(get()) or 0.0 for a in s],
+                map_replicates([_cfg(n=10, N=20)], lambda s: [seen.append(get()) or 0.0 for a in s],
                                4, workers=workers)
                 assert get() == 2
             assert seen == [1] * 8
@@ -228,7 +229,7 @@ class TestMapReplicates:
     @pytest.mark.parametrize("n, N", [(n, N) for table in FIGURES.values() for n, N, _ in table])
     def test_logdet_matches_eigenvalue_sum(self, n, N):
         cfg = _cfg(n=n, N=N, seed=4)
-        got = _figure_samples(cfg, n, N, 6, scale=1.0)
+        got = _figure_samples(cfg, ((n, N, 1.0),), 6)[:, 0]
         want = [w_statistic(eig_decompose(build_sample_cov(cfg, replicate=r))) for r in range(6)]
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
@@ -236,16 +237,16 @@ class TestMapReplicates:
         # n > N is refused before any replicate: Cholesky can factor a
         # rank-deficient A in floating point and give a finite log det
         with pytest.raises(ValueError, match="^singular sample covariance$"):
-            _figure_samples(_cfg(), 20, 10, 3, scale=1.0)
+            _figure_samples(_cfg(), ((20, 10, 1.0),), 3)
         with pytest.raises(RuntimeError, match="replicate 0 failed: singular"):
-            map_replicates(_cfg(n=20, N=10), lambda a: cholesky_logdet(0.0 * a), 3, workers=2)
+            map_replicates([_cfg(n=20, N=10)], lambda a: cholesky_logdet(0.0 * a), 3, workers=2)
 
     @pytest.mark.parametrize("n, N", [(20, 100), (50, 250)])
     def test_logdet_matches_exact_law(self, n, N):
         # the figures' engine against the exact finite-n law of W = log det A;
         # seed 18 was fixed before the first run
         R = 4000
-        w = map_replicates(_cfg(n=n, N=N, seed=18), cholesky_logdet, R)
+        w = map_replicates([_cfg(n=n, N=N, seed=18)], cholesky_logdet, R)
         mean, var = logdet_moments(n, N)
         dev = w - w.mean()
         s2 = dev @ dev / (R - 1)
@@ -266,8 +267,8 @@ class TestMapReplicates:
             ws = weighted_spectrum(eig_decompose(a), x)
             return sums(ws.lambdas[None], ws.weights[None])[0]
 
-        got = map_replicates(cfg, lambda s: [gauss_rule(a, x, sums)[2] for a in s], 5, workers=2)
-        want = map_replicates(cfg, lambda s: [eig_sums(a) for a in s], 5, workers=2)
+        got = map_replicates([cfg], lambda s: [gauss_rule(a, x, sums)[2] for a in s], 5, workers=2)
+        want = map_replicates([cfg], lambda s: [eig_sums(a) for a in s], 5, workers=2)
         assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
     def test_gauss_falls_back_to_weights(self):
@@ -285,7 +286,7 @@ class TestMapReplicates:
                                       - m) for g, m in zip((G1, GLOG), means)]
 
         got = run_replications(cfg, [G1, GLOG], 3, workers=2)
-        want = map_replicates(cfg, lambda s: [eig_lss(a) for a in s], 3, workers=2)
+        want = map_replicates([cfg], lambda s: [eig_lss(a) for a in s], 3, workers=2)
         assert got.tobytes() == want.tobytes()
 
     def test_block_mixing_rule_and_fallback_rows_match_each_alone(self, monkeypatch):
@@ -296,11 +297,11 @@ class TestMapReplicates:
         x = realize_direction(cfg.direction, cfg.n)
         means = np.array([mean_functional(realized_law(cfg), g) for g in (G1, GLOG)])
 
-        def mixed_block(cfg, replicates, workspace):
-            stack = sample_cov_block(cfg, replicates, workspace)
+        def mixed_block(cfgs, replicates, workspaces):
+            stacks = sample_cov_block(cfgs, replicates, workspaces)
             if 4 in replicates:
-                stack[replicates.index(4)] = slow
-            return stack
+                stacks[0][replicates.index(4)] = slow
+            return stacks
 
         def lss(nodes, weights):
             sums = [np.vecdot(weights, g(nodes)) for g in (G1, GLOG)]
@@ -338,7 +339,7 @@ class TestMapReplicates:
     def test_failed_gauss_rule_names_replicate(self, monkeypatch):
         # a symmetric indefinite matrix in place of the sample covariance
         g = np.random.default_rng(1).standard_normal((200, 200))
-        monkeypatch.setattr(covspec.harness, "sample_cov_block", lambda *a, **k: (g + g.T)[None])
+        monkeypatch.setattr(covspec.harness, "sample_cov_block", lambda *a, **k: [(g + g.T)[None]])
         monkeypatch.setattr(covspec.harness, "eig_decompose", None)  # the rule fails first
         with pytest.raises(RuntimeError, match="replicate 0 failed: matrix is not nonnegative "
                                                "definite \\(min Ritz value"):
@@ -349,12 +350,12 @@ class TestMapReplicates:
         # the whole block, fails, and the rerun one matrix at a time names it
         g = np.random.default_rng(1).standard_normal((200, 200))
 
-        def bad_block(cfg, replicates, workspace=None):
-            stack = sample_cov_block(cfg, replicates, workspace)
-            for a, r in zip(stack, replicates):
+        def bad_block(cfgs, replicates, workspaces):
+            stacks = sample_cov_block(cfgs, replicates, workspaces)
+            for a, r in zip(stacks[0], replicates):
                 if r == 4:
                     a[...] = g + g.T
-            return stack
+            return stacks
 
         monkeypatch.setattr(covspec.harness, "sample_cov_block", bad_block)
         monkeypatch.setattr(covspec.harness, "eig_decompose", None)  # the rule fails first
@@ -378,10 +379,10 @@ class TestBlocks:
         for dist in covspec.ENTRY_DISTS:
             cfg = ModelConfig(n=12, N=30, entry_dist=dist, population=pop,
                               direction=DirectionSpec.basis(0), seed=3)
-            B = _block_size(cfg)
+            B = _block_size([cfg])
             # a partial last block of 5 after three full blocks, and R < B
             for R in (3 * B + 5, B - 2):
-                got = map_replicates(cfg, self._rows, R, workers=workers)
+                got = map_replicates([cfg], self._rows, R, workers=workers)
                 assert got.shape == (R, 1 + 2 * 12 * 12)
                 for r in range(R):
                     want = self._rows(build_sample_cov(cfg, replicate=r)[None])[0]
@@ -389,7 +390,7 @@ class TestBlocks:
 
     def test_failure_mid_block_names_replicate(self):
         cfg = _cfg(n=10, N=20, seed=9)
-        assert _block_size(cfg) > 8
+        assert _block_size([cfg]) > 8
         bad = build_sample_cov(cfg, replicate=5)
         calls = []
 
@@ -400,7 +401,7 @@ class TestBlocks:
             return np.zeros(len(stack))
 
         with pytest.raises(RuntimeError, match="^replicate 5 failed: boom$"):
-            map_replicates(cfg, fn, 8, workers=1)
+            map_replicates([cfg], fn, 8, workers=1)
         assert calls == [8, 1, 1, 1, 1, 1, 1]  # the block, then replicates 0..5 alone
 
     def test_rows_must_match_matrices(self):
@@ -408,16 +409,57 @@ class TestBlocks:
         # which names the first replicate
         with pytest.raises(RuntimeError, match=r"^replicate 0 failed: fn gave shape \(2,\) "
                                                r"for 1 matrices"):
-            map_replicates(_cfg(n=10, N=20), lambda s: np.zeros(len(s) + 1), 3, workers=1)
+            map_replicates([_cfg(n=10, N=20)], lambda s: np.zeros(len(s) + 1), 3, workers=1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("dist, atoms", [("real-gaussian", ([1.0], [1.0])),
+                                             ("complex-gaussian", ([1.0, 3.0], [0.5, 0.5])),
+                                             ("rademacher", ([1.0], [1.0]))])
+    def test_shared_call_matches_separate_calls(self, workers, dist, atoms):
+        # one stream serves every config: each config's columns are bitwise
+        # its call alone; the largest n*N comes last, (40, 100) reads rows
+        # of it that T^(1/2) scales, and R is no multiple of B
+        pop = PopulationSpec(SpectralMeasure(*atoms))
+        sizes = [(40, 100), (12, 30), (3, 7), (60, 90)]
+        cfgs = [ModelConfig(n=n, N=N, entry_dist=dist, population=pop,
+                            direction=DirectionSpec.basis(0), seed=21) for n, N in sizes]
+        R = 2 * _block_size(cfgs) + 3
+
+        def entries(stack):
+            # every entry, so a row shows its matrix's bytes; no log det, as
+            # a Rademacher (3, 7) draw may be singular
+            flat = stack.reshape(len(stack), -1)
+            return np.column_stack([flat.real, flat.imag])
+
+        got = map_replicates(cfgs, lambda *stacks: np.column_stack([entries(s) for s in stacks]),
+                             R, workers=workers)
+        widths = np.cumsum([2 * n * n for n, _ in sizes])
+        assert got.shape == (R, widths[-1])
+        for cfg, part in zip(cfgs, np.split(got, widths[:-1], axis=1)):
+            alone = map_replicates([cfg], entries, R, workers=workers)
+            assert part.tobytes() == alone.tobytes(), (cfg.n, cfg.N)
+
+    @pytest.mark.parametrize("other", [{"seed": 1}, {"entry_dist": "rademacher"}, None])
+    def test_configs_of_another_stream_refused(self, monkeypatch, other):
+        # configs that do not share one stream are refused before any draw
+        monkeypatch.setattr(covspec.harness, "sample_cov_block", None)
+        cfg = _cfg(n=10, N=20)
+        cfgs = [] if other is None else [cfg, replace(cfg, n=5, **other)]
+        with pytest.raises(ValueError, match="^map_replicates needs one or more configs of one "
+                                             "seed and entry law$"):
+            map_replicates(cfgs, lambda *stacks: np.zeros(len(stacks[0])), 4, workers=1)
 
     def test_block_size(self):
         # one n x n Gram per replicate against the 1 MiB budget
-        assert _block_size(_cfg(n=200, N=400)) == 3  # the clt config
-        assert _block_size(_cfg(n=300, N=600)) == 1  # the benchmark's BLAS probe
-        sizes = [_block_size(_cfg(n=round(0.2 * N), N=N)) for N in FIGURE_ONE_SIZES]
+        assert _block_size([_cfg(n=200, N=400)]) == 3  # the clt config
+        assert _block_size([_cfg(n=300, N=600)]) == 1  # the benchmark's BLAS probe
+        figure = [_cfg(n=round(0.2 * N), N=N) for N in FIGURE_ONE_SIZES]
+        sizes = [_block_size([cfg]) for cfg in figure]
         assert sizes == [8192, 327, 81, 13]
+        # Figure 1's four series share a block: their Grams take 96128 bytes a replicate
+        assert _block_size(figure) == 10
         complex_cfg = _cfg(n=20, N=100, dist="complex-gaussian")
-        assert 1 < _block_size(complex_cfg) < sizes[1]
+        assert 1 < _block_size([complex_cfg]) < sizes[1]
 
 
 class TestEstimateMeanCov:
@@ -688,7 +730,7 @@ class TestBrownianBridge:
         # one decomposition per block of B = 4: blocks 0-3, 4-7 and the partial 8-9
         cfg = ModelConfig(n=n, N=2 * n, entry_dist=dist, population=PopulationSpec.identity(),
                           direction=DirectionSpec.uniform(), seed=7)
-        assert _block_size(cfg) == 4
+        assert _block_size([cfg]) == 4
         grid = [0.1, 0.5, 0.9]
         x = realize_direction(cfg.direction, n)
         want = np.empty((10, len(grid)))
@@ -840,12 +882,33 @@ def test_bad_workers_argument_draws_no_replicate(monkeypatch, workers):
     drawn = []
     block = covspec.harness.sample_cov_block
     monkeypatch.setattr(covspec.harness, "sample_cov_block",
-                        lambda cfg, reps, ws: drawn.append(reps) or block(cfg, reps, ws))
+                        lambda cfgs, reps, ws: drawn.append(reps) or block(cfgs, reps, ws))
     with pytest.raises(ConfigError, match="^workers must be a positive integer"):
-        map_replicates(_cfg(), lambda stack: np.zeros(len(stack)), 4, workers=workers)
+        map_replicates([_cfg()], lambda stack: np.zeros(len(stack)), 4, workers=workers)
     assert drawn == []
-    map_replicates(_cfg(), lambda stack: np.zeros(len(stack)), 4, workers=np.int64(2))
+    map_replicates([_cfg()], lambda stack: np.zeros(len(stack)), 4, workers=np.int64(2))
     assert drawn  # the hook sees the draws of a valid run
+
+
+@pytest.mark.parametrize("R", [-3, True, 2.0, "4", None])
+def test_bad_replicate_count_draws_no_replicate(monkeypatch, R):
+    # checked like the worker count: a config error before any draw, also
+    # where run_replications and bb_covariance pass the count on
+    drawn = []
+    block = covspec.harness.sample_cov_block
+    monkeypatch.setattr(covspec.harness, "sample_cov_block",
+                        lambda cfgs, reps, ws: drawn.append(reps) or block(cfgs, reps, ws))
+    with pytest.raises(ConfigError, match="^R must be a non-negative integer"):
+        map_replicates([_cfg()], lambda stack: np.zeros(len(stack)), R, workers=1)
+    if R == 2.0:
+        with pytest.raises(ConfigError, match="^R must be a non-negative integer"):
+            run_replications(_cfg(), [G1], R, workers=1)
+        with pytest.raises(ConfigError, match="^R must be a non-negative integer"):
+            bb_covariance(_cfg(), [0.5], R)
+    assert drawn == []
+    assert map_replicates([_cfg()], lambda stack: np.zeros(len(stack)), 0).shape == (0,)
+    got = map_replicates([_cfg()], lambda stack: np.zeros(len(stack)), np.int64(3), workers=1)
+    assert got.shape == (3,) and drawn  # the hook sees the draws of a valid run
 
 
 def test_thread_scaling_informational():

@@ -193,13 +193,24 @@ class TestWorkspace:
             assert draw_entries(dist, 7, 11, replicate_rng(5, r)).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dist", ENTRY_DISTS)
+    @pytest.mark.parametrize("seed, r", [(0, 0), (7, 3), (2 ** 64 - 1, 11)])
+    def test_draws_are_prefixes_of_one_stream(self, dist, seed, r):
+        # the shared draw rests on this: an n x N draw is the first n*N
+        # entries of any larger draw of the stream; (3, 7) has an odd count
+        # of entries, which a buffered draw of Rademacher signs must not shift
+        full = draw_entries(dist, 100, 500, replicate_rng(seed, r)).reshape(-1)
+        for n, N in [(4, 20), (20, 100), (40, 200), (100, 500), (3, 7), (1, 1), (99, 501)]:
+            got = draw_entries(dist, n, N, replicate_rng(seed, r))
+            assert got.tobytes() == full[:n * N].tobytes(), (n, N)
+
+    @pytest.mark.parametrize("dist", ENTRY_DISTS)
     @pytest.mark.parametrize("atoms", [([1.0], [1.0]), ([1.0, 3.0], [0.5, 0.5])])
     def test_reused_workspace_matches_fresh_build(self, dist, atoms):
         cfg = _cfg(n=24, N=40, dist=dist, pop=PopulationSpec(SpectralMeasure(*atoms)), seed=8)
         ws = Workspace(cfg)
         assert (ws.root is None) == (len(atoms[0]) == 1)
         for r in range(4):
-            a = sample_cov_block(cfg, range(r, r + 1), ws)[0]
+            a = sample_cov_block([cfg], range(r, r + 1), [ws])[0][0]
             assert a.base is ws.gram and a.ctypes.data == ws.gram.ctypes.data  # its first buffer
             fresh = build_sample_cov(cfg, replicate=r)
             assert a.tobytes() == fresh.tobytes()
