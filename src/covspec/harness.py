@@ -10,14 +10,14 @@ B = max(1, floor(BLOCK_BYTES / bytes of one replicate's Grams over the
 configs)) depends only on the configs' n, N and entry law: 3 at n = 200,
 N = 400, 13 at n = 100, N = 500, 10 for Figure 1's four sizes.
 Replicates are mutually independent, and blocks may run on any number of
-worker threads, each drawing every replicate of its block into one draw
-buffer and writing the replicate's Grams into the block's stacks, in
-buffers it reuses from one block to the next (``model.Workspace``, one per
-config); the stacks are that worker's Gram buffers, valid only during the
-call.  While they run, numpy's OpenBLAS is pinned to one thread, so each
-worker does its linear algebra serially and the results depend neither on
-scheduling nor on the BLAS thread setting.  Each caller does the
-decomposition its statistic needs once per block, on the stack:
+worker threads.  Each thread keeps one ``model.Workspace`` from block to
+block: it draws every replicate of its block into the workspace's one draw
+buffer, which each config's Gram only reads, and writes the replicate's
+Grams into the block's stacks, that thread's Gram buffers, valid only
+during the call.  While they run, numpy's OpenBLAS is pinned to one
+thread, so each worker does its linear algebra serially and the results
+depend neither on scheduling nor on the BLAS thread setting.  Each caller
+does the decomposition its statistic needs once per block, on the stack:
 ``run_replications`` evaluates x* g(A) x by a Lanczos Gauss rule
 (``eigen.gauss_rule``) where it settles within n/4 steps and by
 ``eig_decompose`` of the matrices it leaves.  Its statistic has the
@@ -152,6 +152,14 @@ def _block_size(cfgs: Sequence[ModelConfig]) -> int:
     return max(1, BLOCK_BYTES // sum(Workspace.replicate_bytes(cfg) for cfg in cfgs))
 
 
+def _check_reps(R, least: int = 0) -> None:
+    """A ConfigError unless R is an integer, not a bool, of at least ``least``."""
+    if not (_is_int(R) and R >= 0):
+        raise ConfigError(f"R must be a non-negative integer (got {R!r})")
+    if R < least:
+        raise ConfigError(f"need at least {least} replications")
+
+
 def map_replicates(cfgs: Sequence[ModelConfig], fn: Callable, R: int,
                    workers: Optional[int] = None) -> np.ndarray:
     """``fn`` on the stacked sample covariances of each block of replicates
@@ -165,7 +173,7 @@ def map_replicates(cfgs: Sequence[ModelConfig], fn: Callable, R: int,
     (``model.sample_cov_block``).  Block b holds replicates
     [bB, min(R, (b+1)B)), with B = ``_block_size``: max(1, floor(BLOCK_BYTES
     / bytes of one replicate's Grams over the configs)).  A block draws
-    into the running thread's Workspaces and calls ``fn(*stacks)`` once,
+    into the running thread's Workspace and calls ``fn(*stacks)`` once,
     on one b x n x n stack per config, in the configs' order.  ``fn`` may
     read or decompose the stacks but must not keep them, and returns b
     rows, each a number or a fixed-length sequence of numbers.  The blocks
@@ -183,16 +191,15 @@ def map_replicates(cfgs: Sequence[ModelConfig], fn: Callable, R: int,
     if not cfgs or any((cfg.seed, cfg.entry_dist) != (cfgs[0].seed, cfgs[0].entry_dist)
                        for cfg in cfgs):
         raise ValueError("map_replicates needs one or more configs of one seed and entry law")
-    if not (_is_int(R) and R >= 0):
-        raise ConfigError(f"R must be a non-negative integer (got {R!r})")
+    _check_reps(R)
     B = _block_size(cfgs)
-    local = threading.local()  # one Workspace per config and thread running blocks
+    local = threading.local()  # one Workspace per thread running blocks
 
     def run(block: range) -> np.ndarray:
         try:
-            if not hasattr(local, "workspaces"):
-                local.workspaces = [Workspace(cfg, size=min(B, R)) for cfg in cfgs]
-            rows = np.asarray(fn(*sample_cov_block(cfgs, block, local.workspaces)), dtype=float)
+            if not hasattr(local, "ws"):
+                local.ws = Workspace(cfgs, size=min(B, R))
+            rows = np.asarray(fn(*sample_cov_block(cfgs, block, local.ws)), dtype=float)
             if rows.shape[:1] != (len(block),):
                 raise ValueError(f"fn gave shape {rows.shape} for {len(block)} matrices, "
                                  f"not one row each")
@@ -232,8 +239,7 @@ def run_replications(cfg: ModelConfig, gs: Sequence[FunctionalSpec], R: int,
     evaluated by the Lanczos Gauss rule, one call per block of replicates,
     or by one eigendecomposition of the matrices where it does not settle.
     """
-    if R < 2:
-        raise ConfigError("need at least 2 replications")
+    _check_reps(R, least=2)
     gs = list(gs)
     if not gs:
         raise ConfigError("need at least one functional")
@@ -353,8 +359,7 @@ def bb_covariance(cfg: ModelConfig, grid: Sequence[float], R: int) -> np.ndarray
         raise ConfigError("grid values must lie strictly inside (0, 1)")
     if cfg.entry_dist != "real-gaussian" or not cfg.population.spectrum.is_degenerate:
         raise ConfigError("bridge check needs real-gaussian entries and a scalar population")
-    if R < 2:
-        raise ConfigError("need at least 2 replications")
+    _check_reps(R, least=2)
     samples = bb_samples(cfg, grid, R)
     return np.atleast_2d(np.cov(samples, rowvar=False, ddof=1))
 

@@ -8,12 +8,11 @@ through ``SeedSequence``, so results never depend on execution order.  The
 draw fills X in stream order, so a config reads the first n*N draws of its
 replicate's stream: as in the paper, where every X_n is the upper-left
 corner of one double array, the configs of one seed and entry law are
-nested prefixes of one stream, and one draw serves them all.  A
-``Workspace`` holds one worker's buffers for one config and a block of
-replicates: one draw buffer that every replicate of the block is drawn
-into, and the block's stacked Grams.  It is reused from one block to the
-next without changing any value; ``sample_cov_block`` fills the workspaces
-of a block's configs.
+nested prefixes of one stream, and one draw serves them all: each config
+only reads it, and T^(1/2) scales the product, as the paper writes A_n.  A
+``Workspace``, which ``sample_cov_block`` fills, holds one thread's buffers
+for a config set and a block of replicates, reused from block to block
+without changing any value.
 """
 
 from __future__ import annotations
@@ -204,24 +203,24 @@ def draw_entries(entry_dist: str, n: int, N: int, rng: np.random.Generator,
 
 
 class Workspace:
-    """Buffers one worker reuses for the sample covariances of one config.
+    """Buffers one thread reuses for the sample covariances of a config set.
 
-    Holds the population root (None when T = I), one n x N entry buffer
-    of the entry law's dtype (for complex entries also an n x N conjugate
-    buffer), shared by a block, and the stacked size x n x n Grams of a
-    block of up to ``size`` replicates: each replicate is drawn into (or
-    copied from a larger config's draw into) the one entry buffer, and
-    only its Gram is kept.  One thread at a time may use it.
+    Per config, in the configs' order: the realized T^(1/2) as a column
+    (None when T = I) and the stacked size x n x n Grams of a block of up
+    to ``size`` replicates.  One draw buffer of the entry law's dtype,
+    shaped as the config with the most entries, and for complex entries a
+    buffer for its conjugate.  One thread at a time may use it.
     """
 
-    def __init__(self, cfg: ModelConfig, size: int = 1):
-        dtype = entry_dtype(cfg.entry_dist)
-        n, N = cfg.n, cfg.N
-        tdiag = realize_population(cfg.population, n)
-        self.root = None if np.all(tdiag == 1.0) else np.sqrt(tdiag)[:, None]
-        self.entries = np.empty((n, N), dtype)
-        self.conj = np.empty((n, N), dtype) if dtype.kind == "c" else None
-        self.gram = np.empty((size, n, n), dtype)
+    def __init__(self, cfgs: Sequence[ModelConfig], size: int = 1):
+        dtype = entry_dtype(cfgs[0].entry_dist)
+        tdiags = [realize_population(cfg.population, cfg.n) for cfg in cfgs]
+        self.roots = [None if np.all(t == 1.0) else np.sqrt(t)[:, None] for t in tdiags]
+        head = max(cfgs, key=lambda cfg: cfg.n * cfg.N)
+        self.draw = np.empty((head.n, head.N), dtype)
+        self.conj = np.empty_like(self.draw) if dtype.kind == "c" else None
+        # after the draw buffer: the Gram stacks first read a higher peak RSS
+        self.grams = [np.empty((size, cfg.n, cfg.n), dtype) for cfg in cfgs]
 
     @staticmethod
     def replicate_bytes(cfg: ModelConfig) -> int:
@@ -230,74 +229,67 @@ class Workspace:
         return entry_dtype(cfg.entry_dist).itemsize * cfg.n * cfg.n
 
 
-def _gram(cfg: ModelConfig, ws: Workspace, out: np.ndarray) -> np.ndarray:
-    """The sample covariance of the draw in ``ws.entries``, written to ``out``."""
-    y = ws.entries
-    if ws.root is not None:
-        y *= ws.root
-    y_conj = y if ws.conj is None else np.conjugate(y, out=ws.conj)
-    a = np.matmul(y, y_conj.T, out=out)
-    a /= cfg.N
-    # force exact Hermitian symmetry against roundoff; the real product
-    # (a symmetric rank-k update) already has it, and for real a the
-    # conjugate transpose is a view of a, so nothing is copied
-    a_h = a.conj().T
-    if (a != a_h).any():
-        a += a_h
-        a /= 2.0
-    return a
+def _grams(cfgs: Sequence[ModelConfig], ws: Workspace, j: int, draw: np.ndarray) -> None:
+    """Slot j of each config's Gram stack, A = T^(1/2) (X X*/N) T^(1/2), with X
+    the first n*N entries of ``draw`` (shaped as ``ws.draw``), which is only read."""
+    conj = draw if ws.conj is None else np.conjugate(draw, out=ws.conj)
+    for cfg, root, stack in zip(cfgs, ws.roots, ws.grams):
+        x, x_conj = (v.reshape(-1)[:cfg.n * cfg.N].reshape(cfg.n, cfg.N) for v in (draw, conj))
+        a = np.matmul(x, x_conj.T, out=stack[j])
+        a /= cfg.N
+        if root is not None:
+            a *= root
+            a *= root.T
+        # force exact Hermitian symmetry against roundoff, which T^(1/2) adds
+        # to the real product (a symmetric rank-k update); for real a the
+        # conjugate transpose is a view of a, so nothing is copied
+        a_h = a.conj().T
+        if (a != a_h).any():
+            a += a_h
+            a /= 2.0
 
 
 def sample_cov_block(cfgs: Sequence[ModelConfig], replicates: range,
-                     workspaces: Sequence[Workspace]) -> list[np.ndarray]:
+                     ws: Workspace) -> list[np.ndarray]:
     """Stacked sample covariances of ``replicates`` for each config, one
     b x n x n stack per config for b replicates.
 
-    The configs share one seed and entry law.  Replicate r's stream, keyed
-    on (seed, r), is drawn once, into the entry buffer of the config with
-    the most entries; each other config copies the first n*N of them, which
-    are bitwise its own draw because ``draw_entries`` fills its output in
-    stream order.  The copies come before any Gram, which scales its
-    entries by T^(1/2) in place.  So each matrix is bitwise the one
+    The configs share one seed and entry law, and ``ws`` is their Workspace.
+    Replicate r's stream, keyed on (seed, r), is drawn once into its draw
+    buffer, and each config's Gram reads the first n*N entries, bitwise the
+    config's own draw as ``draw_entries`` fills its output in stream order.
+    No Gram writes the draw, so each matrix is bitwise the one
     ``build_sample_cov`` gives it, whatever block or configs it comes with.
-    Each stack is the Gram buffer of its config's workspace (of size b or
-    more), overwritten by its next use.
+    Each stack is the config's Gram buffer in ``ws`` (of size b or more),
+    overwritten by its next use.
     """
     b = len(replicates)
-    for ws in workspaces:
-        if ws.gram.shape[0] < b:
-            raise ValueError(f"workspace holds {ws.gram.shape[0]} replicates, "
-                             f"fewer than the block's {b}")
-    sizes = [cfg.n * cfg.N for cfg in cfgs]
-    head = sizes.index(max(sizes))
-    cfg, entries = cfgs[head], workspaces[head].entries
-    flat = entries.reshape(-1)
-    copies = [(ws.entries.reshape(-1), size)
-              for i, (ws, size) in enumerate(zip(workspaces, sizes)) if i != head]
+    if ws.grams[0].shape[0] < b:
+        raise ValueError(f"workspace holds {ws.grams[0].shape[0]} replicates, "
+                         f"fewer than the block's {b}")
+    cfg = cfgs[0]
+    n, N = ws.draw.shape
     for j, r in enumerate(replicates):
-        draw_entries(cfg.entry_dist, cfg.n, cfg.N, replicate_rng(cfg.seed, r), out=entries)
-        for dest, size in copies:
-            dest[...] = flat[:size]
-        for c, ws in zip(cfgs, workspaces):
-            _gram(c, ws, ws.gram[j])
-    return [ws.gram[:b] for ws in workspaces]
+        draw_entries(cfg.entry_dist, n, N, replicate_rng(cfg.seed, r), out=ws.draw)
+        _grams(cfgs, ws, j, ws.draw)
+    return [stack[:b] for stack in ws.grams]
 
 
 def build_sample_cov(cfg: ModelConfig, replicate: int = 0,
                      entries: Optional[np.ndarray] = None) -> np.ndarray:
     """Sample covariance A = (1/N) T^(1/2) X X* T^(1/2), Hermitian nonnegative.
 
-    The Gram step of ``sample_cov_block`` for one replicate, on fresh buffers.
-    ``entries`` overrides the random draw with a fixed n x N matrix of the
-    entry law's dtype (``entry_dtype``); it is a test hook.
+    One replicate of ``sample_cov_block``, on fresh buffers.  ``entries``
+    overrides the random draw with a fixed n x N matrix of the entry law's
+    dtype (``entry_dtype``), which is only read; it is a test hook.
     """
-    ws = Workspace(cfg)
+    ws = Workspace([cfg])
     if entries is None:
-        draw_entries(cfg.entry_dist, cfg.n, cfg.N, replicate_rng(cfg.seed, replicate),
-                     out=ws.entries)
+        entries = draw_entries(cfg.entry_dist, cfg.n, cfg.N,
+                               replicate_rng(cfg.seed, replicate), out=ws.draw)
     else:
         entries = np.asarray(entries)
-        if entries.shape != ws.entries.shape or entries.dtype != ws.entries.dtype:
-            raise ValueError(f"entries must be a {(cfg.n, cfg.N)} array of {ws.entries.dtype}")
-        ws.entries[...] = entries
-    return _gram(cfg, ws, ws.gram[0])
+        if entries.shape != ws.draw.shape or entries.dtype != ws.draw.dtype:
+            raise ValueError(f"entries must be a {(cfg.n, cfg.N)} array of {ws.draw.dtype}")
+    _grams([cfg], ws, 0, entries)
+    return ws.grams[0][0]

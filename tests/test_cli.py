@@ -485,6 +485,31 @@ class TestDispatch:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not list(out.glob("*"))
 
+    @pytest.mark.parametrize("fault", ["invalid-json", "direction-kind", "negative-weight",
+                                       "weights-sum-0.9", "out-is-a-file"])
+    def test_config_document_fault_exit_2(self, tmp_path, capsys, fault):
+        # faults of the config text, its population and direction, and --out:
+        # each exits 2 and writes no output file
+        overrides = {
+            "direction-kind": {"direction": {"kind": "diagonal"}},
+            "negative-weight": {"population": {"atoms": [{"t": 1.0, "w": 1.5},
+                                                         {"t": 2.0, "w": -0.5}]}},
+            "weights-sum-0.9": {"population": {"atoms": [{"t": 1.0, "w": 0.5},
+                                                         {"t": 2.0, "w": 0.4}]}},
+        }.get(fault, {})
+        cfgfile = _config(tmp_path, **dict({"n": 20, "N": 40}, **overrides))
+        if fault == "invalid-json":
+            cfgfile.write_text('{"n": 20, "N": 40,')
+        out = tmp_path / "out"
+        if fault == "out-is-a-file":
+            out.write_text("kept\n")
+        assert main(["simulate", "--config", str(cfgfile), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert sorted(path.name for path in tmp_path.rglob("*")) == (
+            ["config.json", "out"] if fault == "out-is-a-file" else ["config.json"])
+        if fault == "out-is-a-file":
+            assert out.read_text() == "kept\n"
+
     @pytest.mark.parametrize("argv", [["density", "--reps", "5"], ["simulate", "--g", "log"],
                                       ["clt", "--grid", "1"], ["bridge", "--g", "log"],
                                       ["figures", "--grid", "1"]],

@@ -186,11 +186,11 @@ class TestMapReplicates:
 
         seen, workspaces = {}, set()
 
-        def recording_block(cfgs, replicates, block_workspaces):
-            stacks = sample_cov_block(cfgs, replicates, block_workspaces)
+        def recording_block(cfgs, replicates, block_ws):
+            stacks = sample_cov_block(cfgs, replicates, block_ws)
             for r, a in zip(replicates, stacks[0]):
                 seen[r] = a.copy()
-            workspaces.add(id(block_workspaces[0]))
+            workspaces.add(id(block_ws))
             return stacks
 
         monkeypatch.setattr(harness, "sample_cov_block", recording_block)
@@ -225,6 +225,20 @@ class TestMapReplicates:
             assert seen == [1] * 8
         finally:
             set_(before)
+
+    def test_unpinned_rows_match_across_workers(self, monkeypatch):
+        # where numpy bundles no OpenBLAS the replicates run unpinned: the rows
+        # still agree bitwise across worker counts, and with the pinned rows to roundoff
+        import covspec.harness as harness
+
+        cfg = _cfg(n=200, N=400, seed=5)
+        pinned = map_replicates([cfg], np.linalg.eigvalsh, 7, workers=1)
+        monkeypatch.setattr(harness.glob, "glob", lambda pattern: [])
+        assert harness._find_openblas.__wrapped__() is None
+        monkeypatch.setattr(harness, "_find_openblas", lambda: None)
+        one, two = (map_replicates([cfg], np.linalg.eigvalsh, 7, workers=w) for w in (1, 2))
+        assert one.tobytes() == two.tobytes()
+        np.testing.assert_allclose(one, pinned, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n, N", [(n, N) for table in FIGURES.values() for n, N, _ in table])
     def test_logdet_matches_eigenvalue_sum(self, n, N):
@@ -297,8 +311,8 @@ class TestMapReplicates:
         x = realize_direction(cfg.direction, cfg.n)
         means = np.array([mean_functional(realized_law(cfg), g) for g in (G1, GLOG)])
 
-        def mixed_block(cfgs, replicates, workspaces):
-            stacks = sample_cov_block(cfgs, replicates, workspaces)
+        def mixed_block(cfgs, replicates, ws):
+            stacks = sample_cov_block(cfgs, replicates, ws)
             if 4 in replicates:
                 stacks[0][replicates.index(4)] = slow
             return stacks
@@ -350,8 +364,8 @@ class TestMapReplicates:
         # the whole block, fails, and the rerun one matrix at a time names it
         g = np.random.default_rng(1).standard_normal((200, 200))
 
-        def bad_block(cfgs, replicates, workspaces):
-            stacks = sample_cov_block(cfgs, replicates, workspaces)
+        def bad_block(cfgs, replicates, ws):
+            stacks = sample_cov_block(cfgs, replicates, ws)
             for a, r in zip(stacks[0], replicates):
                 if r == 4:
                     a[...] = g + g.T
@@ -900,15 +914,17 @@ def test_bad_replicate_count_draws_no_replicate(monkeypatch, R):
                         lambda cfgs, reps, ws: drawn.append(reps) or block(cfgs, reps, ws))
     with pytest.raises(ConfigError, match="^R must be a non-negative integer"):
         map_replicates([_cfg()], lambda stack: np.zeros(len(stack)), R, workers=1)
-    if R == 2.0:
-        with pytest.raises(ConfigError, match="^R must be a non-negative integer"):
-            run_replications(_cfg(), [G1], R, workers=1)
-        with pytest.raises(ConfigError, match="^R must be a non-negative integer"):
-            bb_covariance(_cfg(), [0.5], R)
+    # "4" once met run_replications' and bb_covariance's own R < 2 as a bare TypeError
+    with pytest.raises(ConfigError, match="^R must be a non-negative integer"):
+        run_replications(_cfg(), [G1], R, workers=1)
+    with pytest.raises(ConfigError, match="^R must be a non-negative integer"):
+        bb_covariance(_cfg(), [0.5], R)
     assert drawn == []
     assert map_replicates([_cfg()], lambda stack: np.zeros(len(stack)), 0).shape == (0,)
     got = map_replicates([_cfg()], lambda stack: np.zeros(len(stack)), np.int64(3), workers=1)
     assert got.shape == (3,) and drawn  # the hook sees the draws of a valid run
+    assert run_replications(_cfg(), [G1], np.int64(3), workers=1).shape == (3, 1)
+    assert bb_covariance(_cfg(), [0.5], np.int64(3)).shape == (1, 1)
 
 
 def test_thread_scaling_informational():

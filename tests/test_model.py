@@ -183,11 +183,11 @@ def _direct_draw(dist, n, N, rng):
 class TestWorkspace:
     @pytest.mark.parametrize("dist", ENTRY_DISTS)
     def test_draw_into_buffer_is_the_fresh_stream(self, dist):
-        ws = Workspace(_cfg(n=7, N=11, dist=dist))
+        ws = Workspace([_cfg(n=7, N=11, dist=dist)])
         for r in range(3):
             want = _direct_draw(dist, 7, 11, replicate_rng(5, r))
-            got = draw_entries(dist, 7, 11, replicate_rng(5, r), out=ws.entries)
-            assert got is ws.entries
+            got = draw_entries(dist, 7, 11, replicate_rng(5, r), out=ws.draw)
+            assert got is ws.draw
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
             assert draw_entries(dist, 7, 11, replicate_rng(5, r)).tobytes() == want.tobytes()
@@ -207,11 +207,12 @@ class TestWorkspace:
     @pytest.mark.parametrize("atoms", [([1.0], [1.0]), ([1.0, 3.0], [0.5, 0.5])])
     def test_reused_workspace_matches_fresh_build(self, dist, atoms):
         cfg = _cfg(n=24, N=40, dist=dist, pop=PopulationSpec(SpectralMeasure(*atoms)), seed=8)
-        ws = Workspace(cfg)
-        assert (ws.root is None) == (len(atoms[0]) == 1)
+        ws = Workspace([cfg])
+        assert (ws.roots[0] is None) == (len(atoms[0]) == 1)
         for r in range(4):
-            a = sample_cov_block([cfg], range(r, r + 1), [ws])[0][0]
-            assert a.base is ws.gram and a.ctypes.data == ws.gram.ctypes.data  # its first buffer
+            a = sample_cov_block([cfg], range(r, r + 1), ws)[0][0]
+            # the stack's first buffer
+            assert a.base is ws.grams[0] and a.ctypes.data == ws.grams[0].ctypes.data
             fresh = build_sample_cov(cfg, replicate=r)
             assert a.tobytes() == fresh.tobytes()
             assert np.array_equal(a, a.conj().T)
@@ -221,10 +222,22 @@ class TestWorkspace:
         for dist in ENTRY_DISTS:
             cfg = _cfg(n=16, N=30, dist=dist, pop=pop, seed=4)
             root = np.sqrt(realize_population(pop, 16))
-            y = root[:, None] * _direct_draw(dist, 16, 30, replicate_rng(4, 2))
-            a = (y @ y.conj().T) / 30
+            x = _direct_draw(dist, 16, 30, replicate_rng(4, 2))
+            # as the paper writes A_n: T^(1/2) scales the product X X*/N
+            a = root[:, None] * ((x @ x.conj().T) / 30) * root[None, :]
             want = (a + a.conj().T) / 2.0
             assert build_sample_cov(cfg, replicate=2).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dist", ["real-gaussian", "complex-gaussian"])
+    @pytest.mark.parametrize("atoms", [([1.0], [1.0]), ([1.0, 3.0], [0.5, 0.5])])
+    def test_grams_leave_the_draw_alone(self, dist, atoms):
+        # every config reads its prefix of the one draw buffer and none writes
+        # it: after a block the buffer holds the last replicate's fresh draw
+        pop = PopulationSpec(SpectralMeasure(*atoms))
+        cfgs = [_cfg(n=n, N=N, dist=dist, pop=pop, seed=3) for n, N in [(6, 10), (12, 30)]]
+        ws = Workspace(cfgs, size=3)
+        sample_cov_block(cfgs, range(4, 7), ws)
+        assert ws.draw.tobytes() == _direct_draw(dist, 12, 30, replicate_rng(3, 6)).tobytes()
 
     def test_entries_hook_leaves_input_alone(self):
         x = replicate_rng(0, 0).standard_normal((3, 5))
